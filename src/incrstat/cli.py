@@ -21,11 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import config as cfg
-from .corrector import scaling_study
+from .corrector import (
+    LOGLIN_R2_MIN,
+    LOGLOG_R2_MIN,
+    LOGLOG_SLOPE_MAX,
+    RATIO_BOUNDED,
+    scaling_study,
+)
 from .errors import (
     IO_EXIT_CODE,
     USAGE_EXIT_CODE,
-    BudgetError,
     ConfigError,
     DiagnosticError,
     GeneratorError,
@@ -39,6 +44,7 @@ from .seeding import DOMAIN_POINTSET, derive_seed
 __all__ = ["main"]
 
 POOL_CHUNK = 4
+_NUM = (int, float)
 
 
 def _fmt(v) -> str:
@@ -266,96 +272,125 @@ _RUNNERS = {
 }
 
 
+def _field(obj, key: str, *types):
+    """obj[key], required present and of one of `types`, else DiagnosticError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DiagnosticError(f"missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise DiagnosticError(f"field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def _render_scaling(payload: dict, lines: list[str]) -> None:
-    gen = payload.get("generator", {})
+    _field(payload, "d", int)  # not shown here; _cmd_report groups by it
+    gen = _field(payload, "generator", dict)
     gen_txt = " ".join(f"{k}={v}" for k, v in sorted(gen.items()))
-    lines.append(f"  generator: {gen_txt}; seed {payload.get('master_seed')}")
-    verdict = payload.get("verdict", "?")
+    lines.append(f"  generator: {gen_txt}; seed {_field(payload, 'master_seed', int)}")
+    verdict = _field(payload, "verdict", str)
     if verdict == "bounded":
         lines.append("  verdict: bounded (stationary up to translation)")
     else:
         lines.append(f"  verdict: {verdict}")
-    fits = payload.get("fits", {})
+    fits = _field(payload, "fits", dict)
+    ratio, ll_s, ll_r, la_s, la_r = (
+        _field(fits, key, *_NUM, type(None))
+        for key in ("boundedness_ratio", "loglog_slope", "loglog_r2", "loglin_slope", "loglin_r2")
+    )
 
     def num(x):
         return "n/a" if x is None else f"{x:.4g}"
 
     lines.append(
-        "  fits: log-log slope "
-        + num(fits.get("loglog_slope"))
-        + f" (R^2 {num(fits.get('loglog_r2'))}), |ln mu| slope "
-        + num(fits.get("loglin_slope"))
-        + f" (R^2 {num(fits.get('loglin_r2'))}), ratio "
-        + num(fits.get("boundedness_ratio"))
+        f"  fits: log-log slope {num(ll_s)} (R^2 {num(ll_r)}), |ln mu| slope "
+        f"{num(la_s)} (R^2 {num(la_r)}), ratio {num(ratio)}"
     )
-    ratio = fits.get("boundedness_ratio")
-    ll_s, ll_r = fits.get("loglog_slope"), fits.get("loglog_r2")
-    la_r = fits.get("loglin_r2")
     checks = [
-        ("bounded: ratio <= 1.5", ratio is not None and ratio <= 1.5),
+        (f"bounded: ratio <= {RATIO_BOUNDED}", ratio is not None and ratio <= RATIO_BOUNDED),
         (
-            "diverging-powerlaw: slope <= -0.25 and R^2 >= 0.9",
-            ll_s is not None and ll_s <= -0.25 and ll_r is not None and ll_r >= 0.9,
+            f"diverging-powerlaw: slope <= {LOGLOG_SLOPE_MAX} and R^2 >= {LOGLOG_R2_MIN}",
+            ll_s is not None and ll_s <= LOGLOG_SLOPE_MAX
+            and ll_r is not None and ll_r >= LOGLOG_R2_MIN,
         ),
-        ("diverging-log: affine R^2 >= 0.95", la_r is not None and la_r >= 0.95),
+        (
+            f"diverging-log: affine R^2 >= {LOGLIN_R2_MIN}",
+            la_r is not None and la_r >= LOGLIN_R2_MIN,
+        ),
     ]
     for label, ok in checks:
         lines.append(f"    {label}: {'pass' if ok else 'fail'}")
-    capped = [p for p in payload.get("points", []) if p.get("capped")]
+    points = _field(payload, "points", list)
+    capped = [p for p in points if _field(p, "capped", bool)]
     if capped:
         lines.append(
-            f"  note: L-rule capped at L={payload.get('l_cap')} for "
-            f"{len(capped)} of {len(payload.get('points', []))} grid points"
+            f"  note: L-rule capped at L={_field(payload, 'l_cap', int, type(None))} for "
+            f"{len(capped)} of {len(points)} grid points"
         )
 
 
 def _render_green(payload: dict, lines: list[str]) -> None:
-    lines.append(
-        f"  d={payload.get('d')} L={payload.get('L')} mu={payload.get('mu')}: "
-        f"site sum {payload.get('site_sum'):.6g}, wrap {payload.get('wrap_estimate'):.3g}, "
-        f"residual {payload.get('residual_max'):.3g}"
+    d, L = _field(payload, "d", int), _field(payload, "L", int)
+    mu, site_sum, wrap, resid = (
+        _field(payload, key, *_NUM) for key in ("mu", "site_sum", "wrap_estimate", "residual_max")
     )
-    for p, fit in sorted(payload.get("slopes", {}).items()):
-        ok = abs(fit["slope"] - fit["expected_slope"]) <= 0.3
+    lines.append(
+        f"  d={d} L={L} mu={mu}: site sum {site_sum:.6g}, wrap {wrap:.3g}, residual {resid:.3g}"
+    )
+    for p, fit in sorted(_field(payload, "slopes", dict).items()):
+        slope, expected = _field(fit, "slope", *_NUM), _field(fit, "expected_slope", *_NUM)
+        ok = abs(slope - expected) <= 0.3
         lines.append(
-            f"  p={p}: annulus slope {fit['slope']:.4g} vs expected "
-            f"{fit['expected_slope']:.4g} (within 0.3: {'pass' if ok else 'fail'})"
+            f"  p={p}: annulus slope {slope:.4g} vs expected "
+            f"{expected:.4g} (within 0.3: {'pass' if ok else 'fail'})"
         )
 
 
 def _render_covariance(payload: dict, lines: list[str]) -> None:
-    alpha = payload.get("alpha_hat")
+    alpha = _field(payload, "alpha_hat", str, *_NUM)
     if alpha == "indeterminate":
         lines.append("  decay exponent: indeterminate (no significant lags)")
+    elif isinstance(alpha, str):
+        raise DiagnosticError(
+            f"field 'alpha_hat' must be a number or 'indeterminate', got {alpha!r}"
+        )
     else:
-        hw = payload.get("alpha_halfwidth")
-        hw_txt = f" +/- {hw:.3g}" if isinstance(hw, float) else ""
+        hw = _field(payload, "alpha_halfwidth", *_NUM, type(None))
+        hw_txt = "" if hw is None else f" +/- {hw:.3g}"
         lines.append(f"  decay exponent alpha_hat = {alpha:.4g}{hw_txt}")
-    cmf = payload.get("clamped_mass_fraction")
+    cmf = _field(payload, "clamped_mass_fraction", *_NUM, type(None))
     if cmf is not None:
         lines.append(f"  clamped spectral mass fraction: {cmf:.3g}")
-    for w in payload.get("warnings", []):
+    for w in _field(payload, "warnings", list):
         lines.append(f"  warning: {w}")
 
 
 def _render_energy(payload: dict, lines: list[str]) -> None:
-    for row in payload.get("rows", []):
-        lines.append(
-            f"  N={row['N']}: density {row['density_mean']:.6g} "
-            f"(spread {row['spread']:.3g})"
-        )
-    lines.append(
-        f"  spread decreases with N: {'pass' if payload.get('spread_decreases') else 'fail'}"
-    )
-    agrees = payload.get("shift_agrees")
+    for row in _field(payload, "rows", list):
+        N = _field(row, "N", int)
+        mean, spread = _field(row, "density_mean", *_NUM), _field(row, "spread", *_NUM)
+        lines.append(f"  N={N}: density {mean:.6g} (spread {spread:.3g})")
+    decreases = _field(payload, "spread_decreases", bool)
+    lines.append(f"  spread decreases with N: {'pass' if decreases else 'fail'}")
+    agrees = _field(payload, "shift_agrees", bool, type(None))
     if agrees is None:
         lines.append("  shift invariance: skipped")
     else:
         lines.append(
             f"  shifted densities within 2x spread: {'pass' if agrees else 'fail'}"
         )
-    for f in payload.get("flags", []):
+    for f in _field(payload, "flags", list):
         lines.append(f"  flag: {f}")
+
+
+def _rendered(path: str, payload: dict, renderer) -> list[str]:
+    """One artifact's report lines; a malformed payload raises DiagnosticError naming it."""
+    lines = [f"  [{path}]"]
+    try:
+        renderer(payload, lines)
+    except DiagnosticError as exc:
+        raise DiagnosticError(f"malformed artifact {path}: {exc}") from None
+    return lines
 
 
 def _cmd_report(paths: list[str]) -> int:
@@ -381,12 +416,11 @@ def _cmd_report(paths: list[str]) -> int:
         lines.append("scaling studies")
         by_d: dict[int, list] = {}
         for p, d in scaling:
-            by_d.setdefault(int(d.get("d", 0)), []).append((p, d))
+            block = _rendered(p, d, _render_scaling)  # validates d["d"]
+            by_d.setdefault(d["d"], []).extend(block)
         for dim in sorted(by_d):
             lines.append(f" d={dim}")
-            for p, payload in by_d[dim]:
-                lines.append(f"  [{p}]")
-                _render_scaling(payload, lines)
+            lines.extend(by_d[dim])
     for kind, title, renderer in (
         ("green_summary", "green diagnostics", _render_green),
         ("covariance_summary", "covariance estimates", _render_covariance),
@@ -396,8 +430,7 @@ def _cmd_report(paths: list[str]) -> int:
         if matching:
             lines.append(title)
             for p, payload in matching:
-                lines.append(f"  [{p}]")
-                renderer(payload, lines)
+                lines.extend(_rendered(p, payload, renderer))
     unknown = [p for p, d in loaded if d["artifact"] not in
                ("scaling_report", "green_summary", "covariance_summary", "energy_summary")]
     for p in unknown:
@@ -480,16 +513,7 @@ def main(argv=None) -> int:
         for p in paths:
             sys.stdout.write(p + "\n")
         return 0
-    except BudgetError as exc:
-        _emit_error(exc, exc.exit_code)
-        return exc.exit_code
-    except ConfigError as exc:
-        _emit_error(exc, exc.exit_code)
-        return exc.exit_code
-    except GeneratorError as exc:
-        _emit_error(exc, exc.exit_code)
-        return exc.exit_code
-    except DiagnosticError as exc:
+    except (ConfigError, GeneratorError, DiagnosticError) as exc:  # BudgetError is a ConfigError
         _emit_error(exc, exc.exit_code)
         return exc.exit_code
     except OSError as exc:

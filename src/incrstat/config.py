@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError
+from .pointsets import MIN_SEEDS
 
 SCHEMA_VERSION = 1
 
@@ -107,7 +108,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("cutoff", "float", required=True, check=_positive),
         Key("exponent", "float", default=0.0),
         Key("sizes", "int_list", required=True),
-        Key("n_seeds", "int", default=8, check=_at_least(2)),
+        Key("n_seeds", "int", default=8, check=_at_least(MIN_SEEDS)),
         Key("shift", "int", default=8),
         Key("export_points", "bool", default=False),
     ),

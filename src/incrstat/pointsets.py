@@ -2,7 +2,9 @@
 
 Windows are closed axis-aligned boxes. A window is always generated with
 enough margin that every point of the infinite set falling inside the
-stated box is present, so pair sums over any sub-box are exact.
+stated box is present, so pair sums over any sub-box are exact. Renewal
+paths are block-wise cumulative sums and pair energies one sorted sweep in
+every d; no loop runs per point.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
 
 INTERVAL_BLOCK = 1024
 PATH_AGREEMENT_TOL = 1e-10
+MIN_SEEDS = 8  # smallest n_seeds thermodynamic_density and the energy config accept
 
 
 @dataclass(frozen=True)
@@ -156,50 +159,17 @@ class PointSetWindow:
         return self.points[mask]
 
 
-class _TauStream:
-    """Lazy doubly-infinite iid interval sequence tau_j, j in Z.
+def _interval_block(law: IntervalLaw, seed: int, b: int) -> np.ndarray:
+    """Intervals tau_j for j in [b * INTERVAL_BLOCK, (b + 1) * INTERVAL_BLOCK).
 
-    Values are drawn in blocks of INTERVAL_BLOCK indices, each block from
-    its own derived stream (seed, interval domain, zigzag(block)), so
-    tau_j is a pure function of (seed, j): shifting the index shifts which
-    values are read, never which values exist.
+    Each block comes from its own derived stream (seed, interval domain,
+    zigzag(b)), so tau_j is a pure function of (seed, j): shifting the
+    index shifts which values are read, never which values exist.
     """
-
-    def __init__(self, law: IntervalLaw, seed: int) -> None:
-        self.law = law
-        self.seed = seed
-        self._blocks: dict[int, np.ndarray] = {}
-
-    def tau(self, j: int) -> float:
-        b = j // INTERVAL_BLOCK
-        block = self._blocks.get(b)
-        if block is None:
-            rng = derive_rng(self.seed, DOMAIN_INTERVALS, zigzag(b))
-            block = self.law.draw(rng, INTERVAL_BLOCK)
-            if np.any(block <= 0):
-                raise GeneratorError("interval law produced a nonpositive interval")
-            self._blocks[b] = block
-        return float(block[j - b * INTERVAL_BLOCK])
-
-
-class _RenewalPath:
-    """Partial sums X_j anchored at X_0 = 0, extended lazily in both directions."""
-
-    def __init__(self, stream: _TauStream) -> None:
-        self._stream = stream
-        self._up = [0.0]  # X_0, X_1, ...
-        self._down = [0.0]  # X_0, X_-1, ...
-
-    def x(self, j: int) -> float:
-        if j >= 0:
-            while len(self._up) <= j:
-                t = len(self._up) - 1  # have X_t, need X_{t+1} = X_t + tau_t
-                self._up.append(self._up[-1] + self._stream.tau(t))
-            return self._up[j]
-        while len(self._down) <= -j:
-            t = len(self._down) - 1  # have X_{-t}, need X_{-t-1} = X_{-t} - tau_{-t-1}
-            self._down.append(self._down[-1] - self._stream.tau(-t - 1))
-        return self._down[-j]
+    block = law.draw(derive_rng(seed, DOMAIN_INTERVALS, zigzag(b)), INTERVAL_BLOCK)
+    if np.any(block <= 0):
+        raise GeneratorError("interval law produced a nonpositive interval")
+    return block
 
 
 def renewal_pointset_1d(
@@ -219,40 +189,37 @@ def renewal_pointset_1d(
     lo, hi = float(window[0]), float(window[1])
     if not lo <= hi:
         raise ValueError(f"window ({lo}, {hi}) is empty")
-    path = _RenewalPath(_TauStream(law, seed))
-    base = path.x(shift)
+    # up[m] holds X_j for j in ((m - 1) B, m B], B = INTERVAL_BLOCK, and down[m]
+    # the same for X_-j. np.cumsum adds in index order and a + (-t) == a - t,
+    # so each X_j is bitwise the recursion X_{j+1} = X_j + tau_j from X_0 = 0.
+    up, down = [np.zeros(1)], [np.zeros(1)]
 
-    labels: list[int] = []
-    values: list[float] = []
-    k = 0
-    while True:
-        v = path.x(k + shift) - base
-        if v > hi:
-            break
-        if v >= lo:
-            labels.append(k)
-            values.append(v)
-        k += 1
-    neg_labels: list[int] = []
-    neg_values: list[float] = []
-    k = -1
-    while True:
-        v = path.x(k + shift) - base
-        if v < lo:
-            break
-        if v <= hi:
-            neg_labels.append(k)
-            neg_values.append(v)
-        k -= 1
-    labels = neg_labels[::-1] + labels
-    values = neg_values[::-1] + values
-    pts = np.asarray(values, dtype=float).reshape(-1, 1)
-    lab = np.asarray(labels, dtype=int).reshape(-1, 1)
+    def grow(path: list[np.ndarray], upward: bool) -> None:
+        m = len(path) - 1
+        tau = _interval_block(law, seed, m if upward else -m - 1)
+        steps = tau if upward else -tau[::-1]
+        path.append(np.cumsum(np.concatenate((path[-1][-1:], steps)))[1:])
+
+    while INTERVAL_BLOCK * (len(up) - 1) < shift:
+        grow(up, True)
+    while INTERVAL_BLOCK * (len(down) - 1) < -shift:
+        grow(down, False)
+    base = np.concatenate(up)[shift] if shift >= 0 else np.concatenate(down)[-shift]
+    # X is nondecreasing: once a point lies past each end, the window is covered
+    while up[-1][-1] - base <= hi:
+        grow(up, True)
+    while down[-1][-1] - base >= lo:
+        grow(down, False)
+    below = np.concatenate(down)[:0:-1]  # X_-n, ..., X_-1
+    v = np.concatenate((below, *up)) - base
+    first = int(np.searchsorted(v, lo, side="left"))
+    last = int(np.searchsorted(v, hi, side="right"))
+    labels = np.arange(first, last) - below.size - shift
     return PointSetWindow(
         d=1,
         box=((lo, hi),),
-        points=pts,
-        labels=lab,
+        points=v[first:last].reshape(-1, 1),
+        labels=labels.reshape(-1, 1),
         generator=f"renewal_{law.kind}" + (f"_shift{shift}" if shift else ""),
         seed=seed,
     )
@@ -288,62 +255,35 @@ class PairPotential:
         return out
 
 
-def _cell_index(pts: np.ndarray, lows: np.ndarray, cell: float) -> np.ndarray:
-    idx = np.floor((pts - lows) / cell).astype(int)
-    return np.maximum(idx, 0)
-
-
 def energy(
     window: PointSetWindow, V: PairPotential, region: Sequence[tuple[float, float]]
 ) -> float:
-    """Exact pair energy (1/2) sum_{x != y in region} V(x - y) via cell lists.
+    """Exact pair energy (1/2) sum_{x != y in region} V(x - y) by a sorted sweep.
 
-    Cells have side `V.cutoff`, so interacting pairs always sit in
-    adjacent cells; the sum is exact, the cells only prune. Pair order is
-    fixed (lexicographic cell order, then row order), so the result is
+    Points are stably sorted on coordinate 0; offset k visits the pairs
+    (i, i + k) of that order whose axis-0 gap is at most `V.cutoff`. The
+    gap grows with k and never exceeds the distance, and V vanishes beyond
+    the cutoff, so the sweep stops at the first offset with no such pair
+    and the sum is exact. The visiting order is fixed, so the result is
     reproducible bit-for-bit.
     """
     pts = window.points_in(region)
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    lows = np.array([lo for lo, _ in region], dtype=float)
-    cells = _cell_index(pts, lows, V.cutoff)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(map(tuple, cells)):
-        buckets.setdefault(c, []).append(i)
-    # lexicographically nonnegative offsets: each unordered cell pair visited once
-    offsets = []
-    for off in np.ndindex(*(3,) * window.d):
-        delta = tuple(o - 1 for o in off)
-        if delta >= (0,) * window.d:
-            offsets.append(delta)
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    x0 = pts[:, 0]
     total = 0.0
-    for c in sorted(buckets):
-        a = np.asarray(buckets[c], dtype=int)
-        for delta in offsets:
-            if delta == (0,) * window.d:
-                if a.size > 1:
-                    diff = pts[a][:, None, :] - pts[a][None, :, :]
-                    r = np.sqrt(np.sum(diff**2, axis=-1))
-                    iu = np.triu_indices(a.size, k=1)
-                    total += float(np.sum(V.evaluate(r[iu])))
-                continue
-            other = tuple(ci + di for ci, di in zip(c, delta))
-            b_idx = buckets.get(other)
-            if b_idx is None:
-                continue
-            b = np.asarray(b_idx, dtype=int)
-            diff = pts[a][:, None, :] - pts[b][None, :, :]
-            r = np.sqrt(np.sum(diff**2, axis=-1))
-            total += float(np.sum(V.evaluate(r)))
+    for k in range(1, pts.shape[0]):
+        i = np.flatnonzero(x0[k:] - x0[:-k] <= V.cutoff)
+        if i.size == 0:
+            break
+        r = np.sqrt(np.sum((pts[i + k] - pts[i]) ** 2, axis=-1))
+        total += float(np.sum(V.evaluate(r)))
     return total
 
 
 def energy_bruteforce(
     window: PointSetWindow, V: PairPotential, region: Sequence[tuple[float, float]]
 ) -> float:
-    """Reference double loop over all pairs. Oracle for the cell-list path."""
+    """Reference double loop over all pairs. Oracle for the sorted sweep."""
     pts = window.points_in(region)
     n = pts.shape[0]
     if n < 2:
@@ -463,8 +403,8 @@ def thermodynamic_density(
         raise ValueError("need at least 3 box sizes")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("box sizes must be strictly increasing")
-    if n_seeds < 8:
-        raise ValueError("need at least 8 seeds")
+    if n_seeds < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds")
     if map_fn is None:
         map_fn = map
     law = generator if isinstance(generator, IntervalLaw) else None

@@ -75,3 +75,46 @@ def reversed_map(fn, tasks):
     """A map evaluating and yielding in reverse order; exposes scheduling bugs."""
     tasks = list(tasks)
     return [fn(t) for t in reversed(tasks)]
+
+
+def renewal_reference(law, window, seed, shift=0):
+    """Renewal labels and positions built one Python float at a time.
+
+    tau_j comes from the same derived interval blocks as the package, and
+    X_{j+1} = X_j + tau_j (X_{-j-1} = X_{-j} - tau_{-j-1}) is extended
+    outward from X_0 = 0 point by point. Returns the labels k and the
+    values X_{k+shift} - X_shift lying in the closed window, in label order.
+    """
+    from incrstat.pointsets import INTERVAL_BLOCK
+    from incrstat.seeding import DOMAIN_INTERVALS, derive_rng, zigzag
+
+    blocks = {}
+
+    def tau(j):
+        b = j // INTERVAL_BLOCK
+        if b not in blocks:
+            blocks[b] = law.draw(derive_rng(seed, DOMAIN_INTERVALS, zigzag(b)), INTERVAL_BLOCK)
+        return float(blocks[b][j - b * INTERVAL_BLOCK])
+
+    up, down = [0.0], [0.0]  # X_0, X_1, ... and X_0, X_-1, ...
+
+    def x(j):
+        while len(up) <= j:
+            up.append(up[-1] + tau(len(up) - 1))
+        while len(down) <= -j:
+            down.append(down[-1] - tau(-len(down)))
+        return up[j] if j >= 0 else down[-j]
+
+    lo, hi = window
+    base = x(shift)
+    k = 0
+    while x(k + shift) - base < lo:
+        k += 1
+    while x(k - 1 + shift) - base >= lo:
+        k -= 1
+    labels, values = [], []
+    while x(k + shift) - base <= hi:
+        labels.append(k)
+        values.append(x(k + shift) - base)
+        k += 1
+    return labels, values

@@ -437,6 +437,18 @@ def test_energy_size_list_validated(tmp_path, capsys):
     assert "strictly increasing" in stderr_error(capsys)["message"]
 
 
+def test_energy_too_few_seeds_is_config_error(tmp_path, capsys):
+    text = write_cfg(tmp_path, ENERGY_CFG.replace("n_seeds = 8", "n_seeds = 4"))
+    out = tmp_path / "o"
+    assert cli.main(["energy", "--config", text, "--out", str(out)]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "ConfigError"
+    assert "n_seeds" in err["message"] and "at least 8" in err["message"]
+    assert not out.exists()
+
+
 def test_argparse_usage_errors_exit_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2
@@ -538,6 +550,46 @@ def test_report_renders_all_real_artifact_kinds(artifacts, capsys):
     assert "decay exponent: indeterminate" in out
     assert "spread decreases with N:" in out
     assert "note: L-rule capped at L=16" in out
+
+
+ARTIFACT_FILES = {
+    "scaling_report": ("corrector-scaling", "scaling_report.json"),
+    "green_summary": ("green", "green_summary.json"),
+    "covariance_summary": ("covariance", "covariance_summary.json"),
+    "energy_summary": ("energy", "energy_summary.json"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, bad",
+    [
+        ("scaling_report", "verdict", None),
+        ("scaling_report", "fits", {"loglog_slope": "steep"}),
+        ("green_summary", "site_sum", None),
+        ("green_summary", "slopes", {"2.0": {"slope": -1.0}}),
+        ("covariance_summary", "alpha_hat", "large"),
+        ("covariance_summary", "warnings", "none"),
+        ("energy_summary", "spread_decreases", "yes"),
+        ("energy_summary", "rows", [{"N": 64}]),
+    ],
+)
+def test_report_malformed_artifact_exits_5(artifacts, tmp_path, capsys, kind, field, bad):
+    subcommand, name = ARTIFACT_FILES[kind]
+    payload = json.loads((artifacts[subcommand] / name).read_text())
+    minimal = tmp_path / "minimal.json"
+    minimal.write_text(json.dumps({"artifact": kind}))
+    payload[field] = bad
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps(payload))
+    for path in (minimal, mistyped):
+        assert cli.main(["report", str(path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["error"] == "DiagnosticError" and err["exit_code"] == 5
+        assert f"malformed artifact {path}" in err["message"]
 
 
 # ------------------------------------------------------------ entry point

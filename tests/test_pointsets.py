@@ -21,7 +21,7 @@ from incrstat.pointsets import (
     thermodynamic_density,
 )
 from incrstat.randfields import IncrementLaw, IncrementSample
-from oracle_utils import reversed_map
+from oracle_utils import renewal_reference, reversed_map
 
 UNIT_INTERVAL = IntervalLaw("constant", 1.0)
 UNIFORM_INTERVAL = IntervalLaw("uniform", 0.5, 1.5)
@@ -129,6 +129,28 @@ def test_renewal_shift_is_exact_reindexing():
     by_label = {int(k): x for k, x in zip(plain.labels[:, 0], plain.points[:, 0])}
     for k, x in zip(shifted.labels[:, 0], shifted.points[:, 0]):
         assert x == by_label[int(k) + m] - by_label[m]
+
+
+@pytest.mark.parametrize("law", [UNIFORM_INTERVAL, IntervalLaw("exponential", 3.0)])
+@pytest.mark.parametrize(
+    "window, shift",
+    [
+        ((0.0, 50.0), 0),
+        ((-40.0, -5.0), 0),
+        ((-1500.0, 1500.0), 7),  # crosses blocks on both sides of X_0
+        ((-20.0, 30.0), 3000),
+        ((-30.0, 20.0), -3000),
+        ((900.0, 1100.0), -1200),
+        ((-1100.0, -1000.0), 2500),
+        ((2.5, 2.5), 1),
+    ],
+)
+def test_renewal_matches_per_point_reference_bitwise(law, window, shift):
+    for seed in (0, 11, 2**40):
+        w = renewal_pointset_1d(law, window, seed, shift=shift)
+        labels, values = renewal_reference(law, window, seed, shift=shift)
+        assert w.labels[:, 0].tolist() == labels
+        assert w.points[:, 0].tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 def test_renewal_count_lln():
@@ -290,6 +312,52 @@ def test_energy_cell_list_matches_bruteforce_power():
         a = energy(w, V, region)
         b = energy_bruteforce(w, V, region)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def _energy_case(d, seed):
+    """A window and region in dimension d: a renewal line, a perturbed lattice,
+    or uniform points in shuffled order (the sweep must sort them itself)."""
+    if d == 1:
+        w = renewal_pointset_1d(IntervalLaw("exponential", 1.0), (-3.0, 120.0), seed)
+        return w, ((0.0, 117.0),)
+    if seed % 2:
+        spec = LatticeMapSpec(kind="perturbed_identity", d=d, amplitude=0.3)
+        w, _ = lattice_image_pointset(spec, ((-2, 9),) * d, seed)
+        return w, ((0.0, 7.0),) * d
+    pts = np.random.default_rng(seed).uniform(0.0, 6.0, size=(400, d))
+    return PointSetWindow(d=d, box=((0.0, 6.0),) * d, points=pts), ((0.5, 5.5),) * d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["indicator", "power"])
+def test_energy_sweep_matches_bruteforce_every_dimension(d, kind):
+    V = PairPotential(kind, 1.7, exponent=1.5 if kind == "power" else 0.0)
+    for seed in range(4):
+        w, region = _energy_case(d, seed)
+        a, b = energy(w, V, region), energy_bruteforce(w, V, region)
+        assert b > 0
+        if kind == "indicator":
+            assert a == b
+        else:
+            assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["indicator", "power"])
+def test_energy_sweep_gap_at_cutoff_and_equal_x0_column(kind):
+    V = PairPotential(kind, 1.5, exponent=2.0 if kind == "power" else 0.0)
+    # axis-0 gap exactly the cutoff: the pair counts on the axis, not off it
+    line = PointSetWindow(d=1, box=((0.0, 3.0),), points=[[0.0], [1.5], [3.0]])
+    assert energy(line, V, ((0.0, 3.0),)) == energy_bruteforce(line, V, ((0.0, 3.0),))
+    assert energy(line, V, ((0.0, 3.0),)) == 2 * float(V.evaluate(np.array(1.5)))
+    # a column of equal x0 values, out of order, plus neighbours at gap = cutoff
+    pts = [[0.0, 3.0], [1.5, 0.0], [0.0, 0.0], [1.5, 0.2], [0.0, 1.0], [0.0, 2.0], [3.1, 0.0]]
+    plane = PointSetWindow(d=2, box=((0.0, 4.0), (0.0, 4.0)), points=pts)
+    region = ((0.0, 4.0), (0.0, 4.0))
+    a, b = energy(plane, V, region), energy_bruteforce(plane, V, region)
+    assert a == pytest.approx(b, rel=1e-12)
+    if kind == "indicator":
+        # the column's 3 unit pairs, (0,0)-(1.5,0) at the cutoff, (1.5,0)-(1.5,0.2)
+        assert a == b == 5.0
 
 
 def test_energy_reproducible_bitwise():

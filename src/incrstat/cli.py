@@ -7,7 +7,7 @@ realization draws from a seed stream addressed by its own index and all
 reductions run in index order.
 
 Exit codes: 0 success, 2 config/usage, 3 budget, 4 generator,
-5 diagnostic, 6 I/O.
+5 diagnostic, 6 I/O, 7 worker process died, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .corrector import (
     scaling_study,
 )
 from .errors import (
+    INTERRUPT_EXIT_CODE,
     IO_EXIT_CODE,
     USAGE_EXIT_CODE,
+    WORKER_EXIT_CODE,
     ConfigError,
     DiagnosticError,
     GeneratorError,
@@ -505,11 +508,16 @@ def main(argv=None) -> int:
         if threads == 1:
             paths = runner(values, out_dir, map)
         else:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                def pooled(fn, tasks):
-                    return ex.map(fn, tasks, chunksize=POOL_CHUNK)
+            ex = ProcessPoolExecutor(max_workers=threads)
 
+            def pooled(fn, tasks):
+                return ex.map(fn, tasks, chunksize=POOL_CHUNK)
+
+            try:
                 paths = runner(values, out_dir, pooled)
+            finally:
+                # on failure or interrupt, drop the queued tasks instead of running them
+                ex.shutdown(cancel_futures=True)
         for p in paths:
             sys.stdout.write(p + "\n")
         return 0
@@ -519,6 +527,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc, IO_EXIT_CODE)
         return IO_EXIT_CODE
+    except BrokenProcessPool as exc:
+        _emit_error(exc, WORKER_EXIT_CODE)
+        return WORKER_EXIT_CODE
+    except KeyboardInterrupt as exc:
+        _emit_error(exc, INTERRUPT_EXIT_CODE)
+        return INTERRUPT_EXIT_CODE
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ from .green import GreenTable, grad_green_l2, green_torus
 from .lattice import (
     TorusField,
     TorusGeometry,
-    backward_divergence,
-    forward_gradient,
-    laplacian,
-    solve_helmholtz,
+    _divergence,
+    _gradient,
+    _neighbour_diff,
+    laplace_symbol,
 )
 from .randfields import GeneratorSpec, IncrementSample
 
@@ -75,6 +75,66 @@ class CorrectorSolution:
         )
 
 
+def _pin_mean(phi: np.ndarray) -> None:
+    """Remove the site mean in place: the finite-volume stand-in for E[phi] = 0."""
+    phi -= phi.mean()
+
+
+def _divergence_hat(zeta: IncrementSample) -> tuple[np.ndarray, np.ndarray]:
+    """div*(zeta) and its rfftn: the part of a solve that every mu on this torus shares."""
+    rhs = _divergence(zeta.values.values)
+    return rhs, np.fft.rfftn(rhs)
+
+
+def _certified_solve(
+    mu: float, rhs: np.ndarray, rhs_hat: np.ndarray, zeta_second_moment: float, sample_id: str
+) -> tuple[np.ndarray, np.ndarray, float, float, float, float]:
+    """Solve mu*phi - laplacian(phi) = rhs from rhs_hat = rfftn(rhs) and certify it.
+
+    Returns (phi, grad, second moment, Dirichlet energy, residual max,
+    energy margin) on plain arrays. The residual (through the real-space
+    nearest-neighbour Laplacian), the pinned mean and the energy estimate
+    are checked in real space; a violation raises DiagnosticError.
+    """
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    d, L = rhs.ndim, rhs.shape[0]
+    # rfft along the last axis halves the work on real data
+    symbol = laplace_symbol(d, L)[..., : L // 2 + 1]
+    phi = np.fft.irfftn(rhs_hat / (mu + symbol), s=rhs.shape, axes=tuple(range(d)))
+    _pin_mean(phi)
+    grad = _gradient(phi)
+    # residual = mu*phi - rhs - sum_l ([phi(x+e_l) - phi(x)] + [phi(x-e_l) - phi(x)])
+    residual = mu * phi
+    residual -= rhs
+    scratch = np.empty_like(phi)
+    for l in range(d):
+        residual -= grad[l]
+        residual -= _neighbour_diff(phi, l, -1, scratch)
+    residual_max = max(float(residual.max()), -float(residual.min()))
+    del residual
+    second_moment = float(np.mean(np.square(phi, out=scratch)))
+    density = np.square(grad[0])
+    for l in range(1, d):
+        density += np.square(grad[l], out=scratch)
+    dirichlet = float(np.mean(density))
+    del density, scratch
+    margin = zeta_second_moment - (mu * second_moment + dirichlet)
+
+    phi_max = max(float(phi.max()), -float(phi.min()))
+    if residual_max > RESIDUAL_RTOL * (1.0 + phi_max):
+        raise DiagnosticError(
+            f"corrector residual {residual_max:.3e} exceeds {RESIDUAL_RTOL}*(1+|phi|_max)"
+        )
+    if abs(float(phi.mean())) > MEAN_TOL:
+        raise DiagnosticError("corrector site mean not pinned to zero")
+    if margin < -ENERGY_TOL:
+        raise DiagnosticError(
+            f"energy estimate violated by {-margin:.3e} (sample {sample_id})"
+        )
+    return phi, grad, second_moment, dirichlet, residual_max, margin
+
+
 def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     """Solve mu*phi - laplacian(phi) = div*(zeta) exactly on the torus.
 
@@ -83,41 +143,20 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     Solver invariants (residual, mean, energy estimate) are re-verified on
     the result and violations raise DiagnosticError.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    rhs = backward_divergence(zeta.values)
-    phi = solve_helmholtz(mu, rhs)
-    pv = phi.values[0] - phi.values[0].mean()
-    phi = TorusField(zeta.geometry, pv)
-    grad = forward_gradient(phi)
-
-    residual = mu * pv - laplacian(phi).values[0] - rhs.values[0]
-    residual_max = float(np.max(np.abs(residual)))
-    second_moment = float(np.mean(pv**2))
-    dirichlet = float(np.mean(np.sum(grad.values**2, axis=0)))
-    sol = CorrectorSolution(
+    zeta2 = zeta.second_moment()
+    phi, grad, second_moment, dirichlet, residual_max, _ = _certified_solve(
+        mu, *_divergence_hat(zeta), zeta2, zeta.sample_id
+    )
+    return CorrectorSolution(
         mu=float(mu),
-        phi=phi,
-        grad=grad,
+        phi=TorusField._adopt(zeta.geometry, phi),
+        grad=TorusField._adopt(zeta.geometry, grad),
         second_moment=second_moment,
         dirichlet_energy=dirichlet,
         residual_max=residual_max,
-        zeta_second_moment=zeta.second_moment(),
+        zeta_second_moment=zeta2,
         source_sample_id=zeta.sample_id,
     )
-    phi_max = float(np.max(np.abs(pv)))
-    if residual_max > RESIDUAL_RTOL * (1.0 + phi_max):
-        raise DiagnosticError(
-            f"corrector residual {residual_max:.3e} exceeds {RESIDUAL_RTOL}*(1+|phi|_max)"
-        )
-    if abs(float(pv.mean())) > MEAN_TOL:
-        raise DiagnosticError("corrector site mean not pinned to zero")
-    if sol.energy_margin < -ENERGY_TOL:
-        raise DiagnosticError(
-            f"energy estimate violated by {-sol.energy_margin:.3e} "
-            f"(sample {zeta.sample_id})"
-        )
-    return sol
 
 
 def gradient_defect(solution: CorrectorSolution, zeta: IncrementSample) -> float:
@@ -184,13 +223,58 @@ class MCResult:
         return iter((self.mean, self.stderr))
 
 
-def _realization_stats(task) -> tuple[int, float, float, float, float | None]:
-    """Worker: one corrector solve. Module-level so process pools can pickle it."""
-    spec, geometry, mu, master_seed, index = task
+def _realization_stats(task) -> tuple[int, list[tuple[float, float]], float | None]:
+    """Worker: one realization, solved at every mu of one torus side.
+
+    The field is drawn once, and its divergence and rfftn are shared by
+    all mu. Module-level so process pools can pickle it.
+    """
+    spec, geometry, mus, master_seed, index = task
     sample = spec.realize(geometry, master_seed, index)
-    sol = solve_corrector(mu, sample)
-    return (index, sol.second_moment, sol.energy_margin, sol.zeta_second_moment,
-            sample.psi_second_moment)
+    rhs, rhs_hat = _divergence_hat(sample)
+    zeta2, psi2, sample_id = sample.second_moment(), sample.psi_second_moment, sample.sample_id
+    del sample
+    stats = []
+    for mu in mus:
+        _, _, second_moment, _, _, margin = _certified_solve(mu, rhs, rhs_hat, zeta2, sample_id)
+        stats.append((second_moment, margin))
+    return index, stats, psi2
+
+
+def _second_moments_mc(
+    mus: Sequence[float],
+    spec: GeneratorSpec,
+    geometry: TorusGeometry,
+    n_realizations: int,
+    master_seed: int,
+    map_fn: Callable[..., Iterable] | None = None,
+) -> list[MCResult]:
+    """second_moment_mc at each of several mu on one torus, one MCResult per mu."""
+    if n_realizations < 2:
+        raise ValueError("need at least 2 realizations")
+    if map_fn is None:
+        map_fn = map
+    tasks = [(spec, geometry, tuple(mus), master_seed, i) for i in range(n_realizations)]
+    phi2 = np.empty((len(mus), n_realizations))
+    margins = np.empty((len(mus), n_realizations))
+    psi = np.full(n_realizations, np.nan)
+    for index, stats, psi_sm in map_fn(_realization_stats, tasks):
+        phi2[:, index], margins[:, index] = zip(*stats)
+        if psi_sm is not None:
+            psi[index] = psi_sm
+    has_psi = not np.isnan(psi).any()
+    psi_mean = float(np.mean(psi)) if has_psi else None
+    return [
+        MCResult(
+            mean=float(np.mean(row)),
+            stderr=float(np.std(row, ddof=1) / math.sqrt(n_realizations)),
+            n=n_realizations,
+            energy_margin_min=float(np.min(margin_row)),
+            psi_mean=psi_mean,
+            values=tuple(float(v) for v in row),
+        )
+        for row, margin_row in zip(phi2, margins)
+    ]
 
 
 def second_moment_mc(
@@ -211,30 +295,7 @@ def second_moment_mc(
     geometry reuses the same field across mu values (common random
     numbers), which stabilizes cross-mu ratios.
     """
-    if n_realizations < 2:
-        raise ValueError("need at least 2 realizations")
-    if map_fn is None:
-        map_fn = map
-    tasks = [(spec, geometry, mu, master_seed, i) for i in range(n_realizations)]
-    phi2 = np.empty(n_realizations)
-    margins = np.empty(n_realizations)
-    psi = np.full(n_realizations, np.nan)
-    for index, sm, margin, _zeta2, psi_sm in map_fn(_realization_stats, tasks):
-        phi2[index] = sm
-        margins[index] = margin
-        if psi_sm is not None:
-            psi[index] = psi_sm
-    mean = float(np.mean(phi2))
-    stderr = float(np.std(phi2, ddof=1) / math.sqrt(n_realizations))
-    has_psi = not np.isnan(psi).any()
-    return MCResult(
-        mean=mean,
-        stderr=stderr,
-        n=n_realizations,
-        energy_margin_min=float(np.min(margins)),
-        psi_mean=float(np.mean(psi)) if has_psi else None,
-        values=tuple(float(v) for v in phi2),
-    )
+    return _second_moments_mc((mu,), spec, geometry, n_realizations, master_seed, map_fn)[0]
 
 
 @dataclass(frozen=True)
@@ -322,8 +383,10 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 
 
 def _budget_cap(memory_budget_mb: float, d: int) -> int:
-    # peak working set per solve: a handful of complex spectral arrays of
-    # L^d entries; 16*(2d+6) bytes per site is a deliberate overestimate
+    # peak working set of one realization in _realization_stats, measured
+    # with tracemalloc: about d + 6 float64 arrays of L^d entries, plus the
+    # cached symbol and decay_alpha amplitude, so at most 8*(d+8) bytes per
+    # site; 16*(2d+6) bytes per site is a deliberate overestimate
     per_site = 16.0 * (2 * d + 6)
     budget = memory_budget_mb * 2**20
     L = int((budget / per_site) ** (1.0 / d))
@@ -420,25 +483,36 @@ def scaling_study(
             f"even at the largest mu={mu_max}"
         )
 
-    points = []
+    sides = []
     for mu in grid:
         need = required_side(mu, l_rule_coefficient)
         capped = cap is not None and need > cap
-        L = cap if capped else need
-        geom = TorusGeometry(d=d, L=L)
-        res = second_moment_mc(mu, spec, geom, n_per_mu, master_seed, map_fn=map_fn)
-        points.append(
-            ScalingPoint(
-                mu=mu,
-                L=L,
-                n=n_per_mu,
-                mean=res.mean,
-                stderr=res.stderr,
-                energy_margin_min=res.energy_margin_min,
-                psi_mean=res.psi_mean,
-                capped=capped,
-            )
+        sides.append((cap if capped else need, capped))
+    # grid points sharing a torus side share each realization's draw and FFT
+    by_side: dict[int, list[int]] = {}
+    for j, (L, _) in enumerate(sides):
+        by_side.setdefault(L, []).append(j)
+    results: list[MCResult | None] = [None] * len(grid)
+    for L, members in by_side.items():
+        group = _second_moments_mc(
+            [grid[j] for j in members], spec, TorusGeometry(d=d, L=L), n_per_mu,
+            master_seed, map_fn=map_fn,
         )
+        for j, res in zip(members, group):
+            results[j] = res
+    points = [
+        ScalingPoint(
+            mu=mu,
+            L=L,
+            n=n_per_mu,
+            mean=res.mean,
+            stderr=res.stderr,
+            energy_margin_min=res.energy_margin_min,
+            psi_mean=res.psi_mean,
+            capped=capped,
+        )
+        for mu, (L, capped), res in zip(grid, sides, results)
+    ]
 
     mus = np.array([p.mu for p in points])
     means = np.array([p.mean for p in points])

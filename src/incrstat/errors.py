@@ -32,3 +32,5 @@ class DiagnosticError(RuntimeError):
 
 IO_EXIT_CODE = 6  # OSError and friends, mapped at the CLI boundary
 USAGE_EXIT_CODE = 2  # argparse-level misuse shares the config-error code
+WORKER_EXIT_CODE = 7  # a worker process died (BrokenProcessPool)
+INTERRUPT_EXIT_CODE = 130  # KeyboardInterrupt, the shell's 128 + SIGINT

@@ -93,7 +93,21 @@ class TorusField:
     __slots__ = ("geometry", "values")
 
     def __init__(self, geometry: TorusGeometry, values: np.ndarray) -> None:
-        arr = np.asarray(values, dtype=np.float64)
+        self._seal(geometry, np.array(values, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, geometry: TorusGeometry, arr: np.ndarray) -> "TorusField":
+        """Wrap a float64 C-contiguous array the library has just allocated, without a copy.
+
+        The array becomes read-only; the caller must hold no other reference
+        through which it writes.
+        """
+        self = object.__new__(cls)
+        self._seal(geometry, arr)
+        return self
+
+    def _seal(self, geometry: TorusGeometry, arr: np.ndarray) -> None:
+        arr.setflags(write=False)
         if arr.shape == geometry.shape:
             arr = arr[np.newaxis]
         if arr.ndim != geometry.d + 1 or arr.shape[1:] != geometry.shape:
@@ -101,8 +115,6 @@ class TorusField:
                 f"values shape {arr.shape} incompatible with geometry "
                 f"(expected (c,) + {geometry.shape})"
             )
-        arr = np.ascontiguousarray(arr).copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "values", arr)
 
@@ -128,13 +140,13 @@ class TorusField:
 
     @classmethod
     def zeros(cls, geometry: TorusGeometry, components: int = 1) -> "TorusField":
-        return cls(geometry, np.zeros((components,) + geometry.shape))
+        return cls._adopt(geometry, np.zeros((components,) + geometry.shape))
 
     @classmethod
     def delta(cls, geometry: TorusGeometry) -> "TorusField":
         v = np.zeros(geometry.shape)
         v[(0,) * geometry.d] = 1.0
-        return cls(geometry, v)
+        return cls._adopt(geometry, v)
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,15 +168,51 @@ def shift(f: TorusField, k) -> TorusField:
         raise ValueError(f"shift vector has {k.size} entries, geometry is {f.geometry.d}d")
     # np.roll by -k_l along axis l: roll(a, -k)[x] = a[x + k]
     out = np.roll(f.values, shift=tuple(-k), axis=tuple(range(1, f.geometry.d + 1)))
-    return TorusField(f.geometry, out)
+    return TorusField._adopt(f.geometry, out)
+
+
+def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    return a[(slice(None),) * axis + (slice(start, stop),)]
+
+
+def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.ndarray:
+    """out[x] = v[x + step*e_axis] - v[x] on the torus, step = +1 or -1.
+
+    Same arithmetic as np.roll(v, -step, axis) - v, without the rolled copy.
+    """
+    n = v.shape[axis]
+    # (sites, their neighbours) as index ranges along axis: the bulk, then the wrap
+    if step == 1:
+        parts = ((0, n - 1, 1, n), (n - 1, n, 0, 1))
+    else:
+        parts = ((1, n, 0, n - 1), (0, 1, n - 1, n))
+    for lo, hi, nlo, nhi in parts:
+        site = _along(v, axis, lo, hi)
+        np.subtract(_along(v, axis, nlo, nhi), site, out=_along(out, axis, lo, hi))
+    return out
+
+
+def _gradient(v: np.ndarray) -> np.ndarray:
+    """Plain-array forward gradient of a scalar field: shape (d,) + v.shape."""
+    out = np.empty((v.ndim,) + v.shape)
+    for l in range(v.ndim):
+        _neighbour_diff(v, l, 1, out[l])
+    return out
+
+
+def _divergence(z: np.ndarray) -> np.ndarray:
+    """Plain-array backward divergence of a (d,) + shape field."""
+    out = np.zeros(z.shape[1:])
+    term = np.empty_like(out)
+    for l in range(z.shape[0]):
+        out += _neighbour_diff(z[l], l, -1, term)
+    return out
 
 
 def forward_gradient(u: TorusField) -> TorusField:
     """(Du)_l(x) = u(x + e_l) - u(x); component l of the output is the e_l difference."""
     _check_scalar(u, "forward_gradient")
-    v = u.values[0]
-    comps = [np.roll(v, -1, axis=l) - v for l in range(u.geometry.d)]
-    return TorusField(u.geometry, np.stack(comps))
+    return TorusField._adopt(u.geometry, _gradient(u.values[0]))
 
 
 def backward_divergence(z: TorusField) -> TorusField:
@@ -173,11 +221,7 @@ def backward_divergence(z: TorusField) -> TorusField:
         raise ValueError(
             f"backward_divergence expects {z.geometry.d} components, got {z.components}"
         )
-    out = np.zeros(z.geometry.shape)
-    for l in range(z.geometry.d):
-        zl = z.values[l]
-        out += np.roll(zl, 1, axis=l) - zl
-    return TorusField(z.geometry, out)
+    return TorusField._adopt(z.geometry, _divergence(z.values))
 
 
 def laplacian(u: TorusField) -> TorusField:
@@ -187,7 +231,7 @@ def laplacian(u: TorusField) -> TorusField:
     out = -2.0 * u.geometry.d * v
     for l in range(u.geometry.d):
         out = out + np.roll(v, -1, axis=l) + np.roll(v, 1, axis=l)
-    return TorusField(u.geometry, out)
+    return TorusField._adopt(u.geometry, out)
 
 
 @lru_cache(maxsize=16)
@@ -221,7 +265,7 @@ def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
     for c in range(f.components):
         fhat = np.fft.rfftn(f.values[c], axes=axes)
         out[c] = np.fft.irfftn(fhat / denom_r, s=geom.shape, axes=axes)
-    return TorusField(geom, out)
+    return TorusField._adopt(geom, out)
 
 
 def field_to_csv(f: TorusField, path) -> None:

@@ -99,6 +99,12 @@ class IntervalLaw:
         return np.where(x > 0, 1.0 - np.exp(-self.a * x), 0.0)
 
 
+def _has_repeated_row(a: np.ndarray) -> bool:
+    """True if two rows of the (n, d) array are equal (-0.0 equals 0.0)."""
+    s = a[np.lexsort(a.T[::-1])]
+    return bool(np.any(np.all(s[1:] == s[:-1], axis=1)))
+
+
 @dataclass(frozen=True, eq=False)
 class PointSetWindow:
     """Finite window of a simple point set, optionally labeled by Z^d.
@@ -127,13 +133,13 @@ class PointSetWindow:
         for l, (lo, hi) in enumerate(self.box):
             if pts.shape[0] and (pts[:, l].min() < lo or pts[:, l].max() > hi):
                 raise ValueError(f"points leave the stated box along axis {l}")
-        if pts.shape[0] and np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        if _has_repeated_row(pts):
             raise GeneratorError("coincident points: injectivity violated")
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=int)
             if lab.shape != (pts.shape[0], self.d):
                 raise ValueError("labels must align with points, one Z^d label per row")
-            if lab.shape[0] and np.unique(lab, axis=0).shape[0] != lab.shape[0]:
+            if _has_repeated_row(lab):
                 raise ValueError("labeling must be injective")
             object.__setattr__(self, "labels", lab)
 

@@ -19,6 +19,7 @@ amplification of the regularized solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +145,7 @@ def iid_increments(
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField(geometry, vals),
+        values=TorusField._adopt(geometry, vals),
         generator_id=f"iid_{law.kind}",
         parameters=(law.param,),
         seed=seed,
@@ -164,14 +165,14 @@ def gradient_increments(
     _check_axis(geometry, axis)
     rng = derive_rng(seed, DOMAIN_FIELD, realization)
     psi = _center(law.draw(rng, geometry.shape))
-    zeta = forward_gradient(TorusField(geometry, psi))
+    zeta = forward_gradient(TorusField._adopt(geometry, psi))
     vals = zeta.values - zeta.values.mean(
         axis=tuple(range(1, geometry.d + 1)), keepdims=True
     )
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField(geometry, vals),
+        values=TorusField._adopt(geometry, vals),
         generator_id=f"gradient_{law.kind}",
         parameters=(law.param,),
         seed=seed,
@@ -182,11 +183,11 @@ def gradient_increments(
 
 
 def _spectral_gaussian(
-    spectrum: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...]
+    amplitude: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Real Gaussian field with spectral density `spectrum` (nonnegative, symmetric)."""
+    """Real Gaussian field with spectral density amplitude**2 (nonnegative, symmetric)."""
     white = rng.standard_normal(shape)
-    return np.fft.ifftn(np.sqrt(spectrum) * np.fft.fftn(white)).real
+    return np.fft.ifftn(amplitude * np.fft.fftn(white)).real
 
 
 def clamp_spectrum(cov_hat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -196,6 +197,16 @@ def clamp_spectrum(cov_hat: np.ndarray) -> tuple[np.ndarray, float]:
     total = np.abs(real).sum()
     frac = float(neg / total) if total > 0 else 0.0
     return np.maximum(real, 0.0), frac
+
+
+@lru_cache(maxsize=16)
+def _decay_amplitude(d: int, L: int, alpha: float) -> tuple[np.ndarray, float]:
+    """sqrt of the clamped DFT of C(k) = 1 / (1 + |k|_2^alpha), and the clamped fraction."""
+    dist = TorusGeometry(d, L).site_distances()
+    spectrum, frac = clamp_spectrum(np.fft.fftn(1.0 / (1.0 + dist**alpha)))
+    amplitude = np.sqrt(spectrum)
+    amplitude.setflags(write=False)
+    return amplitude, frac
 
 
 def decay_alpha_increments(
@@ -213,19 +224,17 @@ def decay_alpha_increments(
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    dist = geometry.site_distances()
-    cov = 1.0 / (1.0 + dist**alpha)
-    spectrum, frac = clamp_spectrum(np.fft.fftn(cov))
+    amplitude, frac = _decay_amplitude(geometry.d, geometry.L, float(alpha))
     warn: tuple[str, ...] = ()
     if frac > CLAMP_WARN_FRACTION:
         warn = (f"clamped spectral mass fraction {frac:.3f} exceeds {CLAMP_WARN_FRACTION}",)
     vals = np.stack(
-        [_center(_spectral_gaussian(spectrum, rng, geometry.shape)) for _ in range(geometry.d)]
+        [_center(_spectral_gaussian(amplitude, rng, geometry.shape)) for _ in range(geometry.d)]
     )
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField(geometry, vals),
+        values=TorusField._adopt(geometry, vals),
         generator_id="decay_alpha",
         parameters=(alpha,),
         seed=seed,
@@ -253,16 +262,16 @@ def gff_increments(
     sym[(0,) * geometry.d] = 1.0  # placeholder, zero mode removed next
     spectrum = 1.0 / sym
     spectrum[(0,) * geometry.d] = 0.0
-    psi = _spectral_gaussian(spectrum, rng, geometry.shape)
+    psi = _spectral_gaussian(np.sqrt(spectrum), rng, geometry.shape)
     psi = _center(psi)
-    zeta = forward_gradient(TorusField(geometry, psi))
+    zeta = forward_gradient(TorusField._adopt(geometry, psi))
     vals = zeta.values - zeta.values.mean(
         axis=tuple(range(1, geometry.d + 1)), keepdims=True
     )
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField(geometry, vals),
+        values=TorusField._adopt(geometry, vals),
         generator_id="gff",
         parameters=(),
         seed=seed,

@@ -118,3 +118,36 @@ def renewal_reference(law, window, seed, shift=0):
         values.append(x(k + shift) - base)
         k += 1
     return labels, values
+
+
+def corrector_moments_reference(mu, zeta):
+    """(second moment, Dirichlet energy, energy margin) of the corrector, via np.roll.
+
+    The operator-by-operator pipeline: backward divergence from rolled
+    copies, a full-field rfftn/irfftn solve, mean removal, rolled forward
+    differences. Every floating-point operation that reaches the three
+    returned numbers is the one the fused kernel performs, in the same
+    order, so the kernel must agree with it bit for bit.
+    """
+    z = np.asarray(zeta, dtype=float)
+    d = z.shape[0]
+    shape = z.shape[1:]
+    L = shape[0]
+    rhs = np.zeros(shape)
+    for l in range(d):
+        rhs += np.roll(z[l], 1, axis=l) - z[l]
+    line = 4.0 * np.sin(np.pi * np.arange(L) / L) ** 2
+    symbol = np.zeros(shape)
+    for l in range(d):
+        view = [1] * d
+        view[l] = L
+        symbol = symbol + line.reshape(view)
+    denom = (mu + symbol)[..., : L // 2 + 1]
+    axes = tuple(range(d))
+    phi = np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=shape, axes=axes)
+    phi = phi - phi.mean()
+    grad = np.stack([np.roll(phi, -1, axis=l) - phi for l in range(d)])
+    second_moment = float(np.mean(phi**2))
+    dirichlet = float(np.mean(np.sum(grad**2, axis=0)))
+    zeta2 = float(np.mean(np.sum(z**2, axis=0)))
+    return second_moment, dirichlet, zeta2 - (mu * second_moment + dirichlet)

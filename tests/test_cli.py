@@ -428,6 +428,37 @@ def test_generator_failure_exits_4(tmp_path, capsys):
     assert "d = 2" in err["message"]
 
 
+def _killed_worker(task):
+    os._exit(1)  # the worker process dies without reporting back
+
+
+def test_killed_worker_exits_7(tmp_path, monkeypatch, capsys):
+    from incrstat import corrector
+
+    monkeypatch.setattr(corrector, "_realization_stats", _killed_worker)
+    cfg_path = write_cfg(tmp_path, SCALING_CFG)
+    argv = ["corrector-scaling", "--config", cfg_path, "--out", str(tmp_path / "o"),
+            "--threads", "2"]
+    assert cli.main(argv) == 7
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "BrokenProcessPool"
+    assert err["exit_code"] == 7
+
+
+def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "scaling_study", interrupted)
+    cfg_path = write_cfg(tmp_path, SCALING_CFG)
+    assert cli.main(["corrector-scaling", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 130
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "KeyboardInterrupt"
+
+
 def test_energy_size_list_validated(tmp_path, capsys):
     short = write_cfg(tmp_path, ENERGY_CFG.replace("64,128,256", "64,128"), name="a.cfg")
     assert cli.main(["energy", "--config", short, "--out", str(tmp_path / "o")]) == 2

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from incrstat import corrector
 from incrstat.corrector import (
     DEFAULT_MU_GRID,
     MCResult,
@@ -17,7 +18,7 @@ from incrstat.corrector import (
     solve_corrector,
     variance_formula_iid,
 )
-from incrstat.errors import BudgetError, ConfigError, GeneratorError
+from incrstat.errors import BudgetError, ConfigError, DiagnosticError, GeneratorError
 from incrstat.green import decay_rate_1d, green_torus
 from incrstat.lattice import TorusField, TorusGeometry
 from incrstat.randfields import (
@@ -27,9 +28,16 @@ from incrstat.randfields import (
     gradient_increments,
     iid_increments,
 )
-from oracle_utils import dense_forward_diff, dense_laplacian, reversed_map
+from oracle_utils import (
+    corrector_moments_reference,
+    dense_forward_diff,
+    dense_laplacian,
+    reversed_map,
+)
 
 UNIT_LAW = IncrementLaw("uniform_centered", 1.0)
+IID_SPEC = GeneratorSpec(kind="iid", axis=0, law=UNIT_LAW)
+IID_SPEC_2D = GeneratorSpec(kind="iid", axis=1, law=UNIT_LAW)
 
 
 def manual_sample(geometry, component_arrays, curl_free=False):
@@ -122,6 +130,114 @@ def test_solve_shift_equivariance():
     phi = solve_corrector(0.5, z).phi.values[0]
     phi_shifted = solve_corrector(0.5, shifted).phi.values[0]
     assert np.max(np.abs(phi_shifted - np.roll(phi, (5, -3), axis=(0, 1)))) <= 1e-12
+
+
+# ---------------------------------------------------------------- certification
+
+
+# every spec the MC path serves; gff exists only in d = 2
+ALL_SPECS = (
+    (GeneratorSpec(kind="iid", axis=0, law=UNIT_LAW), 1),
+    (GeneratorSpec(kind="iid", axis=1, law=IncrementLaw("gaussian", 0.7)), 3),
+    (GeneratorSpec(kind="gradient", axis=0, law=UNIT_LAW), 2),
+    (GeneratorSpec(kind="gff", axis=1), 2),
+    (GeneratorSpec(kind="decay_alpha", axis=0, alpha=3.0), 3),
+    (GeneratorSpec(kind="decay_alpha", axis=0, alpha=1.5), 2),
+    (GeneratorSpec(kind="zero"), 2),
+)
+SIDES = {1: 64, 2: 16, 3: 8}
+
+
+@pytest.mark.parametrize("spec, d", ALL_SPECS)
+def test_solve_matches_roll_pipeline_bitwise(spec, d):
+    geom = TorusGeometry(d, SIDES[d])
+    for mu in (1.0, 0.05, 2.0**-12):
+        for i in range(2):
+            z = spec.realize(geom, 5, i)
+            sol = solve_corrector(mu, z)
+            ref = corrector_moments_reference(mu, z.values.values)
+            assert (sol.second_moment, sol.dirichlet_energy, sol.energy_margin) == ref
+
+
+def run_solve(mu, spec, geom):
+    return solve_corrector(mu, spec.realize(geom, 0, 0))
+
+
+def run_mc(mu, spec, geom):
+    return second_moment_mc(mu, spec, geom, 2, 0)
+
+
+def run_study(mu, spec, geom):
+    grid = tuple(mu * 2.0**-k for k in range(5))
+    return scaling_study(spec, geom.d, mu_grid=grid, n_per_mu=2, l_max=geom.L,
+                         l_rule_coefficient=1.0)
+
+
+CERTIFIED_PATHS = pytest.mark.parametrize("run", [run_solve, run_mc, run_study])
+
+
+@CERTIFIED_PATHS
+def test_residual_check_fires_on_perturbed_symbol(monkeypatch, run):
+    exact = corrector.laplace_symbol
+    monkeypatch.setattr(corrector, "laplace_symbol", lambda d, L: exact(d, L) + 1e-6)
+    with pytest.raises(DiagnosticError, match="residual"):
+        run(0.5, IID_SPEC_2D, TorusGeometry(2, 16))
+
+
+@CERTIFIED_PATHS
+def test_mean_check_fires_when_pinning_leaves_an_offset(monkeypatch, run):
+    def pin_with_offset(phi):
+        phi -= phi.mean() - 1e-8
+
+    monkeypatch.setattr(corrector, "_pin_mean", pin_with_offset)
+    # mu * offset stays far below the residual tolerance, so only the mean check fires
+    with pytest.raises(DiagnosticError, match="mean not pinned"):
+        run(0.01, IID_SPEC_2D, TorusGeometry(2, 16))
+
+
+@CERTIFIED_PATHS
+def test_energy_check_fires_on_shrunk_zeta_moment(monkeypatch, run):
+    exact = IncrementSample.second_moment
+    monkeypatch.setattr(IncrementSample, "second_moment", lambda self: 0.1 * exact(self))
+    with pytest.raises(DiagnosticError, match="energy estimate violated"):
+        run(0.5, IID_SPEC_2D, TorusGeometry(2, 16))
+
+
+def test_unperturbed_paths_pass_the_checks():
+    for run in (run_solve, run_mc, run_study):
+        run(0.01, IID_SPEC_2D, TorusGeometry(2, 16))
+
+
+@pytest.mark.parametrize("spec, d", ALL_SPECS)
+@pytest.mark.parametrize("map_fn", [map, reversed_map])
+def test_grouped_mc_equals_per_mu_solves_bitwise(spec, d, map_fn):
+    geom = TorusGeometry(d, SIDES[d])
+    mus = (0.5, 2.0**-5, 2.0**-10)
+    n = 3
+    grouped = corrector._second_moments_mc(mus, spec, geom, n, 11, map_fn=map_fn)
+    samples = [spec.realize(geom, 11, i) for i in range(n)]
+    for mu, res in zip(mus, grouped):
+        sols = [solve_corrector(mu, z) for z in samples]
+        moments = np.array([s.second_moment for s in sols])
+        assert res.values == tuple(moments)
+        assert res.mean == float(np.mean(moments))
+        assert res.stderr == float(np.std(moments, ddof=1) / np.sqrt(n))
+        assert res.energy_margin_min == min(s.energy_margin for s in sols)
+        if samples[0].psi_second_moment is None:
+            assert res.psi_mean is None
+        else:
+            assert res.psi_mean == float(np.mean([z.psi_second_moment for z in samples]))
+        assert res == second_moment_mc(mu, spec, geom, n, 11, map_fn=map_fn)
+
+
+def test_study_points_sharing_a_side_equal_single_mu_runs():
+    grid = tuple(2.0 ** (-1 - i) for i in range(5))
+    rep = scaling_study(IID_SPEC, 2, mu_grid=grid, n_per_mu=3, master_seed=4, l_max=16)
+    assert [p.L for p in rep.points] == [12, 16, 16, 16, 16]
+    for p in rep.points:
+        single = second_moment_mc(p.mu, IID_SPEC, TorusGeometry(2, p.L), 3, 4)
+        assert (p.mean, p.stderr, p.energy_margin_min) == (
+            single.mean, single.stderr, single.energy_margin_min)
 
 
 # ---------------------------------------------------------------- representation
@@ -297,9 +413,6 @@ def test_required_side_even_and_sufficient():
 
 
 # ---------------------------------------------------------------- scaling study
-
-
-IID_SPEC = GeneratorSpec(kind="iid", axis=0, law=UNIT_LAW)
 
 
 def test_grid_validation():

@@ -215,6 +215,28 @@ def test_window_rejects_coincident_points():
         )
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0.0], [1.0], [-0.0]],
+        [[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [1.0, 2.0]],
+        [[0.0, 1.0], [1.0, -0.0], [1.0, 0.0]],
+    ],
+)
+def test_window_rejects_coincident_rows(points):
+    pts = np.array(points)
+    d = pts.shape[1]
+    with pytest.raises(GeneratorError, match="injectivity"):
+        PointSetWindow(d=d, box=((-1.0, 3.0),) * d, points=pts)
+
+
+def test_window_accepts_rows_sharing_a_coordinate():
+    pts = np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 2.0], [2.0, 1.0]])
+    labels = np.array([[1, 2], [1, 0], [0, 2], [2, 1]])
+    w = PointSetWindow(d=2, box=((0.0, 2.0),) * 2, points=pts, labels=labels)
+    assert w.n_points == 4
+
+
 def test_window_label_validation():
     pts = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError, match="align with points"):
@@ -222,6 +244,11 @@ def test_window_label_validation():
     with pytest.raises(ValueError, match="injective"):
         PointSetWindow(
             d=1, box=((0.0, 1.0),), points=pts, labels=np.array([[3], [3]])
+        )
+    with pytest.raises(ValueError, match="injective"):
+        PointSetWindow(
+            d=2, box=((0.0, 1.0),) * 2, points=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            labels=np.array([[4, -1], [0, 0], [4, -1]]),
         )
 
 

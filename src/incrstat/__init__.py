@@ -8,135 +8,19 @@ genuine point sets: renewal processes on the line, perturbed lattices,
 pair energies and their thermodynamic densities.
 """
 
-from .corrector import (
-    DEFAULT_MU_GRID,
-    CorrectorSolution,
-    MCResult,
-    ScalingFits,
-    ScalingPoint,
-    ScalingReport,
-    gradient_defect,
-    green_representation_check,
-    required_side,
-    scaling_study,
-    second_moment_mc,
-    solve_corrector,
-    variance_formula_iid,
-)
-from .errors import BudgetError, ConfigError, DiagnosticError, GeneratorError
-from .green import (
-    DyadicGradientNorms,
-    GreenTable,
-    decay_rate_1d,
-    dyadic_gradient_norms,
-    grad_green_l2,
-    green_1d_exact,
-    green_1d_table,
-    green_torus,
-)
-from .lattice import (
-    TorusField,
-    TorusGeometry,
-    backward_divergence,
-    field_from_csv,
-    field_to_csv,
-    forward_gradient,
-    laplace_symbol,
-    laplacian,
-    shift,
-    solve_helmholtz,
-)
-from .pointsets import (
-    DensityStudy,
-    IntervalLaw,
-    LatticeFieldWindow,
-    LatticeMapSpec,
-    LinearityVerdict,
-    PairPotential,
-    PointSetWindow,
-    cumulative_translation,
-    energy,
-    energy_bruteforce,
-    lattice_image_pointset,
-    linearity_detector,
-    renewal_pointset_1d,
-    thermodynamic_density,
-)
-from .randfields import (
-    CovarianceEstimate,
-    GeneratorSpec,
-    IncrementLaw,
-    IncrementSample,
-    decay_alpha_increments,
-    empirical_covariance,
-    gff_increments,
-    gradient_increments,
-    iid_increments,
-)
-from .seeding import derive_rng, derive_seed
+from . import corrector, errors, green, lattice, pointsets, randfields, seeding
+from .corrector import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .green import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .pointsets import *  # noqa: F401,F403
+from .randfields import *  # noqa: F401,F403
+from .seeding import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusGeometry",
-    "TorusField",
-    "shift",
-    "forward_gradient",
-    "backward_divergence",
-    "laplacian",
-    "laplace_symbol",
-    "solve_helmholtz",
-    "field_to_csv",
-    "field_from_csv",
-    "decay_rate_1d",
-    "green_1d_exact",
-    "green_1d_table",
-    "green_torus",
-    "GreenTable",
-    "grad_green_l2",
-    "DyadicGradientNorms",
-    "dyadic_gradient_norms",
-    "IncrementLaw",
-    "IncrementSample",
-    "iid_increments",
-    "gradient_increments",
-    "decay_alpha_increments",
-    "gff_increments",
-    "GeneratorSpec",
-    "CovarianceEstimate",
-    "empirical_covariance",
-    "CorrectorSolution",
-    "solve_corrector",
-    "gradient_defect",
-    "green_representation_check",
-    "variance_formula_iid",
-    "MCResult",
-    "second_moment_mc",
-    "ScalingPoint",
-    "ScalingFits",
-    "ScalingReport",
-    "DEFAULT_MU_GRID",
-    "required_side",
-    "scaling_study",
-    "IntervalLaw",
-    "PointSetWindow",
-    "renewal_pointset_1d",
-    "PairPotential",
-    "energy",
-    "energy_bruteforce",
-    "DensityStudy",
-    "thermodynamic_density",
-    "LatticeMapSpec",
-    "LatticeFieldWindow",
-    "lattice_image_pointset",
-    "LinearityVerdict",
-    "linearity_detector",
-    "cumulative_translation",
-    "derive_rng",
-    "derive_seed",
-    "ConfigError",
-    "BudgetError",
-    "GeneratorError",
-    "DiagnosticError",
-    "__version__",
-]
+    name
+    for module in (lattice, green, randfields, corrector, pointsets, seeding, errors)
+    for name in module.__all__
+] + ["__version__"]

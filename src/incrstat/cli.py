@@ -39,7 +39,7 @@ from .errors import (
     GeneratorError,
 )
 from .green import dyadic_gradient_norms, green_torus
-from .lattice import TorusField, TorusGeometry, laplacian
+from .lattice import TorusGeometry, _divergence
 from .pointsets import IntervalLaw, PairPotential, renewal_pointset_1d, thermodynamic_density
 from .randfields import GeneratorSpec, IncrementLaw, empirical_covariance
 from .seeding import DOMAIN_POINTSET, derive_seed
@@ -90,8 +90,8 @@ def _generator_spec(values: dict) -> GeneratorSpec:
 def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
     geom = TorusGeometry(values["d"], values["L"])
     table = green_torus(values["mu"], geom)
-    G = TorusField(geom, table.values)
-    resid = values["mu"] * table.values - laplacian(G).values[0]
+    # residual of mu*G - laplacian(G) = delta, with -laplacian(G) = D*.(D G) = D*.grad
+    resid = values["mu"] * table.values + _divergence(table.grad)
     resid[(0,) * geom.d] -= 1.0
     residual_max = float(np.max(np.abs(resid)))
     config_text = cfg.canonical_text("green", values)
@@ -408,7 +408,7 @@ def _cmd_report(paths: list[str]) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DiagnosticError(f"corrupt artifact {path}: {exc}") from None
         if not isinstance(payload, dict) or "artifact" not in payload:
             raise DiagnosticError(f"corrupt artifact {path}: missing 'artifact' field")

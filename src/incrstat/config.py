@@ -195,7 +195,11 @@ def validate(subcommand: str, raw: dict[str, str]) -> dict:
 
 def load(subcommand: str, path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return validate(subcommand, parse_config_text(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    return validate(subcommand, parse_config_text(text))
 
 
 def _format_value(v) -> str:

@@ -5,6 +5,8 @@ tell configuration mistakes, resource limits, generator failures and I/O
 problems apart without parsing messages.
 """
 
+__all__ = ["ConfigError", "BudgetError", "GeneratorError", "DiagnosticError"]
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""

@@ -2,18 +2,20 @@
 
 Conventions, fixed once for the whole package:
 
-* sites are indexed row-major (C order); `TorusGeometry.site_index` and
-  `site_coords` convert between flat indices and coordinate tuples.
 * forward gradient   (Du)_l(x)   = u(x + e_l) - u(x)
 * backward divergence (D*.z)(x)  = sum_l [z_l(x - e_l) - z_l(x)]
   which is the exact adjoint of D: <Du, z> = <u, D*.z> in the site sum.
 * laplacian           (Lu)(x)    = sum_l [u(x+e_l) + u(x-e_l) - 2 u(x)]
   so that L = -D*.D and -L is positive semidefinite. The Helmholtz
   solver treats mu*u - Lu = f, diagonal in the Fourier basis with symbol
-  mu + sum_l 4 sin^2(pi m_l / L).
+  mu + sum_l 4 sin^2(pi m_l / L), and every residual in the package is
+  mu*u + D*.(Du) - f.
 
-Fields are immutable after construction; every operator returns a new
-field. The FFT solve supports arbitrary L >= 2, not only powers of two.
+All three operators are built from one slice stencil, `_neighbour_diff`,
+on plain arrays (`_gradient`, `_divergence`); `np.roll` is used only by
+`shift`, which is a translation. Fields are immutable after construction;
+every operator returns a new field. The FFT solve supports arbitrary
+L >= 2, not only powers of two.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ __all__ = [
     "laplacian",
     "solve_helmholtz",
     "laplace_symbol",
-    "field_to_csv",
-    "field_from_csv",
 ]
 
 
@@ -57,15 +57,6 @@ class TorusGeometry:
     @property
     def n_sites(self) -> int:
         return self.L**self.d
-
-    def site_index(self, coords) -> int:
-        coords = tuple(int(c) % self.L for c in coords)
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
-        return int(np.ravel_multi_index(coords, self.shape))
-
-    def site_coords(self, index: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unravel_index(int(index), self.shape))
 
     def centered_axis(self) -> np.ndarray:
         """Signed representative of each coordinate, in [-L/2, L/2)."""
@@ -131,9 +122,6 @@ class TorusField:
 
     def component(self, c: int) -> np.ndarray:
         return self.values[c]
-
-    def site_mean(self) -> np.ndarray:
-        return self.values.mean(axis=tuple(range(1, self.geometry.d + 1)))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
@@ -227,11 +215,8 @@ def backward_divergence(z: TorusField) -> TorusField:
 def laplacian(u: TorusField) -> TorusField:
     """Nearest-neighbour Laplacian sum_l [u(x+e_l) + u(x-e_l) - 2u(x)] = -(D*.D u)."""
     _check_scalar(u, "laplacian")
-    v = u.values[0]
-    out = -2.0 * u.geometry.d * v
-    for l in range(u.geometry.d):
-        out = out + np.roll(v, -1, axis=l) + np.roll(v, 1, axis=l)
-    return TorusField._adopt(u.geometry, out)
+    out = _divergence(_gradient(u.values[0]))
+    return TorusField._adopt(u.geometry, np.negative(out, out=out))
 
 
 @lru_cache(maxsize=16)
@@ -266,30 +251,3 @@ def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
         fhat = np.fft.rfftn(f.values[c], axes=axes)
         out[c] = np.fft.irfftn(fhat / denom_r, s=geom.shape, axes=axes)
     return TorusField._adopt(geom, out)
-
-
-def field_to_csv(f: TorusField, path) -> None:
-    """Debug dump: one row per (site_index, component, value). Not a stable format."""
-    geom = f.geometry
-    n = geom.n_sites
-    with open(path, "w") as fh:
-        fh.write(f"# torus d={geom.d} L={geom.L} components={f.components}\n")
-        fh.write("site,component,value\n")
-        flat = f.values.reshape(f.components, n)
-        for c in range(f.components):
-            for s in range(n):
-                fh.write(f"{s},{c},{float(flat[c, s])!r}\n")
-
-
-def field_from_csv(path) -> TorusField:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = dict(tok.split("=") for tok in header.lstrip("# ").split() if "=" in tok)
-        d, L, comps = int(parts["d"]), int(parts["L"]), int(parts["components"])
-        fh.readline()  # column names
-        geom = TorusGeometry(d, L)
-        flat = np.zeros((comps, geom.n_sites))
-        for line in fh:
-            s, c, v = line.strip().split(",")
-            flat[int(c), int(s)] = float(v)
-    return TorusField(geom, flat.reshape((comps,) + geom.shape))

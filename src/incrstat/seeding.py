@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["derive_rng", "derive_seed"]
+
 DOMAIN_FIELD = 0
 DOMAIN_INTERVALS = 1
 DOMAIN_POINTSET = 2

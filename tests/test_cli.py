@@ -13,11 +13,17 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import incrstat.config as cfg
 from incrstat import cli
+from incrstat.corrector import solve_corrector
 from incrstat.errors import ConfigError
+from incrstat.green import green_torus
+from incrstat.lattice import TorusGeometry
+from incrstat.randfields import GeneratorSpec, IncrementLaw
+from oracle_utils import dense_forward_diff, dense_laplacian
 
 
 GREEN_CFG = """\
@@ -233,6 +239,33 @@ def test_green_rerun_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_residual_max_matches_dense_oracle(tmp_path, d):
+    """Both certified residuals against mu*u - lap u - f with the dense Laplacian matrix.
+
+    L = 16 is the smallest side with the three dyadic annuli `green` needs.
+    """
+    mu, L = 0.1, 16
+    lap = dense_laplacian(d, L)
+    geom = TorusGeometry(d, L)
+    text = f"d = {d}\nL = {L}\nmu = {mu}\n"
+    assert cli.main(["green", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "green_summary.json").read_text())
+    G = green_torus(mu, geom).values.reshape(-1)
+    delta = np.zeros(L**d)
+    delta[0] = 1.0
+    dense_green = np.max(np.abs(mu * G - lap @ G - delta))
+    assert abs(payload["residual_max"] - dense_green) <= 1e-14
+
+    spec = GeneratorSpec(kind="gradient", axis=0, law=IncrementLaw("uniform_centered", 1.0))
+    zeta = spec.realize(geom, 11, 3)
+    sol = solve_corrector(mu, zeta)
+    rhs = sum(dense_forward_diff(d, L, l).T @ zeta.values.values[l].reshape(-1) for l in range(d))
+    phi = sol.phi.values[0].reshape(-1)
+    dense_corrector = np.max(np.abs(mu * phi - lap @ phi - rhs))
+    assert abs(sol.residual_max - dense_corrector) <= 1e-14
+
+
 def test_covariance_artifacts(artifacts):
     out = artifacts["covariance"]
     lines = (out / "covariance.csv").read_text().splitlines()
@@ -400,6 +433,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown key(s) for green: colour" in stderr_error(capsys)["message"]
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(GREEN_CFG.encode() + b"# caf\xe9\n")
+    assert cli.main(["green", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "ConfigError"
+    assert "not UTF-8 text" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_mu_grid_exits_2_without_artifacts(tmp_path, capsys):
     text = "d = 1\ngenerator = iid\nmu_grid = 0.25\nn = 3\n"
     cfg_path = write_cfg(tmp_path, text)
@@ -528,6 +573,19 @@ def test_report_corrupt_json_exits_5(tmp_path, capsys):
     err = stderr_error(capsys)
     assert err["error"] == "DiagnosticError"
     assert "corrupt artifact" in err["message"]
+
+
+def test_report_non_utf8_artifact_exits_5(tmp_path, capsys):
+    bad = tmp_path / "a.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["report", str(bad)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "DiagnosticError"
+    assert f"corrupt artifact {bad}" in err["message"]
 
 
 def test_report_missing_artifact_field_exits_5(tmp_path, capsys):

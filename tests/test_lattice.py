@@ -8,8 +8,6 @@ from incrstat.lattice import (
     TorusField,
     TorusGeometry,
     backward_divergence,
-    field_from_csv,
-    field_to_csv,
     forward_gradient,
     laplace_symbol,
     laplacian,
@@ -39,14 +37,6 @@ def test_geometry_rejects_bad_dimension():
 def test_geometry_rejects_small_side():
     with pytest.raises(ValueError):
         TorusGeometry(2, 1)
-
-
-def test_site_index_roundtrip():
-    geom = TorusGeometry(3, 5)
-    for idx in (0, 1, 17, geom.n_sites - 1):
-        assert geom.site_index(geom.site_coords(idx)) == idx
-    # coordinates are taken mod L
-    assert geom.site_index((5, -1, 6)) == geom.site_index((0, 4, 1))
 
 
 def test_centered_axis_signs():
@@ -351,13 +341,3 @@ def test_solver_rejects_nonpositive_mu():
     for mu in (0.0, -1.0):
         with pytest.raises(ValueError):
             solve_helmholtz(mu, TorusField.delta(geom))
-
-
-# ---------------------------------------------------------------- csv dump
-
-
-def test_csv_roundtrip(tmp_path):
-    f = rand_field(TorusGeometry(2, 5), 21, components=3)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    assert field_from_csv(path) == f

@@ -7,17 +7,18 @@ realization draws from a seed stream addressed by its own index and all
 reductions run in index order.
 
 Exit codes: 0 success, 2 config/usage, 3 budget, 4 generator,
-5 diagnostic, 6 I/O, 7 worker process died, 130 interrupted.
+5 diagnostic, 6 I/O, 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .errors import (
     INTERRUPT_EXIT_CODE,
     IO_EXIT_CODE,
     USAGE_EXIT_CODE,
-    WORKER_EXIT_CODE,
     ConfigError,
     DiagnosticError,
     GeneratorError,
@@ -46,7 +46,6 @@ from .seeding import DOMAIN_POINTSET, derive_seed
 
 __all__ = ["main"]
 
-POOL_CHUNK = 4
 _NUM = (int, float)
 
 
@@ -58,18 +57,29 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write `lines` to a temp file beside `path`, then move it into place.
+
+    A run that fails mid-write leaves no truncated artifact behind.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_csv(path: str, config_text: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in config_text.rstrip("\n").split("\n"):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    comments = [f"# {line}\n" for line in config_text.rstrip("\n").split("\n")]
+    body = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    _write_lines(path, itertools.chain(comments, [",".join(header) + "\n"], body))
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _generator_spec(values: dict) -> GeneratorSpec:
@@ -126,19 +136,11 @@ def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
     return [csv_path, json_path]
 
 
-def _covariance_sample(task):
-    spec, geom, seed, idx = task
-    return (idx, spec.realize(geom, seed, idx))
-
-
 def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
     spec = _generator_spec(values)
     geom = TorusGeometry(values["d"], values["L"])
     n = values["n_samples"]
-    tasks = [(spec, geom, values["seed"], i) for i in range(n)]
-    samples = [None] * n
-    for idx, sample in map_fn(_covariance_sample, tasks):
-        samples[idx] = sample
+    samples = list(map_fn(functools.partial(spec.realize, geom, values["seed"]), range(n)))
     d = geom.d
     lags = []
     for m in sorted(set(values["lag_list"])):
@@ -458,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker process count")
+        p.add_argument("--threads", type=int, default=None, help="worker thread count")
     rep = sub.add_parser("report", help="render artifacts as a text summary")
     rep.add_argument("artifacts", nargs="*", help="JSON artifacts produced by runs")
     return parser
@@ -508,13 +510,9 @@ def main(argv=None) -> int:
         if threads == 1:
             paths = runner(values, out_dir, map)
         else:
-            ex = ProcessPoolExecutor(max_workers=threads)
-
-            def pooled(fn, tasks):
-                return ex.map(fn, tasks, chunksize=POOL_CHUNK)
-
+            ex = ThreadPoolExecutor(max_workers=threads)
             try:
-                paths = runner(values, out_dir, pooled)
+                paths = runner(values, out_dir, ex.map)
             finally:
                 # on failure or interrupt, drop the queued tasks instead of running them
                 ex.shutdown(cancel_futures=True)
@@ -527,9 +525,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc, IO_EXIT_CODE)
         return IO_EXIT_CODE
-    except BrokenProcessPool as exc:
-        _emit_error(exc, WORKER_EXIT_CODE)
-        return WORKER_EXIT_CODE
     except KeyboardInterrupt as exc:
         _emit_error(exc, INTERRUPT_EXIT_CODE)
         return INTERRUPT_EXIT_CODE

@@ -23,7 +23,7 @@ from .lattice import (
     TorusGeometry,
     _divergence,
     _gradient,
-    laplace_symbol,
+    _spectral_quotient,
 )
 from .randfields import GeneratorSpec, IncrementSample
 
@@ -96,12 +96,7 @@ def _certified_solve(
     the pinned mean and the energy estimate are checked in real space; a
     violation raises DiagnosticError.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    d, L = rhs.ndim, rhs.shape[0]
-    # rfft along the last axis halves the work on real data
-    symbol = laplace_symbol(d, L)[..., : L // 2 + 1]
-    phi = np.fft.irfftn(rhs_hat / (mu + symbol), s=rhs.shape, axes=tuple(range(d)))
+    phi = _spectral_quotient(mu, rhs_hat, rhs.shape)
     _pin_mean(phi)
     grad = _gradient(phi)
     residual = _divergence(grad)
@@ -112,8 +107,8 @@ def _certified_solve(
     del residual
     second_moment = float(np.mean(np.square(phi, out=scratch)))
     density = np.square(grad[0])
-    for l in range(1, d):
-        density += np.square(grad[l], out=scratch)
+    for g in grad[1:]:
+        density += np.square(g, out=scratch)
     dirichlet = float(np.mean(density))
     del density, scratch
     margin = zeta_second_moment - (mu * second_moment + dirichlet)
@@ -224,7 +219,8 @@ def _realization_stats(task) -> tuple[int, list[tuple[float, float]], float | No
     """Worker: one realization, solved at every mu of one torus side.
 
     The field is drawn once, and its divergence and rfftn are shared by
-    all mu. Module-level so process pools can pickle it.
+    all mu. Module-level so that any map_fn can run it, a caller's process
+    pool included.
     """
     spec, geometry, mus, master_seed, index = task
     sample = spec.realize(geometry, master_seed, index)

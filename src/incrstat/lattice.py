@@ -232,22 +232,28 @@ def laplace_symbol(d: int, L: int) -> np.ndarray:
     return s
 
 
-def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
-    """Solve mu*u - laplacian(u) = f exactly on the torus, componentwise.
+def _spectral_quotient(mu: float, f_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Solution u of mu*u - laplacian(u) = f on the torus, from f_hat = rfftn(f).
 
-    Diagonal in the Fourier basis: u_hat = f_hat / (mu + symbol). Works
-    for any L >= 2. Since the symbol vanishes only at the zero mode and
-    mu > 0, the solve is always well posed.
+    Diagonal in the Fourier basis: u_hat = f_hat / (mu + symbol). Since the
+    symbol vanishes only at the zero mode and mu > 0, the solve is always
+    well posed.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    geom = f.geometry
-    denom = mu + laplace_symbol(geom.d, geom.L)
+    d, L = len(shape), shape[0]
     # rfft along the last axis halves the work on real data
-    denom_r = denom[..., : geom.L // 2 + 1]
+    symbol = laplace_symbol(d, L)[..., : L // 2 + 1]
+    return np.fft.irfftn(f_hat / (mu + symbol), s=shape, axes=tuple(range(d)))
+
+
+def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
+    """Solve mu*u - laplacian(u) = f exactly on the torus, componentwise.
+
+    Works for any L >= 2 and any mu > 0.
+    """
+    geom = f.geometry
     out = np.empty_like(f.values)
-    axes = tuple(range(geom.d))
     for c in range(f.components):
-        fhat = np.fft.rfftn(f.values[c], axes=axes)
-        out[c] = np.fft.irfftn(fhat / denom_r, s=geom.shape, axes=axes)
+        out[c] = _spectral_quotient(mu, np.fft.rfftn(f.values[c]), geom.shape)
     return TorusField._adopt(geom, out)

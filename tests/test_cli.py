@@ -19,7 +19,7 @@ import pytest
 import incrstat.config as cfg
 from incrstat import cli
 from incrstat.corrector import solve_corrector
-from incrstat.errors import ConfigError
+from incrstat.errors import ConfigError, DiagnosticError
 from incrstat.green import green_torus
 from incrstat.lattice import TorusGeometry
 from incrstat.randfields import GeneratorSpec, IncrementLaw
@@ -473,23 +473,51 @@ def test_generator_failure_exits_4(tmp_path, capsys):
     assert "d = 2" in err["message"]
 
 
-def _killed_worker(task):
-    os._exit(1)  # the worker process dies without reporting back
-
-
-def test_killed_worker_exits_7(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "exc, code",
+    [(DiagnosticError("injected certification failure"), 5), (KeyboardInterrupt(), 130)],
+    ids=["diagnostic", "interrupt"],
+)
+def test_failure_in_worker_thread_maps_to_exit_code(tmp_path, monkeypatch, capsys, exc, code):
     from incrstat import corrector
 
-    monkeypatch.setattr(corrector, "_realization_stats", _killed_worker)
+    real = corrector._realization_stats
+
+    def stats(task):
+        if task[-1] == 1:  # realization 1 of every torus side
+            raise exc
+        return real(task)
+
+    monkeypatch.setattr(corrector, "_realization_stats", stats)
     cfg_path = write_cfg(tmp_path, SCALING_CFG)
-    argv = ["corrector-scaling", "--config", cfg_path, "--out", str(tmp_path / "o"),
-            "--threads", "2"]
-    assert cli.main(argv) == 7
+    out = tmp_path / "o"
+    argv = ["corrector-scaling", "--config", cfg_path, "--out", str(out), "--threads", "2"]
+    assert cli.main(argv) == code
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert len(err_lines) == 1
     err = json.loads(err_lines[0])
-    assert err["error"] == "BrokenProcessPool"
-    assert err["exit_code"] == 7
+    assert (err["error"], err["message"], err["exit_code"]) == (type(exc).__name__, str(exc), code)
+    assert list(out.iterdir()) == []
+
+
+def test_failed_artifact_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    real_fmt = cli._fmt
+    calls = []
+
+    def fmt(v):
+        calls.append(v)
+        if len(calls) == 7:  # partway through the scaling.csv rows
+            raise OSError("injected write failure")
+        return real_fmt(v)
+
+    monkeypatch.setattr(cli, "_fmt", fmt)
+    cfg_path = write_cfg(tmp_path, SCALING_CFG)
+    out = tmp_path / "o"
+    assert cli.main(["corrector-scaling", "--config", cfg_path, "--out", str(out)]) == 6
+    err = stderr_error(capsys)
+    assert err["error"] == "OSError"
+    assert err["exit_code"] == 6
+    assert list(out.iterdir()) == []
 
 
 def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from incrstat import corrector
+from incrstat import corrector, lattice
 from incrstat.corrector import (
     DEFAULT_MU_GRID,
     MCResult,
@@ -178,8 +178,8 @@ CERTIFIED_PATHS = pytest.mark.parametrize("run", [run_solve, run_mc, run_study])
 
 @CERTIFIED_PATHS
 def test_residual_check_fires_on_perturbed_symbol(monkeypatch, run):
-    exact = corrector.laplace_symbol
-    monkeypatch.setattr(corrector, "laplace_symbol", lambda d, L: exact(d, L) + 1e-6)
+    exact = lattice.laplace_symbol
+    monkeypatch.setattr(lattice, "laplace_symbol", lambda d, L: exact(d, L) + 1e-6)
     with pytest.raises(DiagnosticError, match="residual"):
         run(0.5, IID_SPEC_2D, TorusGeometry(2, 16))
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config/usage, 3 budget, 4 generator,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -23,13 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import config as cfg
-from .corrector import (
-    LOGLIN_R2_MIN,
-    LOGLOG_R2_MIN,
-    LOGLOG_SLOPE_MAX,
-    RATIO_BOUNDED,
-    scaling_study,
-)
+from .corrector import ScalingFits, scaling_study, verdict_checks
 from .errors import (
     INTERRUPT_EXIT_CODE,
     IO_EXIT_CODE,
@@ -48,13 +43,7 @@ __all__ = ["main"]
 
 _NUM = (int, float)
 
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))  # plain float repr even for numpy scalars
-    return str(v)
+_fmt = cfg.format_value
 
 
 def _write_lines(path: str, lines) -> None:
@@ -298,33 +287,22 @@ def _render_scaling(payload: dict, lines: list[str]) -> None:
         lines.append("  verdict: bounded (stationary up to translation)")
     else:
         lines.append(f"  verdict: {verdict}")
-    fits = _field(payload, "fits", dict)
-    ratio, ll_s, ll_r, la_s, la_r = (
-        _field(fits, key, *_NUM, type(None))
-        for key in ("boundedness_ratio", "loglog_slope", "loglog_r2", "loglin_slope", "loglin_r2")
-    )
+    fits_obj = _field(payload, "fits", dict)
+    fits = ScalingFits(**{
+        f.name: _field(fits_obj, f.name, *_NUM, type(None))
+        for f in dataclasses.fields(ScalingFits)
+    })
 
     def num(x):
         return "n/a" if x is None else f"{x:.4g}"
 
     lines.append(
-        f"  fits: log-log slope {num(ll_s)} (R^2 {num(ll_r)}), |ln mu| slope "
-        f"{num(la_s)} (R^2 {num(la_r)}), ratio {num(ratio)}"
+        f"  fits: log-log slope {num(fits.loglog_slope)} (R^2 {num(fits.loglog_r2)}), "
+        f"|ln mu| slope {num(fits.loglin_slope)} (R^2 {num(fits.loglin_r2)}), "
+        f"ratio {num(fits.boundedness_ratio)}"
     )
-    checks = [
-        (f"bounded: ratio <= {RATIO_BOUNDED}", ratio is not None and ratio <= RATIO_BOUNDED),
-        (
-            f"diverging-powerlaw: slope <= {LOGLOG_SLOPE_MAX} and R^2 >= {LOGLOG_R2_MIN}",
-            ll_s is not None and ll_s <= LOGLOG_SLOPE_MAX
-            and ll_r is not None and ll_r >= LOGLOG_R2_MIN,
-        ),
-        (
-            f"diverging-log: affine R^2 >= {LOGLIN_R2_MIN}",
-            la_r is not None and la_r >= LOGLIN_R2_MIN,
-        ),
-    ]
-    for label, ok in checks:
-        lines.append(f"    {label}: {'pass' if ok else 'fail'}")
+    for verdict_name, rule, passes in verdict_checks(fits):
+        lines.append(f"    {verdict_name}: {rule}: {'pass' if passes else 'fail'}")
     points = _field(payload, "points", list)
     capped = [p for p in points if _field(p, "capped", bool)]
     if capped:

@@ -73,10 +73,12 @@ _GENERATOR_KEYS = (
     Key("axis", "int", default=0, check=_nonnegative),
 )
 
+_D = Key("d", "int", required=True, check=lambda v: None if v in (1, 2, 3) else "must be 1, 2 or 3")
+
 SCHEMAS: dict[str, tuple[Key, ...]] = {
     "green": _COMMON
     + (
-        Key("d", "int", required=True, check=lambda v: None if v in (1, 2, 3) else "must be 1, 2 or 3"),
+        _D,
         Key("L", "int", required=True, check=_at_least(2)),
         Key("mu", "float", required=True, check=_positive),
         Key("p", "float_list", default=(2.0,)),
@@ -84,7 +86,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
     "covariance": _COMMON
     + _GENERATOR_KEYS
     + (
-        Key("d", "int", required=True, check=lambda v: None if v in (1, 2, 3) else "must be 1, 2 or 3"),
+        _D,
         Key("L", "int", required=True, check=_at_least(2)),
         Key("n_samples", "int", required=True, check=_at_least(2)),
         Key("lag_list", "int_list", default=(0, 1, 2, 4, 8)),
@@ -92,7 +94,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
     "corrector-scaling": _COMMON
     + _GENERATOR_KEYS
     + (
-        Key("d", "int", required=True, check=lambda v: None if v in (1, 2, 3) else "must be 1, 2 or 3"),
+        _D,
         Key("mu_grid", "float_list", default=None),
         Key("n", "int", required=True, check=_at_least(2)),
         Key("l_rule_coefficient", "float", default=8.0, check=_positive),
@@ -202,13 +204,14 @@ def load(subcommand: str, path: str) -> dict:
     return validate(subcommand, parse_config_text(text))
 
 
-def _format_value(v) -> str:
+def format_value(v) -> str:
+    """One value as config and CSV text: true/false, comma-joined tuples, float repr."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return ",".join(_format_value(x) for x in v)
+        return ",".join(format_value(x) for x in v)
     if isinstance(v, float):
-        return repr(float(v))
+        return repr(float(v))  # plain float repr even for numpy scalars
     return str(v)
 
 
@@ -218,5 +221,5 @@ def canonical_text(subcommand: str, values: dict) -> str:
     for name in sorted(values):
         if name in EXECUTION_KEYS or values[name] is None:
             continue
-        lines.append(f"{name} = {_format_value(values[name])}")
+        lines.append(f"{name} = {format_value(values[name])}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ low-dimensional counterexample scalings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "ScalingPoint",
     "ScalingFits",
     "ScalingReport",
+    "verdict_checks",
     "DEFAULT_MU_GRID",
     "required_side",
     "scaling_study",
@@ -81,7 +82,7 @@ def _pin_mean(phi: np.ndarray) -> None:
 
 def _divergence_hat(zeta: IncrementSample) -> tuple[np.ndarray, np.ndarray]:
     """div*(zeta) and its rfftn: the part of a solve that every mu on this torus shares."""
-    rhs = _divergence(zeta.values.values)
+    rhs = _divergence(zeta.values)
     return rhs, np.fft.rfftn(rhs)
 
 
@@ -153,7 +154,7 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
 
 def gradient_defect(solution: CorrectorSolution, zeta: IncrementSample) -> float:
     """RMS of grad phi - zeta; tends to 0 with mu when zeta is a gradient field."""
-    diff = solution.grad.values - zeta.values.values
+    diff = solution.grad.values - zeta.values
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=0))))
 
 
@@ -176,7 +177,7 @@ def green_representation_check(
     phi_rep = np.zeros(geom.shape)
     for l in range(geom.d):
         g_hat = np.fft.fftn(table.grad[l])
-        z_hat = np.fft.fftn(zeta.values.values[l])
+        z_hat = np.fft.fftn(zeta.values[l])
         phi_rep += np.fft.ifftn(np.conj(g_hat) * z_hat).real
     phi_rep -= phi_rep.mean()
     direct = solve_corrector(mu, zeta).phi.values[0]
@@ -333,35 +334,9 @@ class ScalingReport:
     verdict_reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "generator": dict(self.generator),
-            "d": self.d,
-            "master_seed": self.master_seed,
-            "l_rule": f"L >= {self.l_rule_coefficient!r} * mu^-1/2",
-            "l_cap": self.l_cap,
-            "points": [
-                {
-                    "mu": p.mu,
-                    "L": p.L,
-                    "n": p.n,
-                    "mean": p.mean,
-                    "stderr": p.stderr,
-                    "energy_margin_min": p.energy_margin_min,
-                    "psi_mean": p.psi_mean,
-                    "capped": p.capped,
-                }
-                for p in self.points
-            ],
-            "fits": {
-                "loglog_slope": self.fits.loglog_slope,
-                "loglog_r2": self.fits.loglog_r2,
-                "loglin_slope": self.fits.loglin_slope,
-                "loglin_r2": self.fits.loglin_r2,
-                "boundedness_ratio": self.fits.boundedness_ratio,
-            },
-            "verdict": self.verdict,
-            "verdict_reason": self.verdict_reason,
-        }
+        out = asdict(self)
+        out["l_rule"] = f"L >= {out.pop('l_rule_coefficient')!r} * mu^-1/2"
+        return out
 
     CSV_HEADER = ("mu", "mean", "stderr", "L", "n")
 
@@ -409,25 +384,46 @@ def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), r2
 
 
+def verdict_checks(fits: ScalingFits) -> tuple[tuple[str, str, bool], ...]:
+    """(verdict, rule, passes) for each decision threshold, in cascade order.
+
+    A fit that is None (no positive estimate to take a logarithm of) fails
+    every rule that reads it.
+    """
+    ratio, slope, r2, lin_r2 = (
+        fits.boundedness_ratio, fits.loglog_slope, fits.loglog_r2, fits.loglin_r2
+    )
+    return (
+        ("bounded", f"ratio <= {RATIO_BOUNDED}", ratio is not None and ratio <= RATIO_BOUNDED),
+        (
+            "diverging-powerlaw",
+            f"slope <= {LOGLOG_SLOPE_MAX} and R^2 >= {LOGLOG_R2_MIN}",
+            slope is not None and slope <= LOGLOG_SLOPE_MAX
+            and r2 is not None and r2 >= LOGLOG_R2_MIN,
+        ),
+        (
+            "diverging-log",
+            f"affine R^2 >= {LOGLIN_R2_MIN}",
+            lin_r2 is not None and lin_r2 >= LOGLIN_R2_MIN,
+        ),
+    )
+
+
 def _verdict(fits: ScalingFits) -> tuple[str, str]:
-    if fits.boundedness_ratio <= RATIO_BOUNDED:
-        return "bounded", (
-            f"max/first ratio {fits.boundedness_ratio:.4g} <= {RATIO_BOUNDED}"
-        )
-    if (
-        fits.loglog_slope is not None
-        and fits.loglog_slope <= LOGLOG_SLOPE_MAX
-        and fits.loglog_r2 >= LOGLOG_R2_MIN
-    ):
-        return "diverging-powerlaw", (
+    """The first verdict whose rule passes, and the measured values behind it."""
+    verdict = next((v for v, _, passes in verdict_checks(fits) if passes), "inconclusive")
+    if verdict == "bounded":
+        return verdict, f"max/first ratio {fits.boundedness_ratio:.4g} <= {RATIO_BOUNDED}"
+    if verdict == "diverging-powerlaw":
+        return verdict, (
             f"log-log slope {fits.loglog_slope:.4g} <= {LOGLOG_SLOPE_MAX} "
             f"with R^2 {fits.loglog_r2:.4g} >= {LOGLOG_R2_MIN}"
         )
-    if fits.loglin_r2 is not None and fits.loglin_r2 >= LOGLIN_R2_MIN:
-        return "diverging-log", (
+    if verdict == "diverging-log":
+        return verdict, (
             f"affine fit in |ln mu| has R^2 {fits.loglin_r2:.4g} >= {LOGLIN_R2_MIN}"
         )
-    return "inconclusive", "no decision threshold met"
+    return verdict, "no decision threshold met"
 
 
 def scaling_study(

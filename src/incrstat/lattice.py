@@ -120,16 +120,6 @@ class TorusField:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def component(self, c: int) -> np.ndarray:
-        return self.values[c]
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
-
-    @classmethod
-    def zeros(cls, geometry: TorusGeometry, components: int = 1) -> "TorusField":
-        return cls._adopt(geometry, np.zeros((components,) + geometry.shape))
-
     @classmethod
     def delta(cls, geometry: TorusGeometry) -> "TorusField":
         v = np.zeros(geometry.shape)

@@ -701,7 +701,7 @@ def cumulative_translation(
     if len(k) != d:
         raise ValueError(f"k must have {d} coordinates")
 
-    fields = np.stack([s.values.values for s in samples], axis=0)  # (i, l) + shape
+    fields = np.stack([s.values for s in samples], axis=0)  # (i, l) + shape
 
     def walk(axis_order: Sequence[int]) -> np.ndarray:
         pos = [0] * d

@@ -18,14 +18,14 @@ amplification of the regularized solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import GeneratorError
-from .lattice import TorusField, TorusGeometry, forward_gradient, laplace_symbol
+from .lattice import TorusGeometry, _gradient, laplace_symbol
 from .seeding import DOMAIN_FIELD, derive_rng
 
 __all__ = [
@@ -90,13 +90,19 @@ class IncrementLaw:
         return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncrementSample:
-    """One realization of the d-component increment field for a fixed axis."""
+    """One realization of the d-component increment field for a fixed axis.
+
+    values is a float64 array of shape (d,) + geometry.shape whose entry l
+    is the component zeta_l. It is adopted without a copy and made
+    read-only in place, so the caller must hold no other reference through
+    which it writes.
+    """
 
     geometry: TorusGeometry
     axis: int
-    values: TorusField
+    values: np.ndarray
     generator_id: str
     parameters: tuple
     seed: int
@@ -107,8 +113,13 @@ class IncrementSample:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.values.components != self.geometry.d:
+        if self.values.shape != (self.geometry.d,) + self.geometry.shape:
             raise ValueError("increment sample must have one component per axis")
+        self.values.setflags(write=False)
+
+    def __reduce__(self):
+        # re-run __init__ on unpickle so the write-protection is restored
+        return (IncrementSample, tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def sample_id(self) -> str:
@@ -117,7 +128,7 @@ class IncrementSample:
 
     def second_moment(self) -> float:
         """Site average of |zeta|^2."""
-        return float(np.mean(np.sum(self.values.values**2, axis=0)))
+        return float(np.mean(np.sum(self.values**2, axis=0)))
 
 
 def _center(arr: np.ndarray) -> np.ndarray:
@@ -145,7 +156,7 @@ def iid_increments(
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField._adopt(geometry, vals),
+        values=vals,
         generator_id=f"iid_{law.kind}",
         parameters=(law.param,),
         seed=seed,
@@ -165,16 +176,29 @@ def gradient_increments(
     _check_axis(geometry, axis)
     rng = derive_rng(seed, DOMAIN_FIELD, realization)
     psi = _center(law.draw(rng, geometry.shape))
-    zeta = forward_gradient(TorusField._adopt(geometry, psi))
-    vals = zeta.values - zeta.values.mean(
-        axis=tuple(range(1, geometry.d + 1)), keepdims=True
+    return _gradient_sample(
+        geometry, axis, psi, f"gradient_{law.kind}", (law.param,), seed, realization
     )
+
+
+def _gradient_sample(
+    geometry: TorusGeometry,
+    axis: int,
+    psi: np.ndarray,
+    generator_id: str,
+    parameters: tuple,
+    seed: int,
+    realization: int,
+) -> IncrementSample:
+    """The curl-free sample zeta = D psi of a centered potential psi, each component centered."""
+    vals = _gradient(psi)
+    vals -= vals.mean(axis=tuple(range(1, geometry.d + 1)), keepdims=True)
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField._adopt(geometry, vals),
-        generator_id=f"gradient_{law.kind}",
-        parameters=(law.param,),
+        values=vals,
+        generator_id=generator_id,
+        parameters=parameters,
         seed=seed,
         realization=realization,
         curl_free=True,
@@ -234,7 +258,7 @@ def decay_alpha_increments(
     return IncrementSample(
         geometry=geometry,
         axis=axis,
-        values=TorusField._adopt(geometry, vals),
+        values=vals,
         generator_id="decay_alpha",
         parameters=(alpha,),
         seed=seed,
@@ -262,23 +286,8 @@ def gff_increments(
     sym[(0,) * geometry.d] = 1.0  # placeholder, zero mode removed next
     spectrum = 1.0 / sym
     spectrum[(0,) * geometry.d] = 0.0
-    psi = _spectral_gaussian(np.sqrt(spectrum), rng, geometry.shape)
-    psi = _center(psi)
-    zeta = forward_gradient(TorusField._adopt(geometry, psi))
-    vals = zeta.values - zeta.values.mean(
-        axis=tuple(range(1, geometry.d + 1)), keepdims=True
-    )
-    return IncrementSample(
-        geometry=geometry,
-        axis=axis,
-        values=TorusField._adopt(geometry, vals),
-        generator_id="gff",
-        parameters=(),
-        seed=seed,
-        realization=realization,
-        curl_free=True,
-        psi_second_moment=float(np.mean(psi**2)),
-    )
+    psi = _center(_spectral_gaussian(np.sqrt(spectrum), rng, geometry.shape))
+    return _gradient_sample(geometry, axis, psi, "gff", (), seed, realization)
 
 
 @dataclass(frozen=True)
@@ -389,7 +398,7 @@ def empirical_covariance(
     per_real = np.empty((R, len(lag_arr), d, d))
     space_axes = tuple(range(1, d + 1))
     for r, s in enumerate(samples):
-        v = s.values.values  # (d,) + shape, exactly centered
+        v = s.values  # (d,) + shape, exactly centered
         for j, k in enumerate(lag_arr):
             rolled = np.roll(v, shift=tuple(-k), axis=space_axes)
             per_real[r, j] = np.tensordot(rolled, v, axes=(space_axes, space_axes)) / geom.n_sites

@@ -260,7 +260,7 @@ def test_residual_max_matches_dense_oracle(tmp_path, d):
     spec = GeneratorSpec(kind="gradient", axis=0, law=IncrementLaw("uniform_centered", 1.0))
     zeta = spec.realize(geom, 11, 3)
     sol = solve_corrector(mu, zeta)
-    rhs = sum(dense_forward_diff(d, L, l).T @ zeta.values.values[l].reshape(-1) for l in range(d))
+    rhs = sum(dense_forward_diff(d, L, l).T @ zeta.values[l].reshape(-1) for l in range(d))
     phi = sol.phi.values[0].reshape(-1)
     dense_corrector = np.max(np.abs(mu * phi - lap @ phi - rhs))
     assert abs(sol.residual_max - dense_corrector) <= 1e-14

@@ -36,7 +36,7 @@ def manual_increments(geometry, psi_arrays):
             IncrementSample(
                 geometry=geometry,
                 axis=i,
-                values=zeta,
+                values=zeta.values,
                 generator_id="manual",
                 parameters=(),
                 seed=0,
@@ -671,7 +671,7 @@ def test_translation_requires_curl_free_flag():
     geom = TorusGeometry(2, 8)
     vals = np.zeros((2, 8, 8))
     raw = [
-        IncrementSample(geometry=geom, axis=i, values=TorusField(geom, vals),
+        IncrementSample(geometry=geom, axis=i, values=vals,
                         generator_id="raw", parameters=(), seed=0, realization=0,
                         curl_free=False)
         for i in range(2)
@@ -698,7 +698,7 @@ def test_translation_unit_step_reproduces_increments():
         k = [0, 0, 0]
         k[l] = 1
         got = cumulative_translation(samples, T, k)
-        inc = np.array([samples[i].values.values[l][origin] for i in range(3)])
+        inc = np.array([samples[i].values[l][origin] for i in range(3)])
         assert np.array_equal(got, T[:, l] + inc)
 
 
@@ -725,7 +725,7 @@ def test_translation_detects_forged_curl_flag():
         vals = rng.normal(size=(2, 8, 8))
         vals -= vals.mean(axis=(1, 2), keepdims=True)
         forged.append(
-            IncrementSample(geometry=geom, axis=i, values=TorusField(geom, vals),
+            IncrementSample(geometry=geom, axis=i, values=vals,
                             generator_id="forged", parameters=(), seed=0,
                             realization=0, curl_free=True)
         )

@@ -6,6 +6,8 @@ exists (spectral expectations) and against 4-standard-error bands
 otherwise.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ def curl_max(sample: IncrementSample) -> float:
     """Largest entry of D_l zeta_m - D_m zeta_l over all component pairs."""
     geom = sample.geometry
     grads = [
-        forward_gradient(TorusField(geom, sample.values.component(l)))
+        forward_gradient(TorusField(geom, sample.values[l]))
         for l in range(geom.d)
     ]
     return max(
@@ -90,8 +92,8 @@ def test_iid_component_structure():
     assert s.psi_second_moment is None
     assert s.clamped_mass_fraction is None
     # the active component carries the draw, the other vanishes identically
-    assert np.all(s.values.values[0] == 0.0)
-    assert np.any(s.values.values[1] != 0.0)
+    assert np.all(s.values[0] == 0.0)
+    assert np.any(s.values[1] != 0.0)
 
 
 @pytest.mark.parametrize(
@@ -105,7 +107,7 @@ def test_iid_component_structure():
 def test_iid_zero_empirical_mean(law):
     s = iid_increments(TorusGeometry(1, 128), 0, law, 1)
     # centering is exact empirical subtraction; only rounding dust remains
-    assert abs(float(s.values.values[0].mean())) <= 1e-14 * max(s.values.max_abs(), 1.0)
+    assert abs(float(s.values[0].mean())) <= 1e-14 * max(float(np.abs(s.values).max()), 1.0)
 
 
 def test_iid_axis_out_of_range():
@@ -117,7 +119,7 @@ def test_iid_variance_matches_law():
     # law of large numbers at L=256: 4 standard errors of the sample variance
     law = IncrementLaw("uniform_centered", 1.0)
     s = iid_increments(TorusGeometry(1, 256), 0, law, 0)
-    v = s.values.values[0]
+    v = s.values[0]
     var = float(np.mean(v * v))
     m4 = float(np.mean(v**4))
     se = np.sqrt(max(m4 - var**2, 0.0) / v.size)
@@ -142,9 +144,9 @@ def test_iid_determinism_bitwise():
     law = IncrementLaw("gaussian", 1.0)
     a = iid_increments(geom, 0, law, 5, 2)
     b = iid_increments(geom, 0, law, 5, 2)
-    assert np.array_equal(a.values.values, b.values.values)
+    assert np.array_equal(a.values, b.values)
     c = iid_increments(geom, 0, law, 5, 3)
-    assert not np.array_equal(a.values.values, c.values.values)
+    assert not np.array_equal(a.values, c.values)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,20 +160,20 @@ def test_iid_seed_determinism_property(kind, param, seed):
     law = IncrementLaw(kind, param)
     a = iid_increments(geom, 0, law, seed)
     b = iid_increments(geom, 0, law, seed)
-    assert np.array_equal(a.values.values, b.values.values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_sample_id_and_second_moment():
     geom = TorusGeometry(1, 8)
     z = iid_increments(geom, 0, IncrementLaw("constant", 4.0), 9, 1)
-    assert np.all(z.values.values == 0.0)
+    assert np.all(z.values == 0.0)
     assert z.second_moment() == 0.0
     assert z.sample_id == "iid_constant(4.0)@9/1"
 
 
 def test_sample_component_count_enforced():
     geom = TorusGeometry(2, 4)
-    bad = TorusField(geom, np.zeros((3,) + geom.shape))
+    bad = np.zeros((3,) + geom.shape)
     with pytest.raises(ValueError, match="one component per axis"):
         IncrementSample(
             geometry=geom,
@@ -185,12 +187,50 @@ def test_sample_component_count_enforced():
         )
 
 
+def test_sample_adopts_values_read_only():
+    geom = TorusGeometry(2, 4)
+    vals = np.zeros((2,) + geom.shape)
+    s = IncrementSample(geometry=geom, axis=0, values=vals, generator_id="x",
+                        parameters=(), seed=0, realization=0, curl_free=False)
+    assert s.values is vals
+    assert not vals.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec(kind="iid", axis=1, law=IncrementLaw("gaussian", 1.0)),
+        GeneratorSpec(kind="gradient", law=IncrementLaw("uniform_centered", 1.0)),
+        GeneratorSpec(kind="decay_alpha", alpha=2.5),
+        GeneratorSpec(kind="gff"),
+        GeneratorSpec(kind="zero"),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_generated_values_are_read_only(spec):
+    s = spec.realize(TorusGeometry(2, 8), 4, 1)
+    assert type(s.values) is np.ndarray and s.values.shape == (2, 8, 8)
+    with pytest.raises(ValueError):
+        s.values[0, 0, 0] = 1.0
+
+
+def test_sample_pickle_roundtrip():
+    s = gradient_increments(TorusGeometry(2, 6), 1, IncrementLaw("gaussian", 1.0), 3, 2)
+    t = pickle.loads(pickle.dumps(s))
+    assert np.array_equal(t.values, s.values)
+    assert (t.geometry, t.axis, t.sample_id, t.psi_second_moment) == (
+        s.geometry, s.axis, s.sample_id, s.psi_second_moment
+    )
+    with pytest.raises(ValueError):
+        t.values[0, 0, 0] = 1.0
+
+
 # ---------------------------------------------------------------- gradient
 
 
 def test_gradient_constant_law_gives_zero_field():
     s = gradient_increments(TorusGeometry(2, 8), 0, IncrementLaw("constant", 2.0), 0)
-    assert np.all(s.values.values == 0.0)
+    assert np.all(s.values == 0.0)
     assert s.psi_second_moment == 0.0
     assert s.curl_free
 
@@ -210,7 +250,7 @@ def test_gradient_metadata():
     assert s.psi_second_moment is not None and s.psi_second_moment > 0.0
     assert s.clamped_mass_fraction is None
     for l in range(s.geometry.d):
-        assert abs(float(s.values.values[l].mean())) <= 1e-14
+        assert abs(float(s.values[l].mean())) <= 1e-14
 
 
 # ---------------------------------------------------------------- decay_alpha
@@ -230,9 +270,9 @@ def test_decay_alpha_components_independent_copies():
     assert s.generator_id == "decay_alpha"
     assert s.parameters == (3.0,)
     for l in range(3):
-        assert np.any(s.values.values[l] != 0.0)
-        assert abs(float(s.values.values[l].mean())) <= 1e-14
-    assert not np.array_equal(s.values.values[0], s.values.values[1])
+        assert np.any(s.values[l] != 0.0)
+        assert abs(float(s.values[l].mean())) <= 1e-14
+    assert not np.array_equal(s.values[0], s.values[1])
 
 
 def test_clamp_spectrum_exact():
@@ -265,8 +305,8 @@ def test_decay_alpha_clamp_warning_above_threshold():
 
 def test_decay_alpha_cross_seed_correlation():
     geom = TorusGeometry(1, 4096)
-    a = decay_alpha_increments(geom, 0, 3.0, 0).values.values[0]
-    b = decay_alpha_increments(geom, 0, 3.0, 1).values.values[0]
+    a = decay_alpha_increments(geom, 0, 3.0, 0).values[0]
+    b = decay_alpha_increments(geom, 0, 3.0, 1).values[0]
     corr = float(np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b)))
     # independent fields; the correlation scale here is sqrt(sum C^2 / N) ~ 0.02
     assert abs(corr) <= 0.08
@@ -326,7 +366,7 @@ def test_gff_curl_free_and_metadata():
     assert s.psi_second_moment > 0.0
     assert curl_max(s) <= 1e-12
     for l in range(2):
-        assert abs(float(s.values.values[l].mean())) <= 1e-14
+        assert abs(float(s.values[l].mean())) <= 1e-14
 
 
 def test_gff_log_variance_growth():
@@ -434,7 +474,7 @@ def test_covariance_lag0_is_variance():
     samples = _iid_batch(50, TorusGeometry(1, 64))
     est = empirical_covariance(samples, [(0,)])
     assert est.cov[0, 0, 0] >= 0.0
-    direct = float(np.mean([np.mean(s.values.values[0] ** 2) for s in samples]))
+    direct = float(np.mean([np.mean(s.values[0] ** 2) for s in samples]))
     assert est.cov[0, 0, 0] == pytest.approx(direct, rel=1e-12)
 
 
@@ -466,7 +506,7 @@ def test_generator_spec_validation():
 def test_generator_spec_zero_kind():
     spec = GeneratorSpec(kind="zero")
     s = spec.realize(TorusGeometry(2, 8), 0)
-    assert np.all(s.values.values == 0.0)
+    assert np.all(s.values == 0.0)
     assert s.generator_id == "iid_constant"
 
 
@@ -476,7 +516,7 @@ def test_generator_spec_realize_matches_direct_call():
     spec = GeneratorSpec(kind="iid", axis=0, law=law)
     a = spec.realize(geom, 4, 7)
     b = iid_increments(geom, 0, law, 4, 7)
-    assert np.array_equal(a.values.values, b.values.values)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_generator_spec_wraps_failures_with_index():

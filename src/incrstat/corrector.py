@@ -21,8 +21,11 @@ from .green import GreenTable, grad_green_l2, green_torus
 from .lattice import (
     TorusField,
     TorusGeometry,
+    _add_backward_diff,
     _divergence,
     _gradient,
+    _inverse_symbol,
+    _neighbour_diff,
     _spectral_quotient,
 )
 from .randfields import GeneratorSpec, IncrementSample
@@ -81,37 +84,57 @@ def _pin_mean(phi: np.ndarray) -> None:
 
 
 def _divergence_hat(zeta: IncrementSample) -> tuple[np.ndarray, np.ndarray]:
-    """div*(zeta) and its rfftn: the part of a solve that every mu on this torus shares."""
-    rhs = _divergence(zeta.values)
+    """div*(zeta) and its rfftn: the part of a solve that every mu on this torus shares.
+
+    Only the components in zeta.support are read.
+    """
+    rhs = _divergence(zeta.values, zeta.support)
     return rhs, np.fft.rfftn(rhs)
 
 
+def _square_sum(x: np.ndarray) -> float:
+    """Sum of squares of all entries of a contiguous array.
+
+    einsum on the flat view neither goes through BLAS nor writes a
+    temporary, so the result does not depend on the BLAS thread count.
+    """
+    flat = x.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 def _certified_solve(
-    mu: float, rhs: np.ndarray, rhs_hat: np.ndarray, zeta_second_moment: float, sample_id: str
-) -> tuple[np.ndarray, np.ndarray, float, float, float, float]:
+    mu: float,
+    inverse_symbol: np.ndarray,
+    rhs: np.ndarray,
+    rhs_hat: np.ndarray,
+    zeta_second_moment: float,
+    sample_id: str,
+) -> tuple[np.ndarray, float, float, float, float]:
     """Solve mu*phi - laplacian(phi) = rhs from rhs_hat = rfftn(rhs) and certify it.
 
-    Returns (phi, grad, second moment, Dirichlet energy, residual max,
-    energy margin) on plain arrays. The residual mu*phi + D*.(D phi) - rhs
-    (-laplacian = D*.D, reusing the gradient the Dirichlet energy needs),
-    the pinned mean and the energy estimate are checked in real space; a
-    violation raises DiagnosticError.
+    inverse_symbol is lattice._inverse_symbol(mu, rhs.shape). Returns
+    (phi, second moment, Dirichlet energy, residual max, energy margin).
+    Three checks run in real space, and a violation raises
+    DiagnosticError: the residual mu*phi - rhs + D*.(D phi), the pinned
+    mean, and the energy estimate. One buffer holds each forward
+    difference D_l phi in turn: its sum of squares adds to the Dirichlet
+    energy, and it is folded into the residual, which is accumulated in
+    place (-laplacian = D*.D).
     """
-    phi = _spectral_quotient(mu, rhs_hat, rhs.shape)
+    phi = _spectral_quotient(inverse_symbol, rhs_hat, rhs.shape)
     _pin_mean(phi)
-    grad = _gradient(phi)
-    residual = _divergence(grad)
-    scratch = mu * phi
-    residual += scratch
+    n_sites = phi.size
+    second_moment = _square_sum(phi) / n_sites
+    residual = np.multiply(phi, mu)
     residual -= rhs
+    diff = np.empty_like(phi)
+    dirichlet = 0.0
+    for l in range(phi.ndim):
+        _neighbour_diff(phi, l, 1, diff)
+        dirichlet += _square_sum(diff)
+        _add_backward_diff(residual, diff, l)
+    dirichlet /= n_sites
     residual_max = max(float(residual.max()), -float(residual.min()))
-    del residual
-    second_moment = float(np.mean(np.square(phi, out=scratch)))
-    density = np.square(grad[0])
-    for g in grad[1:]:
-        density += np.square(g, out=scratch)
-    dirichlet = float(np.mean(density))
-    del density, scratch
     margin = zeta_second_moment - (mu * second_moment + dirichlet)
 
     phi_max = max(float(phi.max()), -float(phi.min()))
@@ -125,7 +148,7 @@ def _certified_solve(
         raise DiagnosticError(
             f"energy estimate violated by {-margin:.3e} (sample {sample_id})"
         )
-    return phi, grad, second_moment, dirichlet, residual_max, margin
+    return phi, second_moment, dirichlet, residual_max, margin
 
 
 def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
@@ -136,14 +159,15 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     Solver invariants (residual, mean, energy estimate) are re-verified on
     the result and violations raise DiagnosticError.
     """
+    inverse = _inverse_symbol(mu, zeta.geometry.shape)
     zeta2 = zeta.second_moment()
-    phi, grad, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, *_divergence_hat(zeta), zeta2, zeta.sample_id
+    phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
+        mu, inverse, *_divergence_hat(zeta), zeta2, zeta.sample_id
     )
     return CorrectorSolution(
         mu=float(mu),
         phi=TorusField._adopt(zeta.geometry, phi),
-        grad=TorusField._adopt(zeta.geometry, grad),
+        grad=TorusField._adopt(zeta.geometry, _gradient(phi)),
         second_moment=second_moment,
         dirichlet_energy=dirichlet,
         residual_max=residual_max,
@@ -220,17 +244,20 @@ def _realization_stats(task) -> tuple[int, list[tuple[float, float]], float | No
     """Worker: one realization, solved at every mu of one torus side.
 
     The field is drawn once, and its divergence and rfftn are shared by
-    all mu. Module-level so that any map_fn can run it, a caller's process
-    pool included.
+    all mu; steps pairs each mu with its inverse symbol, built once per
+    torus side. Module-level so that any map_fn can run it, a caller's
+    process pool included.
     """
-    spec, geometry, mus, master_seed, index = task
+    spec, geometry, steps, master_seed, index = task
     sample = spec.realize(geometry, master_seed, index)
     rhs, rhs_hat = _divergence_hat(sample)
     zeta2, psi2, sample_id = sample.second_moment(), sample.psi_second_moment, sample.sample_id
     del sample
     stats = []
-    for mu in mus:
-        _, _, second_moment, _, _, margin = _certified_solve(mu, rhs, rhs_hat, zeta2, sample_id)
+    for mu, inverse in steps:
+        _, second_moment, _, _, margin = _certified_solve(
+            mu, inverse, rhs, rhs_hat, zeta2, sample_id
+        )
         stats.append((second_moment, margin))
     return index, stats, psi2
 
@@ -248,7 +275,8 @@ def _second_moments_mc(
         raise ValueError("need at least 2 realizations")
     if map_fn is None:
         map_fn = map
-    tasks = [(spec, geometry, tuple(mus), master_seed, i) for i in range(n_realizations)]
+    steps = tuple((mu, _inverse_symbol(mu, geometry.shape)) for mu in mus)
+    tasks = [(spec, geometry, steps, master_seed, i) for i in range(n_realizations)]
     phi2 = np.empty((len(mus), n_realizations))
     margins = np.empty((len(mus), n_realizations))
     psi = np.full(n_realizations, np.nan)
@@ -350,14 +378,19 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
     return L + (L % 2)
 
 
-def _budget_cap(memory_budget_mb: float, d: int) -> int:
+def _bytes_per_site(d: int) -> float:
     # peak working set of one realization in _realization_stats, measured
-    # with tracemalloc: about d + 6 float64 arrays of L^d entries, plus the
-    # cached symbol and decay_alpha amplitude, so at most 8*(d+8) bytes per
-    # site; 16*(2d+6) bytes per site is a deliberate overestimate
-    per_site = 16.0 * (2 * d + 6)
+    # with tracemalloc at d=3, L=32 and 3 mus with a cold symbol cache,
+    # counting the symbol and the per-mu inverse symbols the task shares:
+    # 97 bytes per site for iid, 77 for gradient, 101 for decay_alpha (its
+    # three spectral syntheses); 16*(2d+6) = 192 at d=3 is a deliberate
+    # overestimate
+    return 16.0 * (2 * d + 6)
+
+
+def _budget_cap(memory_budget_mb: float, d: int) -> int:
     budget = memory_budget_mb * 2**20
-    L = int((budget / per_site) ** (1.0 / d))
+    L = int((budget / _bytes_per_site(d)) ** (1.0 / d))
     return max(L - (L % 2), 2)
 
 

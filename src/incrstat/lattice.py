@@ -12,8 +12,9 @@ Conventions, fixed once for the whole package:
   mu*u + D*.(Du) - f.
 
 All three operators are built from one slice stencil, `_neighbour_diff`,
-on plain arrays (`_gradient`, `_divergence`); `np.roll` is used only by
-`shift`, which is a translation. Fields are immutable after construction;
+on plain arrays (`_gradient`, `_divergence`); `_add_backward_diff` adds
+one term of D*.z to an accumulator in place, for residuals. `np.roll` is
+used only by `shift`, which is a translation. Fields are immutable after construction;
 every operator returns a new field. The FFT solve supports arbitrary
 L >= 2, not only powers of two.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -178,13 +180,33 @@ def _gradient(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _divergence(z: np.ndarray) -> np.ndarray:
-    """Plain-array backward divergence of a (d,) + shape field."""
-    out = np.zeros(z.shape[1:])
-    term = np.empty_like(out)
-    for l in range(z.shape[0]):
-        out += _neighbour_diff(z[l], l, -1, term)
+def _divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
+    """Plain-array backward divergence of a (d,) + shape field.
+
+    Only the components listed in axes (default: all) are read; the
+    others are taken to vanish, which changes no sum.
+    """
+    first, *rest = range(z.shape[0]) if axes is None else axes
+    out = _neighbour_diff(z[first], first, -1, np.empty(z.shape[1:]))
+    if rest:
+        term = np.empty_like(out)
+        for l in rest:
+            out += _neighbour_diff(z[l], l, -1, term)
     return out
+
+
+def _add_backward_diff(out: np.ndarray, v: np.ndarray, axis: int) -> None:
+    """out[x] += v[x - e_axis] - v[x] in place: subtract v, then add its wrapped shift.
+
+    Summed over axis l with v = z_l, this accumulates D*.z into out
+    without a temporary.
+    """
+    out -= v
+    n = v.shape[axis]
+    bulk = _along(out, axis, 1, n)
+    bulk += _along(v, axis, 0, n - 1)
+    wrap = _along(out, axis, 0, 1)
+    wrap += _along(v, axis, n - 1, n)
 
 
 def forward_gradient(u: TorusField) -> TorusField:
@@ -222,19 +244,32 @@ def laplace_symbol(d: int, L: int) -> np.ndarray:
     return s
 
 
-def _spectral_quotient(mu: float, f_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Solution u of mu*u - laplacian(u) = f on the torus, from f_hat = rfftn(f).
+def _inverse_symbol(mu: float, shape: tuple[int, ...]) -> np.ndarray:
+    """1 / (mu + symbol) on the rfftn half spectrum of shape, read-only.
 
-    Diagonal in the Fourier basis: u_hat = f_hat / (mu + symbol). Since the
-    symbol vanishes only at the zero mode and mu > 0, the solve is always
-    well posed.
+    Since the symbol vanishes only at the zero mode and mu > 0, the
+    reciprocal is always finite. Build it once per mu and torus, and hand
+    it to every _spectral_quotient at that mu.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     d, L = len(shape), shape[0]
     # rfft along the last axis halves the work on real data
-    symbol = laplace_symbol(d, L)[..., : L // 2 + 1]
-    return np.fft.irfftn(f_hat / (mu + symbol), s=shape, axes=tuple(range(d)))
+    inverse = 1.0 / (mu + laplace_symbol(d, L)[..., : L // 2 + 1])
+    inverse.setflags(write=False)
+    return inverse
+
+
+def _spectral_quotient(
+    inverse_symbol: np.ndarray, f_hat: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Solution u of mu*u - laplacian(u) = f on the torus, from f_hat = rfftn(f).
+
+    Diagonal in the Fourier basis: u_hat = f_hat * inverse_symbol, with
+    inverse_symbol = _inverse_symbol(mu, shape), a real multiply instead
+    of a complex division.
+    """
+    return np.fft.irfftn(f_hat * inverse_symbol, s=shape, axes=tuple(range(len(shape))))
 
 
 def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
@@ -243,7 +278,8 @@ def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
     Works for any L >= 2 and any mu > 0.
     """
     geom = f.geometry
+    inverse = _inverse_symbol(mu, geom.shape)
     out = np.empty_like(f.values)
     for c in range(f.components):
-        out[c] = _spectral_quotient(mu, np.fft.rfftn(f.values[c]), geom.shape)
+        out[c] = _spectral_quotient(inverse, np.fft.rfftn(f.values[c]), geom.shape)
     return TorusField._adopt(geom, out)

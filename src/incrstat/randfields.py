@@ -98,6 +98,13 @@ class IncrementSample:
     is the component zeta_l. It is adopted without a copy and made
     read-only in place, so the caller must hold no other reference through
     which it writes.
+
+    support lists the components that can be nonzero, in increasing order
+    (default: all d); every other component of values must vanish
+    identically, which the generator guarantees and the constructor does
+    not check. An iid sample carries its values in component `axis` alone,
+    so its support is (axis,), and the divergence and second moment read
+    only that component.
     """
 
     geometry: TorusGeometry
@@ -111,10 +118,16 @@ class IncrementSample:
     psi_second_moment: float | None = None
     clamped_mass_fraction: float | None = None
     warnings: tuple[str, ...] = ()
+    support: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.geometry.d,) + self.geometry.shape:
+        d = self.geometry.d
+        if self.values.shape != (d,) + self.geometry.shape:
             raise ValueError("increment sample must have one component per axis")
+        support = tuple(range(d)) if self.support is None else tuple(self.support)
+        if not support or support != tuple(sorted(set(support) & set(range(d)))):
+            raise ValueError(f"support {support} must list increasing component indices below {d}")
+        object.__setattr__(self, "support", support)
         self.values.setflags(write=False)
 
     def __reduce__(self):
@@ -127,8 +140,12 @@ class IncrementSample:
         return f"{self.generator_id}({par})@{self.seed}/{self.realization}"
 
     def second_moment(self) -> float:
-        """Site average of |zeta|^2."""
-        return float(np.mean(np.sum(self.values**2, axis=0)))
+        """Site average of |zeta|^2, summed over the components in support."""
+        first, *rest = self.support
+        density = np.square(self.values[first])
+        for l in rest:
+            density += np.square(self.values[l])
+        return float(np.mean(density))
 
 
 def _center(arr: np.ndarray) -> np.ndarray:
@@ -145,14 +162,16 @@ def iid_increments(
 ) -> IncrementSample:
     """Independent increments a_l(k) acting along their own axis.
 
-    Component `axis` holds the centered iid values; the other components
-    vanish identically, mirroring an increment that moves each lattice
-    direction by an independent amount along itself.
+    Component `axis` holds the centered iid values and is the sample's
+    whole support; the other components vanish identically, mirroring an
+    increment that moves each lattice direction by an independent amount
+    along itself.
     """
     _check_axis(geometry, axis)
     rng = derive_rng(seed, DOMAIN_FIELD, realization)
+    draw = law.draw(rng, geometry.shape)
     vals = np.zeros((geometry.d,) + geometry.shape)
-    vals[axis] = _center(law.draw(rng, geometry.shape))
+    np.subtract(draw, draw.mean(), out=vals[axis])
     return IncrementSample(
         geometry=geometry,
         axis=axis,
@@ -162,6 +181,7 @@ def iid_increments(
         seed=seed,
         realization=realization,
         curl_free=False,
+        support=(axis,),
     )
 
 

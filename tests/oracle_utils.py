@@ -124,10 +124,10 @@ def corrector_moments_reference(mu, zeta):
     """(second moment, Dirichlet energy, energy margin) of the corrector, via np.roll.
 
     The operator-by-operator pipeline: backward divergence from rolled
-    copies, a full-field rfftn/irfftn solve, mean removal, rolled forward
-    differences. Every floating-point operation that reaches the three
-    returned numbers is the one the fused kernel performs, in the same
-    order, so the kernel must agree with it bit for bit.
+    copies, a full-field rfftn/irfftn solve dividing by mu + symbol, mean
+    removal, rolled forward differences and np.mean reductions. The fused
+    kernel multiplies by a reciprocal symbol and sums squares with einsum
+    instead, so the two agree to rounding (1e-12 relative), not bit for bit.
     """
     z = np.asarray(zeta, dtype=float)
     d = z.shape[0]

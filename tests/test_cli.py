@@ -363,6 +363,29 @@ def test_threads_do_not_change_bytes(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    # each run is a fresh process, since OpenBLAS reads its thread count at
+    # load; at L=32 a BLAS dot product would split its sum across threads
+    cfg_path = write_cfg(tmp_path, "d = 3\ngenerator = iid\n"
+                         "mu_grid = 0.5,0.25,0.125,0.0625,0.03125\nn = 3\nl_max = 32\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for sub, pinned in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        argv = ["corrector-scaling", "--config", cfg_path, "--out", str(tmp_path / sub),
+                "--threads", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from incrstat.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, timeout=300, env={**base, **pinned},
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("scaling.csv", "scaling_report.json"):
+        assert (tmp_path / "pinned" / name).read_bytes() == (
+            tmp_path / "default" / name).read_bytes()
+
+
 def test_threads_env_accepted(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, GREEN_CFG)
     monkeypatch.setenv("INCRSTAT_THREADS", "2")

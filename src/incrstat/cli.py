@@ -35,9 +35,8 @@ from .errors import (
 )
 from .green import dyadic_gradient_norms, green_torus
 from .lattice import TorusGeometry, _divergence
-from .pointsets import IntervalLaw, PairPotential, renewal_pointset_1d, thermodynamic_density
+from .pointsets import IntervalLaw, PairPotential, study_window, thermodynamic_density
 from .randfields import GeneratorSpec, IncrementLaw, empirical_covariance
-from .seeding import DOMAIN_POINTSET, derive_seed
 
 __all__ = ["main"]
 
@@ -71,19 +70,22 @@ def _write_json(path: str, obj: dict) -> None:
     _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
+def _built(keys: str, cls, *args):
+    """cls(*args), with a ValueError from its checks reported as a ConfigError on `keys`."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _generator_spec(values: dict) -> GeneratorSpec:
     kind = values["generator"]
     law = None
     if kind in ("iid", "gradient"):
-        try:
-            law = IncrementLaw(values["law"], values["law_param"])
-        except ValueError as exc:
-            raise ConfigError(f"law_param: {exc}") from None
-    if kind == "decay_alpha" and values["alpha"] is None:
-        raise ConfigError("alpha: required when generator = decay_alpha")
+        law = _built("law_param", IncrementLaw, values["law"], values["law_param"])
     if values["axis"] >= values["d"]:
         raise ConfigError(f"axis: must be < d, got {values['axis']} for d={values['d']}")
-    return GeneratorSpec(kind=kind, axis=values["axis"], law=law, alpha=values["alpha"])
+    return _built("alpha", GeneratorSpec, kind, values["axis"], law, values["alpha"])
 
 
 def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
@@ -198,23 +200,14 @@ def _run_scaling(values: dict, out_dir: str, map_fn) -> list[str]:
 
 
 def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
-    try:
-        law = IntervalLaw(values["law"], values["law_a"], values["law_b"])
-    except ValueError as exc:
-        raise ConfigError(f"law_a/law_b: {exc}") from None
-    try:
-        V = PairPotential(values["potential"], values["cutoff"], values["exponent"])
-    except ValueError as exc:
-        raise ConfigError(f"potential: {exc}") from None
-    sizes = values["sizes"]
-    if len(sizes) < 3:
-        raise ConfigError(f"sizes: need at least 3 box sizes, got {len(sizes)}")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError("sizes: must be strictly increasing")
+    law = _built("law_a/law_b", IntervalLaw, values["law"], values["law_a"], values["law_b"])
+    V = _built(
+        "potential", PairPotential, values["potential"], values["cutoff"], values["exponent"]
+    )
     study = thermodynamic_density(
         law,
         V,
-        sizes,
+        values["sizes"],
         n_seeds=values["n_seeds"],
         master_seed=values["seed"],
         shift=values["shift"],
@@ -245,14 +238,10 @@ def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
     paths = [csv_path, json_path]
     if values["export_points"]:
         # position list for the first study seed at each size
-        sub = derive_seed(values["seed"], DOMAIN_POINTSET, 0)
-        for N in sizes:
-            win = renewal_pointset_1d(law, (-V.cutoff, N + V.cutoff), sub)
+        for N in study.sizes:
+            win = study_window(law, V, N, values["seed"], 0)
             ppath = os.path.join(out_dir, f"points_N{N}_s0.csv")
-            rows = [
-                (int(win.labels[i, 0]), float(win.points[i, 0]))
-                for i in range(win.n_points)
-            ]
+            rows = zip(win.labels[:, 0].tolist(), win.points[:, 0].tolist())
             _write_csv(ppath, config_text, ("k", "x"), rows)
             paths.append(ppath)
     return paths
@@ -436,9 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_txt)
         p.add_argument("--config", required=True, help="key = value config file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker thread count")
+        p.add_argument("--threads", type=int, default=1, help="worker thread count (default: 1)")
     rep = sub.add_parser("report", help="render artifacts as a text summary")
     rep.add_argument("artifacts", nargs="*", help="JSON artifacts produced by runs")
     return parser
@@ -463,34 +452,20 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args.artifacts)
         values = cfg.load(args.command, args.config)
-        out_dir = args.out or os.environ.get("INCRSTAT_OUT") or values["out"]
-        if args.threads is not None:
-            threads = args.threads
-        else:
-            env_threads = os.environ.get("INCRSTAT_THREADS")
-            if env_threads is not None:
-                try:
-                    threads = int(env_threads)
-                except ValueError:
-                    raise ConfigError(
-                        f"INCRSTAT_THREADS: not an integer: {env_threads!r}"
-                    ) from None
-            else:
-                threads = values["threads"]
-        if threads < 1:
-            raise ConfigError(f"threads: must be at least 1, got {threads}")
+        if args.threads < 1:
+            raise ConfigError(f"threads: must be at least 1, got {args.threads}")
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"seed: must be nonnegative, got {args.seed}")
             values["seed"] = args.seed
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         runner = _RUNNERS[args.command]
-        if threads == 1:
-            paths = runner(values, out_dir, map)
+        if args.threads == 1:
+            paths = runner(values, args.out, map)
         else:
-            ex = ThreadPoolExecutor(max_workers=threads)
+            ex = ThreadPoolExecutor(max_workers=args.threads)
             try:
-                paths = runner(values, out_dir, ex.map)
+                paths = runner(values, args.out, ex.map)
             finally:
                 # on failure or interrupt, drop the queued tasks instead of running them
                 ex.shutdown(cancel_futures=True)

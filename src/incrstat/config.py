@@ -5,25 +5,26 @@ subcommand declares its full key schema; unknown keys are rejected so
 typos cannot silently fall back to defaults. The canonical serialization
 of the validated config (sorted keys, repr-formatted values) is embedded
 in every artifact, which is what makes output bytes a pure function of
-the config.
+the config. Float values must be finite.
 
-Execution-only settings (worker count, output directory) are configured
-too but excluded from the canonical form: they must not influence
-results, and embedding them would break byte-identity across thread
-counts.
+A config holds only what the results depend on. The worker count and
+the output directory are command-line flags (`--threads`, `--out`) and
+never config keys, so every key of a validated config is in the
+canonical form. The kind lists and the box-size rule that the schemas
+check are those of the library modules that use them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError
-from .pointsets import MIN_SEEDS
+from .pointsets import INTERVAL_LAWS, MIN_SEEDS, POTENTIALS, box_sizes_error
+from .randfields import GENERATOR_KINDS, INCREMENT_LAWS
 
 SCHEMA_VERSION = 1
-
-EXECUTION_KEYS = ("threads", "out")
 
 
 @dataclass(frozen=True)
@@ -51,23 +52,11 @@ def _at_least(n):
 _COMMON = (
     Key("schema", "int", default=SCHEMA_VERSION),
     Key("seed", "int", default=0, check=_nonnegative),
-    Key("threads", "int", default=1, check=_at_least(1)),
-    Key("out", "str", default="."),
 )
 
 _GENERATOR_KEYS = (
-    Key(
-        "generator",
-        "str",
-        required=True,
-        choices=("iid", "gradient", "decay_alpha", "gff", "zero"),
-    ),
-    Key(
-        "law",
-        "str",
-        default="uniform_centered",
-        choices=("uniform_centered", "gaussian", "bernoulli_pm", "constant"),
-    ),
+    Key("generator", "str", required=True, choices=GENERATOR_KINDS),
+    Key("law", "str", default="uniform_centered", choices=INCREMENT_LAWS),
     Key("law_param", "float", default=1.0),
     Key("alpha", "float", default=None),
     Key("axis", "int", default=0, check=_nonnegative),
@@ -103,13 +92,13 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
     ),
     "energy": _COMMON
     + (
-        Key("law", "str", required=True, choices=("constant", "uniform", "exponential")),
+        Key("law", "str", required=True, choices=INTERVAL_LAWS),
         Key("law_a", "float", required=True),
         Key("law_b", "float", default=0.0),
-        Key("potential", "str", required=True, choices=("indicator", "power")),
+        Key("potential", "str", required=True, choices=POTENTIALS),
         Key("cutoff", "float", required=True, check=_positive),
         Key("exponent", "float", default=0.0),
-        Key("sizes", "int_list", required=True),
+        Key("sizes", "int_list", required=True, check=box_sizes_error),
         Key("n_seeds", "int", default=8, check=_at_least(MIN_SEEDS)),
         Key("shift", "int", default=8),
         Key("export_points", "bool", default=False),
@@ -137,12 +126,19 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {v}")
+    return v
+
+
 def _convert(key: Key, text: str):
     try:
         if key.kind == "int":
             return int(text)
         if key.kind == "float":
-            return float(text)
+            return _finite(text)
         if key.kind == "bool":
             low = text.lower()
             if low in ("true", "1", "yes"):
@@ -153,7 +149,7 @@ def _convert(key: Key, text: str):
         if key.kind == "int_list":
             return tuple(int(part.strip()) for part in text.split(",") if part.strip())
         if key.kind == "float_list":
-            return tuple(float(part.strip()) for part in text.split(",") if part.strip())
+            return tuple(_finite(part) for part in text.split(",") if part.strip())
         return text
     except ValueError as exc:
         raise ConfigError(f"{key.name}: {exc}") from None
@@ -219,7 +215,7 @@ def canonical_text(subcommand: str, values: dict) -> str:
     """Deterministic serialization of the result-relevant config."""
     lines = [f"subcommand = {subcommand}"]
     for name in sorted(values):
-        if name in EXECUTION_KEYS or values[name] is None:
+        if values[name] is None:
             continue
         lines.append(f"{name} = {format_value(values[name])}")
     return "\n".join(lines) + "\n"

@@ -87,7 +87,8 @@ def green_torus(mu: float, geometry: TorusGeometry) -> GreenTable:
 
     The site sum of G is exactly 1/mu (the zero Fourier mode), and the
     residual of the defining equation is at floating-point level at every
-    site; both are enforced downstream as invariants.
+    site. Neither is checked here: `incrstat green` reports both in its
+    summary artifact (`site_sum`, `residual_max`).
     """
     G = solve_helmholtz(mu, TorusField.delta(geometry))
     grad = forward_gradient(G)

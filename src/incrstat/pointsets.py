@@ -34,6 +34,7 @@ __all__ = [
     "energy_bruteforce",
     "DensityStudy",
     "thermodynamic_density",
+    "study_window",
     "LatticeMapSpec",
     "LatticeFieldWindow",
     "lattice_image_pointset",
@@ -45,6 +46,8 @@ __all__ = [
 INTERVAL_BLOCK = 1024
 PATH_AGREEMENT_TOL = 1e-10
 MIN_SEEDS = 8  # smallest n_seeds thermodynamic_density and the energy config accept
+INTERVAL_LAWS = ("constant", "uniform", "exponential")
+POTENTIALS = ("indicator", "power")
 
 
 @dataclass(frozen=True)
@@ -59,21 +62,19 @@ class IntervalLaw:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind == "constant":
-            if not self.a > 0:
-                raise ValueError("constant interval must be positive")
-        elif self.kind == "uniform":
+        if self.kind not in INTERVAL_LAWS:
+            raise ValueError(f"unknown interval law {self.kind!r}")
+        if self.kind == "constant" and not self.a > 0:
+            raise ValueError("constant interval must be positive")
+        if self.kind == "uniform":
             if self.a <= 0:
                 raise ValueError(
                     f"uniform({self.a}, {self.b}) admits nonpositive intervals"
                 )
             if not self.a < self.b:
                 raise ValueError(f"uniform interval law needs lo < hi, got ({self.a}, {self.b})")
-        elif self.kind == "exponential":
-            if not self.a > 0:
-                raise ValueError("exponential rate must be positive")
-        else:
-            raise ValueError(f"unknown interval law {self.kind!r}")
+        if self.kind == "exponential" and not self.a > 0:
+            raise ValueError("exponential rate must be positive")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "constant":
@@ -244,13 +245,12 @@ class PairPotential:
     exponent: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.kind not in POTENTIALS:
+            raise ValueError(f"unknown potential {self.kind!r}")
         if not self.cutoff > 0:
             raise ValueError("cutoff radius must be positive")
-        if self.kind == "power":
-            if not self.exponent > 0:
-                raise ValueError("power potential needs a positive exponent")
-        elif self.kind != "indicator":
-            raise ValueError(f"unknown potential {self.kind!r}")
+        if self.kind == "power" and not self.exponent > 0:
+            raise ValueError("power potential needs a positive exponent")
 
     def evaluate(self, r: np.ndarray) -> np.ndarray:
         inside = r <= self.cutoff
@@ -369,18 +369,37 @@ class DensityStudy:
         return out
 
 
+def study_window(
+    law: IntervalLaw, V: PairPotential, N: int, master_seed: int, seed_index: int, shift: int = 0
+) -> PointSetWindow:
+    """The renewal window that a density study measures for box [0, N] and one seed index.
+
+    It is drawn from the sub-seed (master_seed, point-set domain,
+    seed_index) on [-cutoff, N + cutoff], so every pair that reaches into
+    the box is present.
+    """
+    sub_seed = derive_seed(master_seed, DOMAIN_POINTSET, seed_index)
+    return renewal_pointset_1d(law, (-V.cutoff, N + V.cutoff), sub_seed, shift=shift)
+
+
+def box_sizes_error(sizes: Sequence[int]) -> str | None:
+    """Why `sizes` cannot be the box sizes of a density study, or None if they can."""
+    if len(sizes) < 3:
+        return f"need at least 3 box sizes, got {len(sizes)}"
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        return "box sizes must be strictly increasing"
+    return None
+
+
 def _density_task(task) -> tuple[int, int, float, float, float | None]:
-    law, V, generic, N, size_idx, seed_idx, sub_seed, shift, d = task
+    law, V, generic, N, size_idx, seed_idx, master_seed, shift, d = task
     region = ((0.0, float(N)),) * d
-    margin = V.cutoff
     if law is not None:
-        win = renewal_pointset_1d(law, (-margin, N + margin), sub_seed)
-        e = energy(win, V, region)
-        win_s = renewal_pointset_1d(law, (-margin, N + margin), sub_seed, shift=shift)
-        e_s = energy(win_s, V, region)
+        e = energy(study_window(law, V, N, master_seed, seed_idx), V, region)
+        e_s = energy(study_window(law, V, N, master_seed, seed_idx, shift), V, region)
         shifted = e_s / float(N) ** d
     else:
-        win = generic(N, sub_seed)
+        win = generic(N, derive_seed(master_seed, DOMAIN_POINTSET, seed_idx))
         e = energy(win, V, region)
         shifted = None
     return (size_idx, seed_idx, e, e / float(N) ** d, shifted)
@@ -405,10 +424,9 @@ def thermodynamic_density(
     map_fn scheduling.
     """
     sizes = tuple(int(N) for N in sizes)
-    if len(sizes) < 3:
-        raise ValueError("need at least 3 box sizes")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("box sizes must be strictly increasing")
+    problem = box_sizes_error(sizes)
+    if problem:
+        raise ValueError(problem)
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds")
     if map_fn is None:
@@ -420,11 +438,11 @@ def thermodynamic_density(
     if law is None:
         flags = ("shift invariance check skipped: generator has no shift action",)
 
-    tasks = []
-    for i, N in enumerate(sizes):
-        for s in range(n_seeds):
-            sub = derive_seed(master_seed, DOMAIN_POINTSET, s)
-            tasks.append((law, V, generic, N, i, s, sub, shift, d))
+    tasks = [
+        (law, V, generic, N, i, s, master_seed, shift, d)
+        for i, N in enumerate(sizes)
+        for s in range(n_seeds)
+    ]
     energies = np.empty((len(sizes), n_seeds))
     densities = np.empty((len(sizes), n_seeds))
     shifted = np.empty((len(sizes), n_seeds)) if law is not None else None

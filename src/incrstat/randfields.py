@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 CLAMP_WARN_FRACTION = 0.10
+GENERATOR_KINDS = ("iid", "gradient", "decay_alpha", "gff", "zero")
+INCREMENT_LAWS = ("uniform_centered", "gaussian", "bernoulli_pm", "constant")
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,14 @@ class IncrementLaw:
     param: float
 
     def __post_init__(self) -> None:
-        if self.kind == "uniform_centered":
-            if not self.param > 0:
-                raise ValueError("uniform_centered width must be positive")
-        elif self.kind == "gaussian":
-            if not self.param > 0:
-                raise ValueError("gaussian sigma must be positive")
-        elif self.kind == "bernoulli_pm":
-            if not 0.0 < self.param < 1.0:
-                raise ValueError("bernoulli_pm p must lie in (0, 1)")
-        elif self.kind != "constant":
+        if self.kind not in INCREMENT_LAWS:
             raise ValueError(f"unknown increment law {self.kind!r}")
+        if self.kind == "uniform_centered" and not self.param > 0:
+            raise ValueError("uniform_centered width must be positive")
+        if self.kind == "gaussian" and not self.param > 0:
+            raise ValueError("gaussian sigma must be positive")
+        if self.kind == "bernoulli_pm" and not 0.0 < self.param < 1.0:
+            raise ValueError("bernoulli_pm p must lie in (0, 1)")
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         if self.kind == "uniform_centered":
@@ -325,12 +324,12 @@ class GeneratorSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind in ("iid", "gradient") and self.law is None:
             raise ValueError(f"{self.kind} generator needs an increment law")
-        if self.kind == "decay_alpha" and self.alpha is None:
-            raise ValueError("decay_alpha generator needs alpha")
-        if self.kind not in ("iid", "gradient", "decay_alpha", "gff", "zero"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.kind == "decay_alpha" and not (self.alpha is not None and self.alpha > 0):
+            raise ValueError(f"decay_alpha generator needs a positive alpha, got {self.alpha}")
 
     def realize(
         self, geometry: TorusGeometry, seed: int, realization: int = 0

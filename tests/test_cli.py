@@ -22,6 +22,9 @@ from incrstat.corrector import solve_corrector
 from incrstat.errors import ConfigError, DiagnosticError
 from incrstat.green import green_torus
 from incrstat.lattice import TorusGeometry
+from incrstat.pointsets import (
+    IntervalLaw, PairPotential, energy, study_window, thermodynamic_density,
+)
 from incrstat.randfields import GeneratorSpec, IncrementLaw
 from oracle_utils import dense_forward_diff, dense_laplacian
 
@@ -65,12 +68,6 @@ def write_cfg(directory, text, name="run.cfg"):
     path = directory / name
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("INCRSTAT_OUT", raising=False)
-    monkeypatch.delenv("INCRSTAT_THREADS", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -168,21 +165,22 @@ def test_validate_fills_defaults():
     values = cfg.validate("green", {"d": "1", "L": "8", "mu": "0.5"})
     assert values["p"] == (2.0,)
     assert values["seed"] == 0
-    assert values["threads"] == 1
-    assert values["out"] == "."
 
 
-def test_canonical_text_sorted_and_execution_free():
-    values = cfg.validate(
-        "green", {"d": "1", "L": "8", "mu": "0.5", "threads": "4", "out": "/tmp/x"}
-    )
+def test_canonical_text_sorted_and_execution_free(tmp_path, capsys):
+    values = cfg.validate("green", {"d": "1", "L": "8", "mu": "0.5"})
     text = cfg.canonical_text("green", values)
     lines = text.splitlines()
     assert lines[0] == "subcommand = green"
     keys = [line.split(" = ")[0] for line in lines[1:]]
     assert keys == sorted(keys)
-    assert "threads" not in keys and "out" not in keys
     assert "mu = 0.5" in lines
+    # the worker count and the output directory are flags, never config keys
+    for key, value in (("threads", "4"), ("out", tmp_path / "from_cfg")):
+        cfg_path = write_cfg(tmp_path, GREEN_CFG + f"{key} = {value}\n")
+        assert cli.main(["green", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown key(s) for green: {key};" in stderr_error(capsys)["message"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "from_cfg").exists()
 
 
 def test_canonical_text_bool_and_list_formatting():
@@ -198,7 +196,6 @@ def test_canonical_text_revalidates_to_same_values():
     values = cfg.validate("energy", cfg.parse_config_text(ENERGY_CFG))
     body = cfg.canonical_text("energy", values).split("\n", 1)[1]
     again = cfg.validate("energy", cfg.parse_config_text(body))
-    again.update({k: values[k] for k in cfg.EXECUTION_KEYS})
     assert again == values
 
 
@@ -317,6 +314,23 @@ def test_energy_artifacts_and_point_export(artifacts):
         assert len(pdata) > N
 
 
+def test_point_export_is_the_studied_window(artifacts):
+    """Each exported position list is seed index 0 of the study, margin and all."""
+    values = cfg.validate("energy", cfg.parse_config_text(ENERGY_CFG))
+    law = IntervalLaw(values["law"], values["law_a"], values["law_b"])
+    V = PairPotential(values["potential"], values["cutoff"], values["exponent"])
+    study = thermodynamic_density(law, V, values["sizes"], n_seeds=values["n_seeds"],
+                                  master_seed=values["seed"], shift=values["shift"])
+    for i, N in enumerate(values["sizes"]):
+        lines = (artifacts["energy"] / f"points_N{N}_s0.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        k, x = np.array(rows, dtype=float).T
+        win = study_window(law, V, N, values["seed"], 0)
+        assert np.array_equal(k, win.labels[:, 0]) and np.array_equal(x, win.points[:, 0])
+        assert x[0] < 0.0 and x[-1] > N  # the margin reaches past both ends of the box
+        assert energy(win, V, ((0.0, float(N)),)) == study.energies[i, 0]
+
+
 def test_json_artifacts_sorted_and_newline_terminated(artifacts):
     text = (artifacts["green"] / "green_summary.json").read_text()
     top_keys = [s.split('"')[1] for s in text.splitlines() if s.startswith('  "')]
@@ -324,31 +338,7 @@ def test_json_artifacts_sorted_and_newline_terminated(artifacts):
     assert text.endswith("\n")
 
 
-# --------------------------------------------- precedence and overrides
-
-
-def test_out_flag_beats_env_and_config(tmp_path, monkeypatch):
-    cfg_path = write_cfg(tmp_path, GREEN_CFG + f"out = {tmp_path / 'from_cfg'}\n")
-    monkeypatch.setenv("INCRSTAT_OUT", str(tmp_path / "from_env"))
-    flag_dir = tmp_path / "from_flag"
-    assert cli.main(["green", "--config", cfg_path, "--out", str(flag_dir)]) == 0
-    assert (flag_dir / "green_summary.json").exists()
-    assert not (tmp_path / "from_env").exists()
-    assert not (tmp_path / "from_cfg").exists()
-
-
-def test_out_env_beats_config(tmp_path, monkeypatch):
-    cfg_path = write_cfg(tmp_path, GREEN_CFG + f"out = {tmp_path / 'from_cfg'}\n")
-    monkeypatch.setenv("INCRSTAT_OUT", str(tmp_path / "from_env"))
-    assert cli.main(["green", "--config", cfg_path]) == 0
-    assert (tmp_path / "from_env" / "green_summary.json").exists()
-    assert not (tmp_path / "from_cfg").exists()
-
-
-def test_out_config_key_used_last(tmp_path):
-    cfg_path = write_cfg(tmp_path, GREEN_CFG + f"out = {tmp_path / 'from_cfg'}\n")
-    assert cli.main(["green", "--config", cfg_path]) == 0
-    assert (tmp_path / "from_cfg" / "green_summary.json").exists()
+# ------------------------------------------------- execution flags and seed
 
 
 def test_threads_do_not_change_bytes(tmp_path):
@@ -386,37 +376,20 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
             tmp_path / "default" / name).read_bytes()
 
 
-def test_threads_env_accepted(tmp_path, monkeypatch):
-    cfg_path = write_cfg(tmp_path, GREEN_CFG)
-    monkeypatch.setenv("INCRSTAT_THREADS", "2")
-    assert cli.main(["green", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "green_summary.json").exists()
-
-
-def test_threads_env_not_integer_exits_2(tmp_path, monkeypatch, capsys):
-    cfg_path = write_cfg(tmp_path, GREEN_CFG)
-    monkeypatch.setenv("INCRSTAT_THREADS", "lots")
-    out = tmp_path / "o"
-    assert cli.main(["green", "--config", cfg_path, "--out", str(out)]) == 2
-    err = stderr_error(capsys)
-    assert err["error"] == "ConfigError"
-    assert "INCRSTAT_THREADS: not an integer: 'lots'" in err["message"]
-    assert err["exit_code"] == 2
-    assert not out.exists()
-
-
-def test_threads_flag_beats_bad_env(tmp_path, monkeypatch):
-    cfg_path = write_cfg(tmp_path, GREEN_CFG)
-    monkeypatch.setenv("INCRSTAT_THREADS", "lots")
-    argv = ["green", "--config", cfg_path, "--out", str(tmp_path / "o"), "--threads", "1"]
-    assert cli.main(argv) == 0
-
-
 def test_threads_below_one_rejected(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, GREEN_CFG)
     argv = ["green", "--config", cfg_path, "--out", str(tmp_path / "o"), "--threads", "0"]
     assert cli.main(argv) == 2
     assert "threads: must be at least 1" in stderr_error(capsys)["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_defaults_to_working_directory(tmp_path, monkeypatch, capsys):
+    cfg_path = write_cfg(tmp_path, GREEN_CFG)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["green", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.split() == ["./green_dyadic.csv", "./green_summary.json"]
+    assert (tmp_path / "green_summary.json").exists()
 
 
 def test_seed_flag_equivalent_to_config_seed(tmp_path):
@@ -556,12 +529,48 @@ def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):
 
 
 def test_energy_size_list_validated(tmp_path, capsys):
+    out = tmp_path / "o"
     short = write_cfg(tmp_path, ENERGY_CFG.replace("64,128,256", "64,128"), name="a.cfg")
-    assert cli.main(["energy", "--config", short, "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["energy", "--config", short, "--out", str(out)]) == 2
     assert "need at least 3 box sizes" in stderr_error(capsys)["message"]
     unsorted = write_cfg(tmp_path, ENERGY_CFG.replace("64,128,256", "64,256,128"), name="b.cfg")
-    assert cli.main(["energy", "--config", unsorted, "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["energy", "--config", unsorted, "--out", str(out)]) == 2
     assert "strictly increasing" in stderr_error(capsys)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, key, bad",
+    [
+        ("energy", ENERGY_CFG, "cutoff", "inf"),
+        ("energy", ENERGY_CFG.replace("constant", "uniform"), "law_b", "inf"),
+        ("corrector-scaling", SCALING_CFG, "l_rule_coefficient", "inf"),
+        ("green", GREEN_CFG, "mu", "inf"),
+        ("corrector-scaling", SCALING_CFG, "mu_grid", "0.5,0.25,nan,0.0625,0.03125"),
+        ("covariance", COV_CFG, "law_param", "-inf"),
+    ],
+    ids=["cutoff", "law_b", "l_rule_coefficient", "mu", "mu_grid", "law_param"],
+)
+def test_non_finite_config_float_exits_2(tmp_path, capsys, subcommand, text, key, bad):
+    lines = [line for line in text.splitlines() if not line.startswith(key + " =")]
+    cfg_path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {bad}"]) + "\n")
+    out = tmp_path / "o"
+    assert cli.main([subcommand, "--config", cfg_path, "--out", str(out)]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"{key}: must be finite, got ")
+    assert not out.exists()
+
+
+def test_nonpositive_alpha_is_config_error(tmp_path, capsys):
+    text = "d = 1\nL = 16\ngenerator = decay_alpha\nalpha = -1\nn_samples = 2\n"
+    cfg_path = write_cfg(tmp_path, text)
+    assert cli.main(["covariance", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = stderr_error(capsys)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("alpha: ")
 
 
 def test_energy_too_few_seeds_is_config_error(tmp_path, capsys):

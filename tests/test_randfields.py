@@ -567,3 +567,9 @@ def test_generator_spec_describe():
         "alpha": 3.0,
     }
     assert GeneratorSpec(kind="gff").describe() == {"kind": "gff", "axis": 0}
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_generator_spec_rejects_nonpositive_alpha(alpha):
+    with pytest.raises(ValueError, match="positive alpha"):
+        GeneratorSpec(kind="decay_alpha", alpha=alpha)

@@ -34,7 +34,7 @@ from .errors import (
     GeneratorError,
 )
 from .green import dyadic_gradient_norms, green_torus
-from .lattice import TorusGeometry, _divergence
+from .lattice import TorusGeometry, backward_divergence
 from .pointsets import IntervalLaw, PairPotential, study_window, thermodynamic_density
 from .randfields import GeneratorSpec, IncrementLaw, empirical_covariance
 
@@ -48,8 +48,11 @@ _fmt = cfg.format_value
 def _write_lines(path: str, lines) -> None:
     """Write `lines` to a temp file beside `path`, then move it into place.
 
-    A run that fails mid-write leaves no truncated artifact behind.
+    The directory is made here, so a run that writes no artifact leaves
+    none behind, and a run that fails mid-write leaves no truncated
+    artifact.
     """
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -92,7 +95,7 @@ def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
     geom = TorusGeometry(values["d"], values["L"])
     table = green_torus(values["mu"], geom)
     # residual of mu*G - laplacian(G) = delta, with -laplacian(G) = D*.(D G) = D*.grad
-    resid = values["mu"] * table.values + _divergence(table.grad)
+    resid = values["mu"] * table.values + backward_divergence(table.grad)
     resid[(0,) * geom.d] -= 1.0
     residual_max = float(np.max(np.abs(resid)))
     config_text = cfg.canonical_text("green", values)
@@ -451,14 +454,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return _cmd_report(args.artifacts)
-        values = cfg.load(args.command, args.config)
+        values = cfg.load(args.command, args.config, seed=args.seed)
         if args.threads < 1:
             raise ConfigError(f"threads: must be at least 1, got {args.threads}")
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed: must be nonnegative, got {args.seed}")
-            values["seed"] = args.seed
-        os.makedirs(args.out, exist_ok=True)
         runner = _RUNNERS[args.command]
         if args.threads == 1:
             paths = runner(values, args.out, map)

@@ -191,13 +191,17 @@ def validate(subcommand: str, raw: dict[str, str]) -> dict:
     return values
 
 
-def load(subcommand: str, path: str) -> dict:
+def load(subcommand: str, path: str, seed: int | None = None) -> dict:
+    """Read and validate the config at path; a seed given here replaces its `seed` key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    return validate(subcommand, parse_config_text(text))
+    raw = parse_config_text(text)
+    if seed is not None:
+        raw["seed"] = str(seed)
+    return validate(subcommand, raw)
 
 
 def format_value(v) -> str:

@@ -17,16 +17,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DiagnosticError
-from .green import GreenTable, grad_green_l2, green_torus
+from .green import GreenTable, _linfit, grad_green_l2, green_torus
 from .lattice import (
-    TorusField,
     TorusGeometry,
     _add_backward_diff,
-    _divergence,
-    _gradient,
     _inverse_symbol,
     _neighbour_diff,
     _spectral_quotient,
+    backward_divergence,
+    forward_gradient,
 )
 from .randfields import GeneratorSpec, IncrementSample
 
@@ -57,14 +56,23 @@ DEFAULT_MU_GRID = tuple(2.0 ** (-2 - 2 * i) for i in range(6))
 
 @dataclass(frozen=True)
 class CorrectorSolution:
+    """A certified corrector phi (torus shape) and its gradient D phi ((d,) + that shape).
+
+    Both arrays are adopted without a copy and made read-only in place.
+    """
+
     mu: float
-    phi: TorusField
-    grad: TorusField
+    phi: np.ndarray
+    grad: np.ndarray
     second_moment: float
     dirichlet_energy: float
     residual_max: float
     zeta_second_moment: float
     source_sample_id: str
+
+    def __post_init__(self) -> None:
+        self.phi.setflags(write=False)
+        self.grad.setflags(write=False)
 
     @property
     def energy_margin(self) -> float:
@@ -88,7 +96,7 @@ def _divergence_hat(zeta: IncrementSample) -> tuple[np.ndarray, np.ndarray]:
 
     Only the components in zeta.support are read.
     """
-    rhs = _divergence(zeta.values, zeta.support)
+    rhs = backward_divergence(zeta.values, zeta.support)
     return rhs, np.fft.rfftn(rhs)
 
 
@@ -166,8 +174,8 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     )
     return CorrectorSolution(
         mu=float(mu),
-        phi=TorusField._adopt(zeta.geometry, phi),
-        grad=TorusField._adopt(zeta.geometry, _gradient(phi)),
+        phi=phi,
+        grad=forward_gradient(phi),
         second_moment=second_moment,
         dirichlet_energy=dirichlet,
         residual_max=residual_max,
@@ -178,7 +186,7 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
 
 def gradient_defect(solution: CorrectorSolution, zeta: IncrementSample) -> float:
     """RMS of grad phi - zeta; tends to 0 with mu when zeta is a gradient field."""
-    diff = solution.grad.values - zeta.values
+    diff = solution.grad - zeta.values
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=0))))
 
 
@@ -204,7 +212,7 @@ def green_representation_check(
         z_hat = np.fft.fftn(zeta.values[l])
         phi_rep += np.fft.ifftn(np.conj(g_hat) * z_hat).real
     phi_rep -= phi_rep.mean()
-    direct = solve_corrector(mu, zeta).phi.values[0]
+    direct = solve_corrector(mu, zeta).phi
     return float(np.max(np.abs(phi_rep - direct)))
 
 
@@ -406,15 +414,6 @@ def _validate_grid(mu_grid: Sequence[float]) -> tuple[float, ...]:
     if abs(ratios[0] - 1.0) < 1e-12:
         raise ConfigError("mu-grid ratio must differ from 1")
     return grid
-
-
-def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
-    return float(slope), r2
 
 
 def verdict_checks(fits: ScalingFits) -> tuple[tuple[str, str, bool], ...]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError
-from .lattice import TorusField, TorusGeometry, forward_gradient, solve_helmholtz
+from .lattice import TorusGeometry, forward_gradient, solve_helmholtz
 
 __all__ = [
     "green_1d_exact",
@@ -90,14 +90,15 @@ def green_torus(mu: float, geometry: TorusGeometry) -> GreenTable:
     site. Neither is checked here: `incrstat green` reports both in its
     summary artifact (`site_sum`, `residual_max`).
     """
-    G = solve_helmholtz(mu, TorusField.delta(geometry))
-    grad = forward_gradient(G)
+    delta = np.zeros(geometry.shape)
+    delta[(0,) * geometry.d] = 1.0
+    G = solve_helmholtz(mu, delta)
     wrap = decay_rate_1d(mu) ** (geometry.L // 2)
     return GreenTable(
         mu=mu,
         mode="torus_spectral",
-        values=G.values[0],
-        grad=grad.values,
+        values=G,
+        grad=forward_gradient(G),
         geometry=geometry,
         wrap_estimate=wrap,
     )
@@ -131,6 +132,16 @@ def grad_green_l2(mu: float, geometry: TorusGeometry, axis: int = 0) -> float:
         raise ValueError(f"axis {axis} out of range for d={geometry.d}")
     table = green_torus(mu, geometry)
     return float(np.sum(table.grad[axis] ** 2))
+
+
+def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its R^2; a flat y scores 1.0 only when the fit is exact."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+    return float(slope), r2
 
 
 @dataclass(frozen=True)
@@ -178,15 +189,11 @@ def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
             f"(increase L or radius)"
         )
     idx = np.array([a[0] for a in annuli], dtype=float)
-    logs = np.log2([a[1] for a in annuli])
-    slope, intercept = np.polyfit(idx, logs, 1)
-    pred = slope * idx + intercept
-    sstot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((logs - pred) ** 2)) / sstot if sstot > 0 else 1.0
+    slope, r2 = _linfit(idx, np.log2([a[1] for a in annuli]))
     return DyadicGradientNorms(
         p=p,
         annuli=tuple(annuli),
-        slope=float(slope),
+        slope=slope,
         r2=r2,
         expected_slope=d + p * (1 - d),
     )

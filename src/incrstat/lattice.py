@@ -11,11 +11,12 @@ Conventions, fixed once for the whole package:
   mu + sum_l 4 sin^2(pi m_l / L), and every residual in the package is
   mu*u + D*.(Du) - f.
 
-All three operators are built from one slice stencil, `_neighbour_diff`,
-on plain arrays (`_gradient`, `_divergence`); `_add_backward_diff` adds
-one term of D*.z to an accumulator in place, for residuals. `np.roll` is
-used only by `shift`, which is a translation. Fields are immutable after construction;
-every operator returns a new field. The FFT solve supports arbitrary
+Fields are plain float64 arrays: a scalar field has one axis per spatial
+dimension, a vector field (d,) + shape. Every operator returns a new
+array and leaves its input alone. All three operators are built from one
+slice stencil, `_neighbour_diff`; `_add_backward_diff` adds one term of
+D*.z to an accumulator in place, for residuals. `np.roll` is used only
+by `shift`, which is a translation. The FFT solve supports arbitrary
 L >= 2, not only powers of two.
 """
 
@@ -76,6 +77,9 @@ class TorusGeometry:
         return np.sqrt(sq)
 
 
+# No library path builds a TorusField. Its last consumer is the span
+# tracer in perfbench/spans.py, which hooks TorusField.__init__; the class
+# goes with that hook (ROADMAP item 1).
 class TorusField:
     """A real field on the torus with one or more components.
 
@@ -136,19 +140,13 @@ class TorusField:
         )
 
 
-def _check_scalar(u: TorusField, op: str) -> None:
-    if u.components != 1:
-        raise ValueError(f"{op} expects a scalar field, got {u.components} components")
-
-
-def shift(f: TorusField, k) -> TorusField:
+def shift(f: np.ndarray, k) -> np.ndarray:
     """Translated field g(x) = f(x + k); realizes the group action on extensions."""
     k = np.asarray(k, dtype=int).ravel()
-    if k.size != f.geometry.d:
-        raise ValueError(f"shift vector has {k.size} entries, geometry is {f.geometry.d}d")
+    if k.size != f.ndim:
+        raise ValueError(f"shift vector has {k.size} entries, field is {f.ndim}d")
     # np.roll by -k_l along axis l: roll(a, -k)[x] = a[x + k]
-    out = np.roll(f.values, shift=tuple(-k), axis=tuple(range(1, f.geometry.d + 1)))
-    return TorusField._adopt(f.geometry, out)
+    return np.roll(f, shift=tuple(-k), axis=tuple(range(f.ndim)))
 
 
 def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -172,20 +170,24 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
     return out
 
 
-def _gradient(v: np.ndarray) -> np.ndarray:
-    """Plain-array forward gradient of a scalar field: shape (d,) + v.shape."""
-    out = np.empty((v.ndim,) + v.shape)
-    for l in range(v.ndim):
-        _neighbour_diff(v, l, 1, out[l])
+def forward_gradient(u: np.ndarray) -> np.ndarray:
+    """(Du)_l(x) = u(x + e_l) - u(x), shape (d,) + u.shape; component l is the e_l difference."""
+    out = np.empty((u.ndim,) + u.shape)
+    for l in range(u.ndim):
+        _neighbour_diff(u, l, 1, out[l])
     return out
 
 
-def _divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
-    """Plain-array backward divergence of a (d,) + shape field.
+def backward_divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
+    """(D*.z)(x) = sum_l [z_l(x - e_l) - z_l(x)] of a (d,) + shape field, the adjoint of D.
 
     Only the components listed in axes (default: all) are read; the
     others are taken to vanish, which changes no sum.
     """
+    if z.shape[0] != z.ndim - 1:
+        raise ValueError(
+            f"backward_divergence expects {z.ndim - 1} components, got {z.shape[0]}"
+        )
     first, *rest = range(z.shape[0]) if axes is None else axes
     out = _neighbour_diff(z[first], first, -1, np.empty(z.shape[1:]))
     if rest:
@@ -209,26 +211,10 @@ def _add_backward_diff(out: np.ndarray, v: np.ndarray, axis: int) -> None:
     wrap += _along(v, axis, n - 1, n)
 
 
-def forward_gradient(u: TorusField) -> TorusField:
-    """(Du)_l(x) = u(x + e_l) - u(x); component l of the output is the e_l difference."""
-    _check_scalar(u, "forward_gradient")
-    return TorusField._adopt(u.geometry, _gradient(u.values[0]))
-
-
-def backward_divergence(z: TorusField) -> TorusField:
-    """(D*.z)(x) = sum_l [z_l(x - e_l) - z_l(x)], the adjoint of the forward gradient."""
-    if z.components != z.geometry.d:
-        raise ValueError(
-            f"backward_divergence expects {z.geometry.d} components, got {z.components}"
-        )
-    return TorusField._adopt(z.geometry, _divergence(z.values))
-
-
-def laplacian(u: TorusField) -> TorusField:
+def laplacian(u: np.ndarray) -> np.ndarray:
     """Nearest-neighbour Laplacian sum_l [u(x+e_l) + u(x-e_l) - 2u(x)] = -(D*.D u)."""
-    _check_scalar(u, "laplacian")
-    out = _divergence(_gradient(u.values[0]))
-    return TorusField._adopt(u.geometry, np.negative(out, out=out))
+    out = backward_divergence(forward_gradient(u))
+    return np.negative(out, out=out)
 
 
 @lru_cache(maxsize=16)
@@ -272,14 +258,12 @@ def _spectral_quotient(
     return np.fft.irfftn(f_hat * inverse_symbol, s=shape, axes=tuple(range(len(shape))))
 
 
-def solve_helmholtz(mu: float, f: TorusField) -> TorusField:
-    """Solve mu*u - laplacian(u) = f exactly on the torus, componentwise.
+def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
+    """Solve mu*u - laplacian(u) = f exactly for a scalar field f on the torus.
 
-    Works for any L >= 2 and any mu > 0.
+    Works for any cubic torus with L >= 2 and any mu > 0.
     """
-    geom = f.geometry
-    inverse = _inverse_symbol(mu, geom.shape)
-    out = np.empty_like(f.values)
-    for c in range(f.components):
-        out[c] = _spectral_quotient(inverse, np.fft.rfftn(f.values[c]), geom.shape)
-    return TorusField._adopt(geom, out)
+    geom = TorusGeometry(f.ndim, min(f.shape, default=0))
+    if f.shape != geom.shape:
+        raise ValueError(f"field shape {f.shape} is not a cubic torus")
+    return _spectral_quotient(_inverse_symbol(mu, geom.shape), np.fft.rfftn(f), geom.shape)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeneratorError
-from .lattice import TorusGeometry, _gradient, laplace_symbol
+from .lattice import TorusGeometry, forward_gradient, laplace_symbol
 from .seeding import DOMAIN_FIELD, derive_rng
 
 __all__ = [
@@ -210,7 +210,7 @@ def _gradient_sample(
     realization: int,
 ) -> IncrementSample:
     """The curl-free sample zeta = D psi of a centered potential psi, each component centered."""
-    vals = _gradient(psi)
+    vals = forward_gradient(psi)
     vals -= vals.mean(axis=tuple(range(1, geometry.d + 1)), keepdims=True)
     return IncrementSample(
         geometry=geometry,

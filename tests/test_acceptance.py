@@ -231,7 +231,7 @@ def test_criterion_09_representation_agreement():
         geom = TorusGeometry(d, sides[d])
         zeta = IID.realize(geom, seed, 0)
         dev = green_representation_check(mu, zeta)
-        sup = float(np.max(np.abs(solve_corrector(mu, zeta).phi.values[0])))
+        sup = float(np.max(np.abs(solve_corrector(mu, zeta).phi)))
         worst = max(worst, dev / sup)
     ok = worst <= 1e-8
     scoreboard(9, ok, f"convolution path vs solver path on 10 (d, mu, seed) "

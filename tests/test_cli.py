@@ -258,7 +258,7 @@ def test_residual_max_matches_dense_oracle(tmp_path, d):
     zeta = spec.realize(geom, 11, 3)
     sol = solve_corrector(mu, zeta)
     rhs = sum(dense_forward_diff(d, L, l).T @ zeta.values[l].reshape(-1) for l in range(d))
-    phi = sol.phi.values[0].reshape(-1)
+    phi = sol.phi.reshape(-1)
     dense_corrector = np.max(np.abs(mu * phi - lap @ phi - rhs))
     assert abs(sol.residual_max - dense_corrector) <= 1e-14
 
@@ -447,7 +447,7 @@ def test_short_mu_grid_exits_2_without_artifacts(tmp_path, capsys):
     out = tmp_path / "o"
     assert cli.main(["corrector-scaling", "--config", cfg_path, "--out", str(out)]) == 2
     assert "mu-grid needs at least 5 points" in stderr_error(capsys)["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_budget_refusal_exits_3(tmp_path, capsys):
@@ -457,7 +457,7 @@ def test_budget_refusal_exits_3(tmp_path, capsys):
     err = stderr_error(capsys)
     assert err["error"] == "BudgetError"
     assert "cap L=8" in err["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_generator_failure_exits_4(tmp_path, capsys):
@@ -493,7 +493,7 @@ def test_failure_in_worker_thread_maps_to_exit_code(tmp_path, monkeypatch, capsy
     assert len(err_lines) == 1
     err = json.loads(err_lines[0])
     assert (err["error"], err["message"], err["exit_code"]) == (type(exc).__name__, str(exc), code)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_failed_artifact_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
@@ -571,6 +571,21 @@ def test_nonpositive_alpha_is_config_error(tmp_path, capsys):
     err = stderr_error(capsys)
     assert err["error"] == "ConfigError"
     assert err["message"].startswith("alpha: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d = 1\nL = 16\ngenerator = decay_alpha\nalpha = -1\nn_samples = 2\n", "alpha: "),
+        ("d = 1\nL = 16\ngenerator = iid\naxis = 2\nn_samples = 2\n", "axis: must be < d"),
+    ],
+    ids=["alpha", "axis"],
+)
+def test_constructor_rejected_config_leaves_no_out(tmp_path, capsys, text, message):
+    out = tmp_path / "o"
+    assert cli.main(["covariance", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert stderr_error(capsys)["message"].startswith(message)
+    assert not out.exists()
 
 
 def test_energy_too_few_seeds_is_config_error(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_zero_field_gives_zero_corrector():
     geom = TorusGeometry(2, 8)
     z = GeneratorSpec(kind="zero").realize(geom, 0)
     sol = solve_corrector(0.5, z)
-    assert np.all(sol.phi.values == 0.0)
+    assert np.all(sol.phi == 0.0)
     assert sol.second_moment == 0.0
     assert sol.dirichlet_energy == 0.0
     assert sol.residual_max == 0.0
@@ -84,7 +84,7 @@ def test_constant_field_gives_zero_corrector():
     geom = TorusGeometry(2, 6)
     z = manual_sample(geom, [np.full(geom.shape, 3.0), np.full(geom.shape, -1.5)])
     sol = solve_corrector(1.0, z)
-    assert np.all(sol.phi.values == 0.0)
+    assert np.all(sol.phi == 0.0)
     assert sol.second_moment == 0.0
 
 
@@ -98,7 +98,18 @@ def test_solve_matches_dense_4x4():
     rhs = D.T @ zc
     u = np.linalg.solve(np.eye(4) - dense_laplacian(1, 4), rhs)
     u -= u.mean()
-    assert np.max(np.abs(sol.phi.values[0] - u)) <= 1e-10
+    assert np.max(np.abs(sol.phi - u)) <= 1e-10
+
+
+def test_solution_arrays_are_read_only_and_consistent():
+    geom = TorusGeometry(2, 8)
+    sol = solve_corrector(0.5, iid_increments(geom, 0, UNIT_LAW, 1))
+    assert sol.phi.shape == geom.shape and sol.grad.shape == (2,) + geom.shape
+    assert np.array_equal(sol.grad, lattice.forward_gradient(sol.phi))
+    with pytest.raises(ValueError):
+        sol.phi[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sol.grad[1, 0, 0] = 1.0
 
 
 def test_solution_invariants_random_batch():
@@ -109,9 +120,9 @@ def test_solution_invariants_random_batch():
             for i in range(5):
                 z = iid_increments(geom, 0, UNIT_LAW, 0, i)
                 sol = solve_corrector(mu, z)
-                phi_max = float(np.max(np.abs(sol.phi.values)))
+                phi_max = float(np.max(np.abs(sol.phi)))
                 assert sol.residual_max <= 1e-9 * (1.0 + phi_max)
-                assert abs(float(sol.phi.values.mean())) <= 1e-10
+                assert abs(float(sol.phi.mean())) <= 1e-10
                 assert sol.energy_margin >= -1e-9
                 assert sol.zeta_second_moment == pytest.approx(z.second_moment())
                 assert sol.source_sample_id == z.sample_id
@@ -130,8 +141,8 @@ def test_solve_shift_equivariance():
         realization=z.realization,
         curl_free=z.curl_free,
     )
-    phi = solve_corrector(0.5, z).phi.values[0]
-    phi_shifted = solve_corrector(0.5, shifted).phi.values[0]
+    phi = solve_corrector(0.5, z).phi
+    phi_shifted = solve_corrector(0.5, shifted).phi
     assert np.max(np.abs(phi_shifted - np.roll(phi, (5, -3), axis=(0, 1)))) <= 1e-12
 
 
@@ -240,7 +251,7 @@ def test_one_component_divergence_and_moment_are_exact(d):
         full = dataclasses.replace(z, support=None)
         assert full.support == tuple(range(d))
         rhs, _ = corrector._divergence_hat(z)
-        assert rhs.tobytes() == lattice._divergence(z.values).tobytes()
+        assert rhs.tobytes() == lattice.backward_divergence(z.values).tobytes()
         assert z.second_moment() == full.second_moment()
         assert z.second_moment() == float(np.mean(np.sum(z.values**2, axis=0)))
 

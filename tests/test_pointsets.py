@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from incrstat.errors import DiagnosticError, GeneratorError
-from incrstat.lattice import TorusField, TorusGeometry, forward_gradient
+from incrstat.lattice import TorusGeometry, forward_gradient
 from incrstat.pointsets import (
     IntervalLaw,
     LatticeFieldWindow,
@@ -31,12 +31,12 @@ def manual_increments(geometry, psi_arrays):
     """Curl-free samples built from explicit potentials, one per coordinate."""
     out = []
     for i, psi in enumerate(psi_arrays):
-        zeta = forward_gradient(TorusField(geometry, np.asarray(psi, dtype=float)))
+        zeta = forward_gradient(np.asarray(psi, dtype=float))
         out.append(
             IncrementSample(
                 geometry=geometry,
                 axis=i,
-                values=zeta.values,
+                values=zeta,
                 generator_id="manual",
                 parameters=(),
                 seed=0,

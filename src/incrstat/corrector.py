@@ -86,28 +86,55 @@ class CorrectorSolution:
         )
 
 
+# Sites per Monte Carlo chunk: a task solves k = max(1, CHUNK_SITES // L^d)
+# realizations of one torus side together, so small tori pay Python dispatch
+# once per chunk rather than once per realization; large tori keep k = 1.
+# At most 2^14: a chunk of two or more rows then has rows of at most 2^13
+# sites, which fit einsum's 8192-element buffer, so each row's sum of
+# squares is bitwise the sum over that row alone.
+CHUNK_SITES = 2**14
+
+
 def _pin_mean(phi: np.ndarray) -> None:
-    """Remove the site mean in place: the finite-volume stand-in for E[phi] = 0."""
-    phi -= phi.mean()
+    """Remove each row's site mean in place: the finite-volume stand-in for E[phi] = 0."""
+    rows = phi.reshape(phi.shape[0], -1)
+    rows -= rows.mean(axis=1, keepdims=True)
 
 
-def _divergence_hat(zeta: IncrementSample) -> tuple[np.ndarray, np.ndarray]:
-    """div*(zeta) and its rfftn: the part of a solve that every mu on this torus shares.
+def _row_square_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of a contiguous (k,) + shape array, shape (k,).
 
-    Only the components in zeta.support are read.
+    einsum neither goes through BLAS nor writes a temporary, so the result
+    does not depend on the BLAS thread count.
     """
-    rhs = backward_divergence(zeta.values, zeta.support)
-    return rhs, np.fft.rfftn(rhs)
+    rows = x.reshape(x.shape[0], -1)
+    return np.einsum("ij,ij->i", rows, rows)
 
 
-def _square_sum(x: np.ndarray) -> float:
-    """Sum of squares of all entries of a contiguous array.
+def _divergence_rows(
+    samples: Iterable[IncrementSample], k: int, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[float | None]]:
+    """div*(zeta) of the i-th of k samples in row i of a (k,) + shape chunk.
 
-    einsum on the flat view neither goes through BLAS nor writes a
-    temporary, so the result does not depend on the BLAS thread count.
+    Returns the chunk, its rfftn over the spatial (trailing) axes, which
+    every mu on this torus shares, and per row the sample's zeta second
+    moment, sample id and psi second moment. Only the components in each
+    sample's support are read, and each sample is dropped once its row is
+    taken.
     """
-    flat = x.reshape(-1)
-    return float(np.einsum("i,i->", flat, flat))
+    zeta2 = np.empty(k)
+    sample_ids: list[str] = []
+    psi2: list[float | None] = []
+    for row, sample in enumerate(samples):
+        if row == 0:  # not before: a one-row chunk then peaks no higher than its sample
+            rhs = np.empty((k,) + shape)
+        backward_divergence(sample.values, sample.support, out=rhs[row])
+        zeta2[row] = sample.second_moment()
+        sample_ids.append(sample.sample_id)
+        psi2.append(sample.psi_second_moment)
+        del sample
+    rhs_hat = np.fft.rfftn(rhs, axes=tuple(range(1, rhs.ndim)))
+    return rhs, rhs_hat, zeta2, sample_ids, psi2
 
 
 def _certified_solve(
@@ -115,47 +142,56 @@ def _certified_solve(
     inverse_symbol: np.ndarray,
     rhs: np.ndarray,
     rhs_hat: np.ndarray,
-    zeta_second_moment: float,
-    sample_id: str,
-) -> tuple[np.ndarray, float, float, float, float]:
-    """Solve mu*phi - laplacian(phi) = rhs from rhs_hat = rfftn(rhs) and certify it.
+    zeta_second_moment: np.ndarray,
+    sample_ids: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve mu*phi - laplacian(phi) = rhs[i] for each row i of a (k,) + shape chunk, and certify it.
 
-    inverse_symbol is lattice._inverse_symbol(mu, rhs.shape). Returns
-    (phi, second moment, Dirichlet energy, residual max, energy margin).
-    Three checks run in real space, and a violation raises
-    DiagnosticError: the residual mu*phi - rhs + D*.(D phi), the pinned
-    mean, and the energy estimate. One buffer holds each forward
-    difference D_l phi in turn: its sum of squares adds to the Dirichlet
-    energy, and it is folded into the residual, which is accumulated in
-    place (-laplacian = D*.D).
+    rhs_hat is rfftn(rhs) over the spatial (trailing) axes, inverse_symbol
+    is lattice._inverse_symbol(mu, shape), and zeta_second_moment and
+    sample_ids hold one entry per row. Returns (phi, second moments,
+    Dirichlet energies, residual maxima, energy margins), the last four of
+    shape (k,). Every row passes three checks in real space: the residual
+    mu*phi - rhs + D*.(D phi), the pinned mean, and the energy estimate.
+    The first failing row in index order raises DiagnosticError naming
+    its sample id. One buffer holds each forward difference D_l phi in
+    turn: its row sums of squares add to the Dirichlet energies, and it is
+    folded into the residual, which is accumulated in place
+    (-laplacian = D*.D).
     """
-    phi = _spectral_quotient(inverse_symbol, rhs_hat, rhs.shape)
+    k = rhs.shape[0]
+    phi = _spectral_quotient(inverse_symbol, rhs_hat, rhs.shape[1:])
     _pin_mean(phi)
-    n_sites = phi.size
-    second_moment = _square_sum(phi) / n_sites
+    rows = phi.reshape(k, -1)
+    n_sites = rows.shape[1]
+    second_moment = _row_square_sums(phi) / n_sites
     residual = np.multiply(phi, mu)
     residual -= rhs
     diff = np.empty_like(phi)
-    dirichlet = 0.0
-    for l in range(phi.ndim):
+    dirichlet = np.zeros(k)
+    for l in range(1, phi.ndim):
         _neighbour_diff(phi, l, 1, diff)
-        dirichlet += _square_sum(diff)
+        dirichlet += _row_square_sums(diff)
         _add_backward_diff(residual, diff, l)
     dirichlet /= n_sites
-    residual_max = max(float(residual.max()), -float(residual.min()))
+    residual_rows = residual.reshape(k, -1)
+    residual_max = np.maximum(residual_rows.max(axis=1), -residual_rows.min(axis=1))
     margin = zeta_second_moment - (mu * second_moment + dirichlet)
 
-    phi_max = max(float(phi.max()), -float(phi.min()))
-    if residual_max > RESIDUAL_RTOL * (1.0 + phi_max):
-        raise DiagnosticError(
-            f"corrector residual {residual_max:.3e} exceeds {RESIDUAL_RTOL}*(1+|phi|_max)"
-        )
-    if abs(float(phi.mean())) > MEAN_TOL:
-        raise DiagnosticError("corrector site mean not pinned to zero")
-    if margin < -ENERGY_TOL:
-        raise DiagnosticError(
-            f"energy estimate violated by {-margin:.3e} (sample {sample_id})"
-        )
+    phi_max = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    bad_residual = residual_max > RESIDUAL_RTOL * (1.0 + phi_max)
+    bad_mean = np.abs(rows.mean(axis=1)) > MEAN_TOL
+    bad_energy = margin < -ENERGY_TOL
+    failing = np.flatnonzero(bad_residual | bad_mean | bad_energy)
+    if failing.size:
+        i = failing[0]
+        if bad_residual[i]:
+            msg = f"corrector residual {residual_max[i]:.3e} exceeds {RESIDUAL_RTOL}*(1+|phi|_max)"
+        elif bad_mean[i]:
+            msg = "corrector site mean not pinned to zero"
+        else:
+            msg = f"energy estimate violated by {-margin[i]:.3e}"
+        raise DiagnosticError(f"{msg} (sample {sample_ids[i]})")
     return phi, second_moment, dirichlet, residual_max, margin
 
 
@@ -165,21 +201,23 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     The zero spatial mode of div*(zeta) vanishes identically, so phi is
     pinned to site mean zero (the finite-volume stand-in for E[phi] = 0).
     Solver invariants (residual, mean, energy estimate) are re-verified on
-    the result and violations raise DiagnosticError.
+    the result and violations raise DiagnosticError. This is the one-row
+    chunk of the Monte Carlo kernel.
     """
-    inverse = _inverse_symbol(mu, zeta.geometry.shape)
-    zeta2 = zeta.second_moment()
+    shape = zeta.geometry.shape
+    inverse = _inverse_symbol(mu, shape)
+    rhs, rhs_hat, zeta2, sample_ids, _ = _divergence_rows((zeta,), 1, shape)
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, inverse, *_divergence_hat(zeta), zeta2, zeta.sample_id
+        mu, inverse, rhs, rhs_hat, zeta2, sample_ids
     )
     return CorrectorSolution(
         mu=float(mu),
-        phi=phi,
-        grad=forward_gradient(phi),
-        second_moment=second_moment,
-        dirichlet_energy=dirichlet,
-        residual_max=residual_max,
-        zeta_second_moment=zeta2,
+        phi=phi[0],
+        grad=forward_gradient(phi[0]),
+        second_moment=float(second_moment[0]),
+        dirichlet_energy=float(dirichlet[0]),
+        residual_max=float(residual_max[0]),
+        zeta_second_moment=float(zeta2[0]),
         source_sample_id=zeta.sample_id,
     )
 
@@ -248,26 +286,40 @@ class MCResult:
         return iter((self.mean, self.stderr))
 
 
-def _realization_stats(task) -> tuple[int, list[tuple[float, float]], float | None]:
-    """Worker: one realization, solved at every mu of one torus side.
+def _chunk_rows(geometry: TorusGeometry, memory_budget_mb: float | None = None) -> int:
+    """Realizations per Monte Carlo chunk on this torus: max(1, CHUNK_SITES // L^d).
 
-    The field is drawn once, and its divergence and rfftn are shared by
-    all mu; steps pairs each mu with its inverse symbol, built once per
-    torus side. Module-level so that any map_fn can run it, a caller's
-    process pool included.
+    A memory budget lowers the chunk's sites to what it holds at
+    _bytes_per_site(d); scaling_study's side cap keeps one row within it.
     """
-    spec, geometry, steps, master_seed, index = task
-    sample = spec.realize(geometry, master_seed, index)
-    rhs, rhs_hat = _divergence_hat(sample)
-    zeta2, psi2, sample_id = sample.second_moment(), sample.psi_second_moment, sample.sample_id
-    del sample
+    sites = CHUNK_SITES
+    if memory_budget_mb is not None:
+        sites = min(sites, int(memory_budget_mb * 2**20 / _bytes_per_site(geometry.d)))
+    return max(1, sites // geometry.n_sites)
+
+
+def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], list[float | None]]:
+    """Worker: one chunk of realizations, each solved at every mu of one torus side.
+
+    task is (spec, geometry, steps, master_seed, indices). Realization
+    indices[i] is drawn from its own seed stream into row i of a
+    (k,) + shape chunk; one rfftn over the spatial axes serves every mu,
+    and each mu takes one irfftn for the whole chunk. steps pairs each mu
+    with its inverse symbol, built once per torus side. Returns indices,
+    per mu the rows' second moments and energy margins, and per row the
+    psi second moment (None when the generator has none). Module-level so
+    that any map_fn can run it, a caller's process pool included.
+    """
+    spec, geometry, steps, master_seed, indices = task
+    samples = (spec.realize(geometry, master_seed, i) for i in indices)
+    rhs, rhs_hat, zeta2, sample_ids, psi2 = _divergence_rows(samples, len(indices), geometry.shape)
     stats = []
     for mu, inverse in steps:
         _, second_moment, _, _, margin = _certified_solve(
-            mu, inverse, rhs, rhs_hat, zeta2, sample_id
+            mu, inverse, rhs, rhs_hat, zeta2, sample_ids
         )
         stats.append((second_moment, margin))
-    return index, stats, psi2
+    return indices, stats, psi2
 
 
 def _second_moments_mc(
@@ -277,21 +329,34 @@ def _second_moments_mc(
     n_realizations: int,
     master_seed: int,
     map_fn: Callable[..., Iterable] | None = None,
+    memory_budget_mb: float | None = None,
 ) -> list[MCResult]:
-    """second_moment_mc at each of several mu on one torus, one MCResult per mu."""
+    """second_moment_mc at each of several mu on one torus, one MCResult per mu.
+
+    map_fn runs _chunk_stats over consecutive index ranges of
+    _chunk_rows(geometry, memory_budget_mb) realizations (the last one
+    shorter); the ranges depend on neither map_fn nor its thread count.
+    Each chunk's rows are written into index order before the reduction.
+    """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
     if map_fn is None:
         map_fn = map
     steps = tuple((mu, _inverse_symbol(mu, geometry.shape)) for mu in mus)
-    tasks = [(spec, geometry, steps, master_seed, i) for i in range(n_realizations)]
+    k = _chunk_rows(geometry, memory_budget_mb)
+    tasks = [
+        (spec, geometry, steps, master_seed, range(start, min(start + k, n_realizations)))
+        for start in range(0, n_realizations, k)
+    ]
     phi2 = np.empty((len(mus), n_realizations))
     margins = np.empty((len(mus), n_realizations))
     psi = np.full(n_realizations, np.nan)
-    for index, stats, psi_sm in map_fn(_realization_stats, tasks):
-        phi2[:, index], margins[:, index] = zip(*stats)
-        if psi_sm is not None:
-            psi[index] = psi_sm
+    for indices, stats, psi_rows in map_fn(_chunk_stats, tasks):
+        rows = slice(indices.start, indices.stop)
+        for j, (second_moment, margin) in enumerate(stats):
+            phi2[j, rows] = second_moment
+            margins[j, rows] = margin
+        psi[rows] = [np.nan if p is None else p for p in psi_rows]
     has_psi = not np.isnan(psi).any()
     psi_mean = float(np.mean(psi)) if has_psi else None
     return [
@@ -387,12 +452,13 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 
 
 def _bytes_per_site(d: int) -> float:
-    # peak working set of one realization in _realization_stats, measured
-    # with tracemalloc at d=3, L=32 and 3 mus with a cold symbol cache,
-    # counting the symbol and the per-mu inverse symbols the task shares:
-    # 97 bytes per site for iid, 77 for gradient, 101 for decay_alpha (its
-    # three spectral syntheses); 16*(2d+6) = 192 at d=3 is a deliberate
-    # overestimate
+    # peak working set of one _chunk_stats task per chunk site, measured
+    # with tracemalloc at 3 mus with a cold symbol cache, counting the
+    # symbol and the per-mu inverse symbols the task shares: 41-56 bytes
+    # per site at d=1 (chunks of 2 to 1024 rows), 46-54 for d=2 chunks of
+    # 4 to 64 rows and up to 100 for one-row d=2 chunks (gff), 59-69 at
+    # d=3 for iid and gradient and 101 for decay_alpha (its three spectral
+    # syntheses); 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 
 
@@ -517,7 +583,7 @@ def scaling_study(
     for L, members in by_side.items():
         group = _second_moments_mc(
             [grid[j] for j in members], spec, TorusGeometry(d=d, L=L), n_per_mu,
-            master_seed, map_fn=map_fn,
+            master_seed, map_fn=map_fn, memory_budget_mb=memory_budget_mb,
         )
         for j, res in zip(members, group):
             results[j] = res

@@ -12,12 +12,14 @@ Conventions, fixed once for the whole package:
   mu*u + D*.(Du) - f.
 
 Fields are plain float64 arrays: a scalar field has one axis per spatial
-dimension, a vector field (d,) + shape. Every operator returns a new
-array and leaves its input alone. All three operators are built from one
-slice stencil, `_neighbour_diff`; `_add_backward_diff` adds one term of
-D*.z to an accumulator in place, for residuals. `np.roll` is used only
-by `shift`, which is a translation. The FFT solve supports arbitrary
-L >= 2, not only powers of two.
+dimension, a vector field (d,) + shape. Every operator leaves its input
+alone and returns a new array (backward_divergence can write into a given
+one instead). All three operators are built from one slice stencil,
+`_neighbour_diff`; `_add_backward_diff` adds one term of D*.z to an
+accumulator in place, for residuals. Both take an explicit axis, so they
+also serve a (k,) + shape batch of fields. `np.roll` is used only by
+`shift`, which is a translation. The FFT solve supports arbitrary L >= 2,
+not only powers of two.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
     """out[x] = v[x + step*e_axis] - v[x] on the torus, step = +1 or -1.
 
     Same arithmetic as np.roll(v, -step, axis) - v, without the rolled copy.
+    Along the last axis of a C-contiguous out, one flat subtract covers the
+    whole array and the wrap column is written over afterwards.
     """
     n = v.shape[axis]
     # (sites, their neighbours) as index ranges along axis: the bulk, then the wrap
@@ -164,6 +168,14 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
         parts = ((0, n - 1, 1, n), (n - 1, n, 0, 1))
     else:
         parts = ((1, n, 0, n - 1), (0, 1, n - 1, n))
+    if axis == v.ndim - 1 and out.flags.c_contiguous:
+        # the flat bulk pairs each row's edge site with the next row's: the wrap fixes it
+        flat, flat_out = v.reshape(-1), out.reshape(-1)
+        if step == 1:
+            np.subtract(flat[1:], flat[:-1], out=flat_out[:-1])
+        else:
+            np.subtract(flat[:-1], flat[1:], out=flat_out[1:])
+        parts = parts[1:]
     for lo, hi, nlo, nhi in parts:
         site = _along(v, axis, lo, hi)
         np.subtract(_along(v, axis, nlo, nhi), site, out=_along(out, axis, lo, hi))
@@ -178,18 +190,23 @@ def forward_gradient(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward_divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
+def backward_divergence(
+    z: np.ndarray, axes: Sequence[int] | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """(D*.z)(x) = sum_l [z_l(x - e_l) - z_l(x)] of a (d,) + shape field, the adjoint of D.
 
     Only the components listed in axes (default: all) are read; the
-    others are taken to vanish, which changes no sum.
+    others are taken to vanish, which changes no sum. The result is
+    written to out (a new array by default) and returned.
     """
     if z.shape[0] != z.ndim - 1:
         raise ValueError(
             f"backward_divergence expects {z.ndim - 1} components, got {z.shape[0]}"
         )
     first, *rest = range(z.shape[0]) if axes is None else axes
-    out = _neighbour_diff(z[first], first, -1, np.empty(z.shape[1:]))
+    if out is None:
+        out = np.empty(z.shape[1:])
+    _neighbour_diff(z[first], first, -1, out)
     if rest:
         term = np.empty_like(out)
         for l in rest:
@@ -201,13 +218,20 @@ def _add_backward_diff(out: np.ndarray, v: np.ndarray, axis: int) -> None:
     """out[x] += v[x - e_axis] - v[x] in place: subtract v, then add its wrapped shift.
 
     Summed over axis l with v = z_l, this accumulates D*.z into out
-    without a temporary.
+    without a temporary. Along the last axis of a C-contiguous out the
+    shift is one flat add, and the wrap column, computed before it, is
+    written over it.
     """
     out -= v
     n = v.shape[axis]
+    wrap = _along(out, axis, 0, 1)
+    if axis == v.ndim - 1 and out.flags.c_contiguous:
+        fixed = wrap + _along(v, axis, n - 1, n)
+        out.reshape(-1)[1:] += v.reshape(-1)[:-1]
+        wrap[...] = fixed
+        return
     bulk = _along(out, axis, 1, n)
     bulk += _along(v, axis, 0, n - 1)
-    wrap = _along(out, axis, 0, 1)
     wrap += _along(v, axis, n - 1, n)
 
 
@@ -253,9 +277,10 @@ def _spectral_quotient(
 
     Diagonal in the Fourier basis: u_hat = f_hat * inverse_symbol, with
     inverse_symbol = _inverse_symbol(mu, shape), a real multiply instead
-    of a complex division.
+    of a complex division. The transform runs over the trailing len(shape)
+    axes; any leading axes index independent fields solved together.
     """
-    return np.fft.irfftn(f_hat * inverse_symbol, s=shape, axes=tuple(range(len(shape))))
+    return np.fft.irfftn(f_hat * inverse_symbol, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
 def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:

@@ -477,14 +477,14 @@ def test_generator_failure_exits_4(tmp_path, capsys):
 def test_failure_in_worker_thread_maps_to_exit_code(tmp_path, monkeypatch, capsys, exc, code):
     from incrstat import corrector
 
-    real = corrector._realization_stats
+    real = corrector._chunk_stats
 
     def stats(task):
-        if task[-1] == 1:  # realization 1 of every torus side
+        if 1 in task[-1]:  # the chunk holding realization 1 of every torus side
             raise exc
         return real(task)
 
-    monkeypatch.setattr(corrector, "_realization_stats", stats)
+    monkeypatch.setattr(corrector, "_chunk_stats", stats)
     cfg_path = write_cfg(tmp_path, SCALING_CFG)
     out = tmp_path / "o"
     argv = ["corrector-scaling", "--config", cfg_path, "--out", str(out), "--threads", "2"]

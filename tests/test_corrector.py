@@ -194,14 +194,50 @@ def run_study(mu, spec, geom):
 
 
 CERTIFIED_PATHS = pytest.mark.parametrize("run", [run_solve, run_mc, run_study])
+# the Monte Carlo paths, whose chunks at d=2, L=16 hold both realizations
+CHUNKED_PATHS = pytest.mark.parametrize("run", [run_mc, run_study])
+BAD_ROW = 1
+
+
+def perturb_one_row(monkeypatch, perturb):
+    """Make _pin_mean apply perturb(row) to row BAD_ROW of a chunk after pinning it."""
+    exact = corrector._pin_mean
+
+    def pin(phi):
+        exact(phi)
+        if phi.shape[0] > BAD_ROW:
+            perturb(phi[BAD_ROW])
+
+    monkeypatch.setattr(corrector, "_pin_mean", pin)
+
+
+def names_sample(info, geom, index):
+    """Whether a certification failure names realization index of IID_SPEC_2D at seed 0."""
+    return str(info.value).endswith(f"(sample {IID_SPEC_2D.realize(geom, 0, index).sample_id})")
 
 
 @CERTIFIED_PATHS
 def test_residual_check_fires_on_perturbed_symbol(monkeypatch, run):
     exact = lattice.laplace_symbol
     monkeypatch.setattr(lattice, "laplace_symbol", lambda d, L: exact(d, L) + 1e-6)
-    with pytest.raises(DiagnosticError, match="residual"):
-        run(0.5, IID_SPEC_2D, TorusGeometry(2, 16))
+    geom = TorusGeometry(2, 16)
+    with pytest.raises(DiagnosticError, match="residual") as info:
+        run(0.5, IID_SPEC_2D, geom)
+    assert names_sample(info, geom, 0)
+
+
+@CHUNKED_PATHS
+def test_residual_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
+    geom = TorusGeometry(2, 16)
+    assert corrector._chunk_rows(geom) > BAD_ROW
+
+    def spike(phi_row):
+        phi_row[(0,) * phi_row.ndim] += 1e-6
+
+    perturb_one_row(monkeypatch, spike)
+    with pytest.raises(DiagnosticError, match="residual") as info:
+        run(0.5, IID_SPEC_2D, geom)
+    assert names_sample(info, geom, BAD_ROW)
 
 
 @CERTIFIED_PATHS
@@ -211,16 +247,47 @@ def test_mean_check_fires_when_pinning_leaves_an_offset(monkeypatch, run):
 
     monkeypatch.setattr(corrector, "_pin_mean", pin_with_offset)
     # mu * offset stays far below the residual tolerance, so only the mean check fires
-    with pytest.raises(DiagnosticError, match="mean not pinned"):
-        run(0.01, IID_SPEC_2D, TorusGeometry(2, 16))
+    geom = TorusGeometry(2, 16)
+    with pytest.raises(DiagnosticError, match="mean not pinned") as info:
+        run(0.01, IID_SPEC_2D, geom)
+    assert names_sample(info, geom, 0)
+
+
+@CHUNKED_PATHS
+def test_mean_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
+    geom = TorusGeometry(2, 16)
+
+    def offset(phi_row):
+        phi_row += 1e-8
+
+    perturb_one_row(monkeypatch, offset)
+    with pytest.raises(DiagnosticError, match="mean not pinned") as info:
+        run(0.01, IID_SPEC_2D, geom)
+    assert names_sample(info, geom, BAD_ROW)
 
 
 @CERTIFIED_PATHS
 def test_energy_check_fires_on_shrunk_zeta_moment(monkeypatch, run):
     exact = IncrementSample.second_moment
     monkeypatch.setattr(IncrementSample, "second_moment", lambda self: 0.1 * exact(self))
-    with pytest.raises(DiagnosticError, match="energy estimate violated"):
-        run(0.5, IID_SPEC_2D, TorusGeometry(2, 16))
+    geom = TorusGeometry(2, 16)
+    with pytest.raises(DiagnosticError, match="energy estimate violated") as info:
+        run(0.5, IID_SPEC_2D, geom)
+    assert names_sample(info, geom, 0)
+
+
+@CHUNKED_PATHS
+def test_energy_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
+    geom = TorusGeometry(2, 16)
+    exact = IncrementSample.second_moment
+
+    def shrunk_for_bad_row(self):
+        return (0.1 if self.realization == BAD_ROW else 1.0) * exact(self)
+
+    monkeypatch.setattr(IncrementSample, "second_moment", shrunk_for_bad_row)
+    with pytest.raises(DiagnosticError, match="energy estimate violated") as info:
+        run(0.5, IID_SPEC_2D, geom)
+    assert names_sample(info, geom, BAD_ROW)
 
 
 def test_unperturbed_paths_pass_the_checks():
@@ -250,27 +317,54 @@ def test_one_component_divergence_and_moment_are_exact(d):
         assert z.support == (spec.axis,)
         full = dataclasses.replace(z, support=None)
         assert full.support == tuple(range(d))
-        rhs, _ = corrector._divergence_hat(z)
+        rhs = corrector._divergence_rows((z,), 1, geom.shape)[0][0]
         assert rhs.tobytes() == lattice.backward_divergence(z.values).tobytes()
         assert z.second_moment() == full.second_moment()
         assert z.second_moment() == float(np.mean(np.sum(z.values**2, axis=0)))
 
 
-@pytest.mark.parametrize("spec", [IID_SPEC, GeneratorSpec(kind="decay_alpha", alpha=3.0)])
-def test_realization_peak_memory_within_budget_formula(spec):
-    # one task with a cold symbol cache, its inverse symbols included
-    geom = TorusGeometry(3, 32)
+def chunk_peak_bytes(spec, geom, k):
+    """tracemalloc peak of one k-row chunk task with a cold symbol cache, its inverse symbols included."""
+    corrector._chunk_stats((spec, geom, (), 0, range(k)))  # numpy's lazy one-time set-up
     lattice.laplace_symbol.cache_clear()
     _decay_amplitude.cache_clear()
     tracemalloc.start()
     try:
         mus = (0.25, 0.0625, 0.015625)
         steps = tuple((mu, lattice._inverse_symbol(mu, geom.shape)) for mu in mus)
-        corrector._realization_stats((spec, geom, steps, 0, 0))
+        corrector._chunk_stats((spec, geom, steps, 0, range(k)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < corrector._bytes_per_site(geom.d) * geom.n_sites
+    return peak
+
+
+@pytest.mark.parametrize("spec", [IID_SPEC, GeneratorSpec(kind="decay_alpha", alpha=3.0)])
+def test_realization_peak_memory_within_budget_formula(spec):
+    # a torus this large gets one-row chunks: one realization per task
+    geom = TorusGeometry(3, 32)
+    assert corrector._chunk_rows(geom) == 1
+    assert chunk_peak_bytes(spec, geom, 1) < corrector._bytes_per_site(geom.d) * geom.n_sites
+
+
+@pytest.mark.parametrize(
+    "spec, d, budget_mb",
+    [
+        (IID_SPEC, 1, None),
+        (GeneratorSpec(kind="gradient", law=UNIT_LAW), 1, 0.25),
+        (GeneratorSpec(kind="decay_alpha", alpha=1.5), 2, 0.5),
+    ],
+)
+def test_chunk_peak_memory_within_budget_formula(spec, d, budget_mb):
+    geom = TorusGeometry(d, 16)
+    k = corrector._chunk_rows(geom, budget_mb)
+    if budget_mb is None:
+        assert k == corrector.CHUNK_SITES // geom.n_sites
+    else:
+        # the budget shrinks the chunk, and the chunk fits the budget
+        assert 1 < k < corrector.CHUNK_SITES // geom.n_sites
+        assert k * geom.n_sites * corrector._bytes_per_site(d) <= budget_mb * 2**20
+    assert chunk_peak_bytes(spec, geom, k) < corrector._bytes_per_site(d) * k * geom.n_sites
 
 
 @pytest.mark.parametrize("spec, d", ALL_SPECS)
@@ -402,13 +496,15 @@ def test_mc_matches_variance_formula():
 
 
 def test_mc_values_match_per_index_solves():
-    # realization i is exactly the field seeded at (master, field-domain, i)
-    geom = TorusGeometry(1, 32)
+    # realization i is exactly the field seeded at (master, field-domain, i);
+    # CHUNK_SITES // 2 is the largest side whose chunks hold two rows
     spec = GeneratorSpec(kind="iid", axis=0, law=UNIT_LAW)
-    res = second_moment_mc(0.5, spec, geom, 5, 9)
-    for i in range(5):
-        direct = solve_corrector(0.5, spec.realize(geom, 9, i)).second_moment
-        assert res.values[i] == direct
+    for L in (32, corrector.CHUNK_SITES // 2):
+        geom = TorusGeometry(1, L)
+        res = second_moment_mc(0.5, spec, geom, 5, 9)
+        for i in range(5):
+            direct = solve_corrector(0.5, spec.realize(geom, 9, i)).second_moment
+            assert res.values[i] == direct
 
 
 def test_mc_bit_stable_under_reordered_schedule():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from incrstat.lattice import (
     TorusField,
     TorusGeometry,
+    _add_backward_diff,
+    _neighbour_diff,
     backward_divergence,
     forward_gradient,
     laplace_symbol,
@@ -197,6 +199,39 @@ def test_operators_match_dense_matrices(d, L):
 
     lap = laplacian(u).reshape(-1)
     assert np.allclose(lap, dense_laplacian(d, L) @ flat, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9,), (5, 7), (3, 4, 6), (4, 3, 5, 6)])
+def test_stencils_equal_roll_on_batches_and_strided_arrays(shape):
+    # along the last axis a C-contiguous out takes one flat pass, a strided
+    # one the slice stencil; (4, 3, 5, 6) is a batch of four 3-D fields
+    rng = np.random.default_rng(len(shape))
+
+    def strided(a):
+        """A copy of a whose flat view cannot exist: every other entry of a longer first axis."""
+        b = np.empty((2 * a.shape[0],) + a.shape[1:])[::2]
+        b[...] = a
+        return b
+
+    v = rng.standard_normal(shape)
+    for src in (v, strided(v)):
+        for axis in range(len(shape)):
+            for step in (1, -1):
+                expected = np.roll(src, -step, axis) - src
+                for out in (np.empty(shape), strided(np.empty(shape))):
+                    assert np.array_equal(_neighbour_diff(src, axis, step, out), expected)
+            acc = rng.standard_normal(shape)
+            expected = (acc - src) + np.roll(src, 1, axis)
+            for out in (acc.copy(), strided(acc)):
+                _add_backward_diff(out, src, axis)
+                assert np.array_equal(out, expected)
+
+
+def test_divergence_writes_into_out():
+    z = np.random.default_rng(3).standard_normal((2, 5, 6))
+    out = np.empty((5, 6))
+    assert backward_divergence(z, out=out) is out
+    assert np.array_equal(out, backward_divergence(z))
 
 
 @settings(max_examples=25, deadline=None)

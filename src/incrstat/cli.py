@@ -134,32 +134,24 @@ def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
     spec = _generator_spec(values)
     geom = TorusGeometry(values["d"], values["L"])
     n = values["n_samples"]
-    samples = list(map_fn(functools.partial(spec.realize, geom, values["seed"]), range(n)))
+    samples = iter(map_fn(functools.partial(spec.realize, geom, values["seed"]), range(n)))
+    # clamping and its warning depend only on the generator and the torus
+    first = next(samples)
     d = geom.d
-    lags = []
-    for m in sorted(set(values["lag_list"])):
-        if m == 0:
-            lags.append((0,) * d)
-            continue
-        for ax in range(d):
-            vec = [0] * d
-            vec[ax] = m
-            lags.append(tuple(vec))
-    est = empirical_covariance(samples, lags)
+    # lag 0 once, every other lag length along each axis in turn
+    axes = np.eye(d, dtype=int)
+    lags = [m * e for m in sorted(set(values["lag_list"])) for e in axes[: d if m else 1]]
+    est = empirical_covariance(itertools.chain([first], samples), lags)
     config_text = cfg.canonical_text("covariance", values)
-    rows = []
-    for j, lag in enumerate(est.lags):
-        lag_label = ";".join(str(int(c)) for c in lag)
-        for l in range(d):
-            for lp in range(d):
-                rows.append(
-                    (lag_label, l, lp, est.axis, float(est.cov[j, l, lp]),
-                     float(est.stderr[j, l, lp]))
-                )
+    rows = [
+        (";".join(str(int(c)) for c in lag), l, lp, est.axis, float(est.cov[j, l, lp]),
+         float(est.stderr[j, l, lp]))
+        for j, lag in enumerate(est.lags)
+        for l, lp in itertools.product(range(d), repeat=2)
+    ]
     csv_path = os.path.join(out_dir, "covariance.csv")
     json_path = os.path.join(out_dir, "covariance_summary.json")
     _write_csv(csv_path, config_text, ("lag", "l", "lp", "n", "cov", "stderr"), rows)
-    warnings = sorted({w for s in samples for w in s.warnings})
     _write_json(
         json_path,
         {
@@ -171,8 +163,8 @@ def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
             "alpha_hat": "indeterminate" if est.alpha_hat is None else est.alpha_hat,
             "alpha_halfwidth": est.alpha_halfwidth,
             "n_fit_entries": est.n_fit_entries,
-            "clamped_mass_fraction": samples[0].clamped_mass_fraction,
-            "warnings": warnings,
+            "clamped_mass_fraction": first.clamped_mass_fraction,
+            "warnings": sorted(first.warnings),
             "config_text": config_text,
         },
     )

@@ -30,7 +30,7 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class Key:
     name: str
-    kind: str  # int | float | str | bool | int_list | float_list | str_choice
+    kind: str  # int | float | str | bool | int_list | float_list; a str key may have choices
     required: bool = False
     default: object = None
     choices: tuple[str, ...] | None = None

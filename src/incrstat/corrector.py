@@ -27,7 +27,7 @@ from .lattice import (
     backward_divergence,
     forward_gradient,
 )
-from .randfields import GeneratorSpec, IncrementSample
+from .randfields import GeneratorSpec, IncrementSample, _sample_id
 
 __all__ = [
     "CorrectorSolution",
@@ -113,28 +113,29 @@ def _row_square_sums(x: np.ndarray) -> np.ndarray:
 
 def _divergence_rows(
     samples: Iterable[IncrementSample], k: int, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], list[float | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple], list[float | None]]:
     """div*(zeta) of the i-th of k samples in row i of a (k,) + shape chunk.
 
     Returns the chunk, its rfftn over the spatial (trailing) axes, which
     every mu on this torus shares, and per row the sample's zeta second
-    moment, sample id and psi second moment. Only the components in each
+    moment, label (the arguments of randfields._sample_id, formatted only
+    for a failing row) and psi second moment. Only the components in each
     sample's support are read, and each sample is dropped once its row is
     taken.
     """
     zeta2 = np.empty(k)
-    sample_ids: list[str] = []
+    labels: list[tuple] = []
     psi2: list[float | None] = []
     for row, sample in enumerate(samples):
         if row == 0:  # not before: a one-row chunk then peaks no higher than its sample
             rhs = np.empty((k,) + shape)
         backward_divergence(sample.values, sample.support, out=rhs[row])
         zeta2[row] = sample.second_moment()
-        sample_ids.append(sample.sample_id)
+        labels.append((sample.generator_id, sample.parameters, sample.seed, sample.realization))
         psi2.append(sample.psi_second_moment)
         del sample
     rhs_hat = np.fft.rfftn(rhs, axes=tuple(range(1, rhs.ndim)))
-    return rhs, rhs_hat, zeta2, sample_ids, psi2
+    return rhs, rhs_hat, zeta2, labels, psi2
 
 
 def _certified_solve(
@@ -143,16 +144,17 @@ def _certified_solve(
     rhs: np.ndarray,
     rhs_hat: np.ndarray,
     zeta_second_moment: np.ndarray,
-    sample_ids: Sequence[str],
+    labels: Sequence[tuple],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve mu*phi - laplacian(phi) = rhs[i] for each row i of a (k,) + shape chunk, and certify it.
 
     rhs_hat is rfftn(rhs) over the spatial (trailing) axes, inverse_symbol
     is lattice._inverse_symbol(mu, shape), and zeta_second_moment and
-    sample_ids hold one entry per row. Returns (phi, second moments,
-    Dirichlet energies, residual maxima, energy margins), the last four of
-    shape (k,). Every row passes three checks in real space: the residual
-    mu*phi - rhs + D*.(D phi), the pinned mean, and the energy estimate.
+    labels (see _divergence_rows) hold one entry per row. Returns (phi,
+    second moments, Dirichlet energies, residual maxima, energy margins),
+    the last four of shape (k,). Every row passes three checks in real
+    space: the residual mu*phi - rhs + D*.(D phi), the pinned mean, and the
+    energy estimate.
     The first failing row in index order raises DiagnosticError naming
     its sample id. One buffer holds each forward difference D_l phi in
     turn: its row sums of squares add to the Dirichlet energies, and it is
@@ -191,7 +193,7 @@ def _certified_solve(
             msg = "corrector site mean not pinned to zero"
         else:
             msg = f"energy estimate violated by {-margin[i]:.3e}"
-        raise DiagnosticError(f"{msg} (sample {sample_ids[i]})")
+        raise DiagnosticError(f"{msg} (sample {_sample_id(*labels[i])})")
     return phi, second_moment, dirichlet, residual_max, margin
 
 
@@ -206,9 +208,9 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     """
     shape = zeta.geometry.shape
     inverse = _inverse_symbol(mu, shape)
-    rhs, rhs_hat, zeta2, sample_ids, _ = _divergence_rows((zeta,), 1, shape)
+    rhs, rhs_hat, zeta2, labels, _ = _divergence_rows((zeta,), 1, shape)
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, inverse, rhs, rhs_hat, zeta2, sample_ids
+        mu, inverse, rhs, rhs_hat, zeta2, labels
     )
     return CorrectorSolution(
         mu=float(mu),
@@ -312,11 +314,11 @@ def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], list
     """
     spec, geometry, steps, master_seed, indices = task
     samples = (spec.realize(geometry, master_seed, i) for i in indices)
-    rhs, rhs_hat, zeta2, sample_ids, psi2 = _divergence_rows(samples, len(indices), geometry.shape)
+    rhs, rhs_hat, zeta2, labels, psi2 = _divergence_rows(samples, len(indices), geometry.shape)
     stats = []
     for mu, inverse in steps:
         _, second_moment, _, _, margin = _certified_solve(
-            mu, inverse, rhs, rhs_hat, zeta2, sample_ids
+            mu, inverse, rhs, rhs_hat, zeta2, labels
         )
         stats.append((second_moment, margin))
     return indices, stats, psi2
@@ -457,8 +459,8 @@ def _bytes_per_site(d: int) -> float:
     # symbol and the per-mu inverse symbols the task shares: 41-56 bytes
     # per site at d=1 (chunks of 2 to 1024 rows), 46-54 for d=2 chunks of
     # 4 to 64 rows and up to 100 for one-row d=2 chunks (gff), 59-69 at
-    # d=3 for iid and gradient and 101 for decay_alpha (its three spectral
-    # syntheses); 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
+    # d=3 for iid and gradient and 100-104 for decay_alpha (95-99 with its
+    # amplitude cached); 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class IncrementLaw:
             return rng.normal(0.0, self.param, size=shape)
         if self.kind == "bernoulli_pm":
             return np.where(rng.random(shape) < self.param, 1.0, -1.0)
-        return np.full(shape, self.param)
+        return np.full(shape, self.param, dtype=float)
 
     @property
     def variance(self) -> float:
@@ -135,8 +135,7 @@ class IncrementSample:
 
     @property
     def sample_id(self) -> str:
-        par = ",".join(repr(p) for p in self.parameters)
-        return f"{self.generator_id}({par})@{self.seed}/{self.realization}"
+        return _sample_id(self.generator_id, self.parameters, self.seed, self.realization)
 
     def second_moment(self) -> float:
         """Site average of |zeta|^2, summed over the components in support."""
@@ -147,8 +146,9 @@ class IncrementSample:
         return float(np.mean(density))
 
 
-def _center(arr: np.ndarray) -> np.ndarray:
-    return arr - arr.mean()
+def _sample_id(generator_id: str, parameters: tuple, seed: int, realization: int) -> str:
+    par = ",".join(repr(p) for p in parameters)
+    return f"{generator_id}({par})@{seed}/{realization}"
 
 
 def _check_axis(geometry: TorusGeometry, axis: int) -> None:
@@ -194,7 +194,8 @@ def gradient_increments(
     """
     _check_axis(geometry, axis)
     rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    psi = _center(law.draw(rng, geometry.shape))
+    psi = law.draw(rng, geometry.shape)
+    psi -= psi.mean()
     return _gradient_sample(
         geometry, axis, psi, f"gradient_{law.kind}", (law.param,), seed, realization
     )
@@ -226,11 +227,18 @@ def _gradient_sample(
 
 
 def _spectral_gaussian(
-    amplitude: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...]
+    amplitude: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...], count: int
 ) -> np.ndarray:
-    """Real Gaussian field with spectral density amplitude**2 (nonnegative, symmetric)."""
-    white = rng.standard_normal(shape)
-    return np.fft.ifftn(amplitude * np.fft.fftn(white)).real
+    """count centered real Gaussian fields of spectral density amplitude**2 (rfftn half spectrum).
+
+    One (count,) + shape white-noise draw, the stream of count draws of
+    shape in turn, filtered by one rfftn/irfftn pair over the trailing axes.
+    """
+    axes = tuple(range(1, len(shape) + 1))
+    spectrum = np.fft.rfftn(rng.standard_normal((count,) + shape), axes=axes) * amplitude
+    out = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    out -= out.mean(axis=axes, keepdims=True)
+    return out
 
 
 def clamp_spectrum(cov_hat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -244,10 +252,13 @@ def clamp_spectrum(cov_hat: np.ndarray) -> tuple[np.ndarray, float]:
 
 @lru_cache(maxsize=16)
 def _decay_amplitude(d: int, L: int, alpha: float) -> tuple[np.ndarray, float]:
-    """sqrt of the clamped DFT of C(k) = 1 / (1 + |k|_2^alpha), and the clamped fraction."""
+    """sqrt of the clamped DFT of C(k) = 1 / (1 + |k|_2^alpha) on the rfftn half spectrum.
+
+    Returned with the clamped fraction; the clamp and its fraction are taken on the full spectrum.
+    """
     dist = TorusGeometry(d, L).site_distances()
     spectrum, frac = clamp_spectrum(np.fft.fftn(1.0 / (1.0 + dist**alpha)))
-    amplitude = np.sqrt(spectrum)
+    amplitude = np.sqrt(spectrum[..., : L // 2 + 1])
     amplitude.setflags(write=False)
     return amplitude, frac
 
@@ -271,9 +282,7 @@ def decay_alpha_increments(
     warn: tuple[str, ...] = ()
     if frac > CLAMP_WARN_FRACTION:
         warn = (f"clamped spectral mass fraction {frac:.3f} exceeds {CLAMP_WARN_FRACTION}",)
-    vals = np.stack(
-        [_center(_spectral_gaussian(amplitude, rng, geometry.shape)) for _ in range(geometry.d)]
-    )
+    vals = _spectral_gaussian(amplitude, rng, geometry.shape, geometry.d)
     return IncrementSample(
         geometry=geometry,
         axis=axis,
@@ -301,11 +310,10 @@ def gff_increments(
         raise GeneratorError("gff increments are only defined in d = 2")
     _check_axis(geometry, axis)
     rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    sym = laplace_symbol(geometry.d, geometry.L).copy()
-    sym[(0,) * geometry.d] = 1.0  # placeholder, zero mode removed next
-    spectrum = 1.0 / sym
-    spectrum[(0,) * geometry.d] = 0.0
-    psi = _center(_spectral_gaussian(np.sqrt(spectrum), rng, geometry.shape))
+    sym = laplace_symbol(geometry.d, geometry.L)[..., : geometry.L // 2 + 1]
+    amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0
+    np.divide(1.0, amplitude, out=amplitude, where=sym > 0)
+    psi = _spectral_gaussian(amplitude, rng, geometry.shape, 1)[0]
     return _gradient_sample(geometry, axis, psi, "gff", (), seed, realization)
 
 
@@ -392,35 +400,41 @@ class CovarianceEstimate:
 
 
 def empirical_covariance(
-    samples: Sequence[IncrementSample], lags: Sequence
+    samples: Iterable[IncrementSample], lags: Sequence
 ) -> CovarianceEstimate:
     """Unbiased covariance over realizations, spatially averaged per lag.
 
     Requires at least two samples from one generator on one geometry.
+    samples is read once, in one pass: each sample is checked against the
+    first, reduced to its (lags, d, d) statistic and dropped, so any
+    iterable serves and no more than one sample is held at a time.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples for a covariance estimate")
-    first = samples[0]
-    for s in samples[1:]:
-        if s.geometry != first.geometry:
-            raise ValueError("samples live on different geometries")
-        if s.generator_id != first.generator_id or s.parameters != first.parameters:
-            raise ValueError("samples come from different generators")
-        if s.axis != first.axis:
-            raise ValueError("samples have different axes")
-    geom = first.geometry
-    d = geom.d
     lag_arr = np.atleast_2d(np.asarray(lags, dtype=int))
-    if lag_arr.shape[1] != d:
-        raise ValueError(f"lags must have {d} coordinates")
-    R = len(samples)
-    per_real = np.empty((R, len(lag_arr), d, d))
-    space_axes = tuple(range(1, d + 1))
-    for r, s in enumerate(samples):
+    stats = []
+    for s in samples:
+        if not stats:
+            geom, generator, axis = s.geometry, (s.generator_id, s.parameters), s.axis
+            d = geom.d
+            if lag_arr.shape[1] != d:
+                raise ValueError(f"lags must have {d} coordinates")
+            space_axes = tuple(range(1, d + 1))
+        elif s.geometry != geom:
+            raise ValueError("samples live on different geometries")
+        elif (s.generator_id, s.parameters) != generator:
+            raise ValueError("samples come from different generators")
+        elif s.axis != axis:
+            raise ValueError("samples have different axes")
         v = s.values  # (d,) + shape, exactly centered
+        stat = np.empty((len(lag_arr), d, d))
         for j, k in enumerate(lag_arr):
             rolled = np.roll(v, shift=tuple(-k), axis=space_axes)
-            per_real[r, j] = np.tensordot(rolled, v, axes=(space_axes, space_axes)) / geom.n_sites
+            stat[j] = np.tensordot(rolled, v, axes=(space_axes, space_axes)) / geom.n_sites
+        stats.append(stat)
+        del s, v, rolled  # not held while the next sample is drawn
+    if len(stats) < 2:
+        raise ValueError("need at least 2 samples for a covariance estimate")
+    R = len(stats)
+    per_real = np.stack(stats)
     mean = per_real.mean(axis=0)
     # jackknife over realizations; for this linear statistic it matches
     # the classical stderr of the mean but keeps the estimator uniform
@@ -428,19 +442,11 @@ def empirical_covariance(
     stderr = np.sqrt((R - 1) / R * np.sum((loo - mean[np.newaxis]) ** 2, axis=0))
 
     mags = np.sqrt(np.sum(lag_arr.astype(float) ** 2, axis=1))
-    keep_lag = mags > 0
-    signif = np.abs(mean) > 3.0 * stderr
-    xs, ys = [], []
-    for j in np.where(keep_lag)[0]:
-        for l in range(d):
-            for m in range(d):
-                if signif[j, l, m] and mean[j, l, m] != 0.0:
-                    xs.append(np.log(mags[j]))
-                    ys.append(np.log(abs(mean[j, l, m])))
+    fit = (np.abs(mean) > 3.0 * stderr) & (mean != 0.0) & (mags > 0)[:, None, None]
+    x = np.log(mags[np.nonzero(fit)[0]])  # entries in (lag, l, m) order
+    y = np.log(np.abs(mean[fit]))
     alpha_hat = halfwidth = None
-    if len(xs) >= 2 and len(set(xs)) >= 2:
-        x = np.array(xs)
-        y = np.array(ys)
+    if len(x) >= 2 and len(np.unique(x)) >= 2:
         slope, intercept = np.polyfit(x, y, 1)
         resid = y - (slope * x + intercept)
         denom = float(np.sum((x - x.mean()) ** 2))
@@ -449,12 +455,12 @@ def empirical_covariance(
         alpha_hat = float(-slope)
         halfwidth = 1.96 * se
     return CovarianceEstimate(
-        axis=first.axis,
+        axis=axis,
         lags=lag_arr,
         cov=mean,
         stderr=stderr,
         n_samples=R,
         alpha_hat=alpha_hat,
         alpha_halfwidth=halfwidth,
-        n_fit_entries=len(xs),
+        n_fit_entries=len(x),
     )

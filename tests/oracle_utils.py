@@ -151,3 +151,34 @@ def corrector_moments_reference(mu, zeta):
     dirichlet = float(np.mean(np.sum(grad**2, axis=0)))
     zeta2 = float(np.mean(np.sum(z**2, axis=0)))
     return second_moment, dirichlet, zeta2 - (mu * second_moment + dirichlet)
+
+
+def complex_fft_synthesis_reference(kind, d, L, seed, realization, alpha=None):
+    """Spectral Gaussian fields by the complex-FFT route, one draw per field.
+
+    The route the generators took before they shared one real-FFT kernel:
+    each field is its own standard_normal draw of shape (L,)*d, filtered by
+    a full-spectrum fftn/ifftn pair, keeping the real part, then centered.
+    decay_alpha gives its d components, with amplitude
+    sqrt(max(Re DFT(1 / (1 + |k|^alpha)), 0)); gff gives its potential psi
+    as a (1,) + shape array, with amplitude 1/sqrt(symbol of -laplacian)
+    and 0 at the zero mode. Amplitudes are built from np.indices here.
+    """
+    from incrstat.seeding import DOMAIN_FIELD, derive_rng
+
+    idx = np.indices((L,) * d)
+    if kind == "decay_alpha":
+        dist = np.sqrt(np.sum(np.minimum(idx, L - idx) ** 2.0, axis=0))
+        amplitude = np.sqrt(np.maximum(np.fft.fftn(1.0 / (1.0 + dist**alpha)).real, 0.0))
+        count = d
+    else:
+        symbol = np.sum(4.0 * np.sin(np.pi * idx / L) ** 2, axis=0)
+        symbol[(0,) * d] = np.inf  # zero mode: amplitude 0
+        amplitude = 1.0 / np.sqrt(symbol)
+        count = 1
+    rng = derive_rng(seed, DOMAIN_FIELD, realization)
+    fields = []
+    for _ in range(count):
+        f = np.fft.ifftn(amplitude * np.fft.fftn(rng.standard_normal((L,) * d))).real
+        fields.append(f - f.mean())
+    return np.stack(fields)

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,28 @@ def test_covariance_artifacts(artifacts):
     assert payload["alpha_hat"] == "indeterminate"
     assert payload["generator"]["kind"] == "iid"
     assert payload["warnings"] == []
+
+
+def covariance_peak_bytes(out_dir, n_samples):
+    """tracemalloc peak of one serial decay_alpha covariance run at d=3, L=16."""
+    text = f"generator = decay_alpha\nalpha = 3.0\nd = 3\nL = 16\nn_samples = {n_samples}\n"
+    values = cfg.validate("covariance", cfg.parse_config_text(text))
+    tracemalloc.start()
+    try:
+        cli._run_covariance(values, str(out_dir), map)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_covariance_memory_does_not_grow_with_n_samples(tmp_path):
+    # samples stream through the estimator, so only the per-sample statistic
+    # of (lags, d, d) floats accumulates; one sample is 3 * 16^3 floats
+    covariance_peak_bytes(tmp_path / "warm", 2)  # numpy's lazy set-up, the amplitude cache
+    small = covariance_peak_bytes(tmp_path / "small", 8)
+    large = covariance_peak_bytes(tmp_path / "large", 32)
+    assert large - small < 3 * 16**3 * 8
 
 
 def test_scaling_artifacts_and_cap_note(artifacts):

@@ -28,6 +28,7 @@ from incrstat.randfields import (
     IncrementLaw,
     IncrementSample,
     _decay_amplitude,
+    _sample_id,
     gradient_increments,
     iid_increments,
 )
@@ -288,6 +289,31 @@ def test_energy_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
     with pytest.raises(DiagnosticError, match="energy estimate violated") as info:
         run(0.5, IID_SPEC_2D, geom)
     assert names_sample(info, geom, BAD_ROW)
+
+
+def test_only_a_failing_row_formats_its_sample_id(monkeypatch):
+    formatted = []
+
+    def counted(*label):
+        formatted.append(label[-1])
+        return _sample_id(*label)
+
+    monkeypatch.setattr(corrector, "_sample_id", counted)
+    monkeypatch.setattr(IncrementSample, "sample_id", property(lambda self: pytest.fail("id read")))
+    geom = TorusGeometry(2, 16)
+    steps = ((0.5, lattice._inverse_symbol(0.5, geom.shape)),)
+    task = (IID_SPEC_2D, geom, steps, 0, range(corrector._chunk_rows(geom)))
+    corrector._chunk_stats(task)
+    assert formatted == []
+
+    exact = IncrementSample.second_moment
+    monkeypatch.setattr(
+        IncrementSample, "second_moment",
+        lambda self: (0.1 if self.realization == BAD_ROW else 1.0) * exact(self),
+    )
+    with pytest.raises(DiagnosticError, match="energy estimate violated"):
+        corrector._chunk_stats(task)
+    assert formatted == [BAD_ROW]
 
 
 def test_unperturbed_paths_pass_the_checks():

@@ -7,6 +7,7 @@ otherwise.
 """
 
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from incrstat.randfields import (
     gradient_increments,
     iid_increments,
 )
+
+from oracle_utils import complex_fft_synthesis_reference
 
 
 def curl_max(sample: IncrementSample) -> float:
@@ -329,39 +332,54 @@ def test_decay_alpha_cross_seed_correlation():
     assert abs(corr) <= 0.08
 
 
-@pytest.fixture(scope="module")
-def decay_samples_3d():
-    geom = TorusGeometry(3, 64)
-    return [decay_alpha_increments(geom, 0, 3.0, 0, i) for i in range(200)]
+FIT_LAG_SIDES = (2, 3, 4, 6, 8, 11, 16)
 
 
-def test_decay_alpha_fitted_exponent(decay_samples_3d):
+def axis_lags(sides, d):
+    """Each side along each axis in turn, as d-coordinate lags."""
     lags = []
-    for m in (2, 3, 4, 6, 8, 11, 16):
-        for ax in range(3):
-            v = [0, 0, 0]
+    for m in sides:
+        for ax in range(d):
+            v = [0] * d
             v[ax] = m
             lags.append(tuple(v))
-    est = empirical_covariance(decay_samples_3d, lags)
+    return lags
+
+
+@pytest.fixture(scope="module")
+def decay_estimate_3d():
+    """One streamed estimate over 200 d=3, L=64 samples, at lag 0 and the fitted lags.
+
+    Lag 0 lies outside the exponent fit, so sharing the estimate leaves
+    alpha_hat as a fit over the fitted lags alone would give it.
+    """
+    geom = TorusGeometry(3, 64)
+    samples = (decay_alpha_increments(geom, 0, 3.0, 0, i) for i in range(200))
+    return geom, empirical_covariance(samples, [(0, 0, 0)] + axis_lags(FIT_LAG_SIDES, 3))
+
+
+def test_decay_alpha_fitted_exponent(decay_estimate_3d):
+    _, est = decay_estimate_3d
+    assert est.n_samples == 200
     assert est.alpha_hat is not None
     assert 2.5 <= est.alpha_hat <= 3.5
     assert est.alpha_halfwidth < 0.5
     assert est.n_fit_entries >= 10
 
 
-def test_decay_alpha_lag0_variance(decay_samples_3d):
-    geom = decay_samples_3d[0].geometry
-    est = empirical_covariance(decay_samples_3d, [(0, 0, 0)])
+def test_decay_alpha_lag0_variance(decay_estimate_3d):
+    geom, est = decay_estimate_3d
+    j = est.lag_index((0, 0, 0))
     # exact expectation: mean of the clamped spectrum, minus the variance
     # removed by exact empirical centering (the zero mode over N sites)
     cov = 1.0 / (1.0 + geom.site_distances() ** 3.0)
     clamped = np.maximum(np.fft.fftn(cov).real, 0.0)
     expected = float(clamped.mean() - clamped[(0, 0, 0)] / geom.n_sites)
     for l in range(3):
-        assert est.cov[0, l, l] >= 0.0
-        assert abs(est.cov[0, l, l] - expected) <= 4.0 * est.stderr[0, l, l]
+        assert est.cov[j, l, l] >= 0.0
+        assert abs(est.cov[j, l, l] - expected) <= 4.0 * est.stderr[j, l, l]
         # the clamp shifts the realized variance off 1 by under one percent
-        assert abs(est.cov[0, l, l] - 1.0) <= 0.01
+        assert abs(est.cov[j, l, l] - 1.0) <= 0.01
 
 
 # ---------------------------------------------------------------- gff
@@ -405,16 +423,44 @@ def test_gff_log_variance_growth():
 
 def test_gff_covariance_exponent_near_two():
     geom = TorusGeometry(2, 128)
-    samples = [gff_increments(geom, 0, 0, i) for i in range(100)]
-    lags = []
-    for m in (2, 3, 4, 6, 8, 11, 16):
-        for ax in range(2):
-            v = [0, 0]
-            v[ax] = m
-            lags.append(tuple(v))
-    est = empirical_covariance(samples, lags)
+    samples = (gff_increments(geom, 0, 0, i) for i in range(100))
+    est = empirical_covariance(samples, axis_lags(FIT_LAG_SIDES, 2))
     assert est.alpha_hat is not None
     assert 1.5 <= est.alpha_hat <= 2.5
+
+
+# ---------------------------------------------------------------- synthesis oracle
+
+# even and odd sides, the smallest included: the rfftn half spectrum has a
+# Nyquist plane only at even L
+ORACLE_SIDES = (2, 3, 8, 9, 16)
+
+
+def within_oracle(values, ref):
+    return np.max(np.abs(values - ref)) <= 1e-14 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("L", ORACLE_SIDES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_decay_alpha_matches_complex_fft_oracle(d, L):
+    # the oracle draws the d components one after another, so this also pins
+    # that one (d,) + shape draw takes the same stream
+    geom = TorusGeometry(d, L)
+    for i in range(2):
+        s = decay_alpha_increments(geom, 0, 3.0, 5, i)
+        ref = complex_fft_synthesis_reference("decay_alpha", d, L, 5, i, 3.0)
+        assert within_oracle(s.values, ref)
+
+
+@pytest.mark.parametrize("L", ORACLE_SIDES + (64,))
+def test_gff_matches_complex_fft_oracle(L):
+    for i in range(2):
+        s = gff_increments(TorusGeometry(2, L), 0, 5, i)
+        psi = complex_fft_synthesis_reference("gff", 2, L, 5, i)[0]
+        zeta = np.stack([np.roll(psi, -1, axis=l) - psi for l in range(2)])
+        zeta -= zeta.mean(axis=(1, 2), keepdims=True)
+        assert within_oracle(s.values, zeta)
+        assert s.psi_second_moment == pytest.approx(float(np.mean(psi**2)), rel=1e-13)
 
 
 # ---------------------------------------------------------------- estimator
@@ -458,6 +504,61 @@ def test_covariance_rejects_mixed_axis():
 def test_covariance_rejects_wrong_lag_width():
     with pytest.raises(ValueError, match="coordinates"):
         empirical_covariance(_iid_batch(2), [(0, 0)])
+
+
+def streamed(samples):
+    """The samples as a one-pass generator."""
+    yield from samples
+
+
+def test_covariance_over_generator_equals_list_bitwise():
+    samples = [decay_alpha_increments(TorusGeometry(2, 8), 1, 3.0, 2, i) for i in range(5)]
+    lags = [(0, 0), (1, 0), (0, 2), (-1, 3)]
+    a = empirical_covariance(samples, lags)
+    b = empirical_covariance(streamed(samples), lags)
+    for name in ("cov", "stderr", "lags"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (a.axis, a.n_samples, a.alpha_hat, a.alpha_halfwidth, a.n_fit_entries) == (
+        b.axis, b.n_samples, b.alpha_hat, b.alpha_halfwidth, b.n_fit_entries
+    )
+
+
+def covariance_error_cases():
+    """(message, samples, lags) of each case the existing list tests raise on."""
+    geom1, geom2 = TorusGeometry(1, 16), TorusGeometry(2, 8)
+    g1, g2 = IncrementLaw("gaussian", 1.0), IncrementLaw("gaussian", 2.0)
+    mixed_law = [iid_increments(geom1, 0, g1, 0, 0), iid_increments(geom1, 0, g2, 0, 1)]
+    mixed_axis = [iid_increments(geom2, 0, g1, 0, 0), iid_increments(geom2, 1, g1, 0, 1)]
+    return [
+        ("at least 2", [], [(0,)]),
+        ("at least 2", _iid_batch(1), [(0,)]),
+        ("geometries", _iid_batch(1, geom1) + _iid_batch(1, TorusGeometry(1, 32)), [(0,)]),
+        ("generators", mixed_law, [(0,)]),
+        ("axes", mixed_axis, [(0, 0)]),
+        ("coordinates", _iid_batch(2), [(0, 0)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(covariance_error_cases())))
+def test_covariance_errors_raise_on_a_generator(case):
+    match, samples, lags = covariance_error_cases()[case]
+    with pytest.raises(ValueError, match=match):
+        empirical_covariance(streamed(samples), lags)
+
+
+def test_covariance_drops_each_sample_before_the_next():
+    geom = TorusGeometry(2, 8)
+    seen = []
+
+    def tracked():
+        for i in range(4):
+            assert all(ref() is None for ref in seen), "an earlier sample is still held"
+            s = decay_alpha_increments(geom, 0, 3.0, 0, i)
+            seen.append(weakref.ref(s))
+            yield s
+            del s
+
+    assert empirical_covariance(tracked(), [(0, 0), (1, 0)]).n_samples == 4
 
 
 def test_lag_index_lookup():

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config/usage, 3 budget, 4 generator,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import itertools
@@ -226,7 +227,6 @@ def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
             "spread_decreases": study.spread_decreases,
             "shift": study.shift,
             "shift_agrees": study.shift_agrees,
-            "flags": list(study.flags),
             "config_text": config_text,
         },
     )
@@ -339,15 +339,8 @@ def _render_energy(payload: dict, lines: list[str]) -> None:
         lines.append(f"  N={N}: density {mean:.6g} (spread {spread:.3g})")
     decreases = _field(payload, "spread_decreases", bool)
     lines.append(f"  spread decreases with N: {'pass' if decreases else 'fail'}")
-    agrees = _field(payload, "shift_agrees", bool, type(None))
-    if agrees is None:
-        lines.append("  shift invariance: skipped")
-    else:
-        lines.append(
-            f"  shifted densities within 2x spread: {'pass' if agrees else 'fail'}"
-        )
-    for f in _field(payload, "flags", list):
-        lines.append(f"  flag: {f}")
+    agrees = _field(payload, "shift_agrees", bool)
+    lines.append(f"  shifted densities within 2x spread: {'pass' if agrees else 'fail'}")
 
 
 def _rendered(path: str, payload: dict, renderer) -> list[str]:
@@ -428,6 +421,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _windowed_map(ex: ThreadPoolExecutor, depth: int, fn, items):
+    """ex.map(fn, items) in order, with at most `depth` tasks submitted and not yet yielded."""
+    pending = collections.deque()
+    for item in items:
+        pending.append(ex.submit(fn, item))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _emit_error(exc: Exception, code: int) -> None:
     sys.stderr.write(
         json.dumps(
@@ -455,7 +459,9 @@ def main(argv=None) -> int:
         else:
             ex = ThreadPoolExecutor(max_workers=args.threads)
             try:
-                paths = runner(values, args.out, ex.map)
+                # a bounded window keeps a run's memory flat in its task count
+                map_fn = functools.partial(_windowed_map, ex, 2 * args.threads)
+                paths = runner(values, args.out, map_fn)
             finally:
                 # on failure or interrupt, drop the queued tasks instead of running them
                 ex.shutdown(cancel_futures=True)

@@ -10,8 +10,8 @@ the config. Float values must be finite.
 A config holds only what the results depend on. The worker count and
 the output directory are command-line flags (`--threads`, `--out`) and
 never config keys, so every key of a validated config is in the
-canonical form. The kind lists and the box-size rule that the schemas
-check are those of the library modules that use them.
+canonical form. The kind lists and the rules on box sizes, p and lags
+that the schemas check are those of the library modules that use them.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError
+from .green import p_error
 from .pointsets import INTERVAL_LAWS, MIN_SEEDS, POTENTIALS, box_sizes_error
-from .randfields import GENERATOR_KINDS, INCREMENT_LAWS
+from .randfields import GENERATOR_KINDS, INCREMENT_LAWS, lags_error
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +50,11 @@ def _at_least(n):
     return lambda v: None if v >= n else f"must be at least {n}, got {v}"
 
 
+def _each(rule):
+    """A list check: the first complaint of `rule` about any item."""
+    return lambda vs: next(filter(None, map(rule, vs)), None)
+
+
 _COMMON = (
     Key("schema", "int", default=SCHEMA_VERSION),
     Key("seed", "int", default=0, check=_nonnegative),
@@ -70,7 +76,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         _D,
         Key("L", "int", required=True, check=_at_least(2)),
         Key("mu", "float", required=True, check=_positive),
-        Key("p", "float_list", default=(2.0,)),
+        Key("p", "float_list", default=(2.0,), check=_each(p_error)),
     ),
     "covariance": _COMMON
     + _GENERATOR_KEYS
@@ -78,7 +84,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         _D,
         Key("L", "int", required=True, check=_at_least(2)),
         Key("n_samples", "int", required=True, check=_at_least(2)),
-        Key("lag_list", "int_list", default=(0, 1, 2, 4, 8)),
+        Key("lag_list", "int_list", default=(0, 1, 2, 4, 8), check=lags_error),
     ),
     "corrector-scaling": _COMMON
     + _GENERATOR_KEYS

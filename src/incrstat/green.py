@@ -28,7 +28,6 @@ __all__ = [
     "decay_rate_1d",
     "GreenTable",
     "green_torus",
-    "green_1d_table",
     "grad_green_l2",
     "DyadicGradientNorms",
     "dyadic_gradient_norms",
@@ -58,24 +57,17 @@ def green_1d_exact(mu: float, x) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class GreenTable:
-    """Tabulated Green's function values and forward gradient.
+    """Green's function values over a torus (shape geometry.shape) and their gradient.
 
-    mode "torus_spectral": values over a torus, shape geometry.shape, grad
-    shape (d,) + geometry.shape. mode "exact_1d": values over x = -radius
-    .. radius from the closed form, grad over x = -radius .. radius - 1.
-
-    wrap_estimate bounds the contamination of the table by periodic images
-    (or, for exact_1d, by the truncation): lambda(mu)^(L/2) resp.
-    lambda(mu)^radius, using the one-dimensional decay rate per axis.
+    grad has shape (d,) + geometry.shape. wrap_estimate bounds the contamination
+    by periodic images: lambda(mu)^(L/2), with the 1-D decay rate per axis.
     """
 
     mu: float
-    mode: str
     values: np.ndarray
     grad: np.ndarray
-    geometry: TorusGeometry | None = None
-    radius: int | None = None
-    wrap_estimate: float = 0.0
+    geometry: TorusGeometry
+    wrap_estimate: float
 
     @property
     def site_sum(self) -> float:
@@ -93,31 +85,12 @@ def green_torus(mu: float, geometry: TorusGeometry) -> GreenTable:
     delta = np.zeros(geometry.shape)
     delta[(0,) * geometry.d] = 1.0
     G = solve_helmholtz(mu, delta)
-    wrap = decay_rate_1d(mu) ** (geometry.L // 2)
     return GreenTable(
         mu=mu,
-        mode="torus_spectral",
         values=G,
         grad=forward_gradient(G),
         geometry=geometry,
-        wrap_estimate=wrap,
-    )
-
-
-def green_1d_table(mu: float, radius: int) -> GreenTable:
-    """Closed-form table on x = -radius .. radius; truncation error ~ lambda^radius."""
-    if radius < 2:
-        raise ValueError(f"radius must be >= 2, got {radius}")
-    xs = np.arange(-radius, radius + 1)
-    vals = green_1d_exact(mu, xs)
-    grad = vals[1:] - vals[:-1]
-    return GreenTable(
-        mu=mu,
-        mode="exact_1d",
-        values=vals,
-        grad=grad[np.newaxis],
-        radius=radius,
-        wrap_estimate=decay_rate_1d(mu) ** radius,
+        wrap_estimate=decay_rate_1d(mu) ** (geometry.L // 2),
     )
 
 
@@ -155,38 +128,35 @@ class DyadicGradientNorms:
     expected_slope: float
 
 
+def p_error(p: float) -> str | None:
+    """Why `p` cannot be the exponent of the dyadic gradient norms, or None if it can."""
+    return None if 1.0 <= p <= 4.0 else f"p must lie in [1, 4], got {p}"
+
+
 def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
     """Sum |grad G_mu(y)|^p over dyadic annuli 2^i < |y| <= 2^{i+1}.
 
     |grad G| is the Euclidean norm of the d-vector of forward differences
     and |y| uses centered torus representatives. Annuli are restricted to
-    2^{i+1} <= L/2 (resp. <= radius) to avoid wrap contamination; fewer
-    than 3 usable annuli is a diagnostic error. The slope of
-    log2(annulus sum) against i estimates d + p(1 - d).
+    2^{i+1} <= L/2 to avoid wrap contamination; fewer than 3 usable
+    annuli is a diagnostic error. The slope of log2(annulus sum) against
+    i estimates d + p(1 - d).
     """
-    if not 1.0 <= p <= 4.0:
-        raise ValueError(f"p must lie in [1, 4], got {p}")
-    if table.mode == "torus_spectral":
-        geom = table.geometry
-        mag = np.sqrt(np.sum(table.grad**2, axis=0))
-        dist = geom.site_distances()
-        d = geom.d
-        limit = geom.L // 2
-    else:
-        mag = np.abs(table.grad[0])
-        dist = np.abs(np.arange(-table.radius, table.radius))
-        d = 1
-        limit = table.radius
+    if problem := p_error(p):
+        raise ValueError(problem)
+    geom = table.geometry
+    mag = np.sqrt(np.sum(table.grad**2, axis=0))
+    dist = geom.site_distances()
     annuli = []
     i = 0
-    while 2 ** (i + 1) <= limit:
+    while 2 ** (i + 1) <= geom.L // 2:
         mask = (dist > 2**i) & (dist <= 2 ** (i + 1))
         annuli.append((i, float(np.sum(mag[mask] ** p))))
         i += 1
     if len(annuli) < 3:
         raise DiagnosticError(
             f"only {len(annuli)} dyadic annuli fit inside the table; need >= 3 "
-            f"(increase L or radius)"
+            "(increase L)"
         )
     idx = np.array([a[0] for a in annuli], dtype=float)
     slope, r2 = _linfit(idx, np.log2([a[1] for a in annuli]))
@@ -195,5 +165,5 @@ def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
         annuli=tuple(annuli),
         slope=slope,
         r2=r2,
-        expected_slope=d + p * (1 - d),
+        expected_slope=geom.d + p * (1 - geom.d),
     )

@@ -306,8 +306,7 @@ class DensityStudy:
 
     spread is the cross-seed standard deviation per size. The shift check
     compares densities of theta_k-shifted realizations (same seeds)
-    against the unshifted cross-seed statistics; it is skipped, with a
-    flag, for generators that carry no shift action.
+    against the unshifted cross-seed statistics.
     """
 
     sizes: tuple[int, ...]
@@ -316,9 +315,8 @@ class DensityStudy:
     potential: PairPotential
     energies: np.ndarray  # (sizes, seeds)
     densities: np.ndarray  # (sizes, seeds)
-    shifted_densities: np.ndarray | None
-    shift: int | None
-    flags: tuple[str, ...]
+    shifted_densities: np.ndarray  # (sizes, seeds)
+    shift: int
 
     @property
     def means(self) -> np.ndarray:
@@ -334,23 +332,14 @@ class DensityStudy:
         return bool(s[-1] < s[0])
 
     @property
-    def shift_supported(self) -> bool:
-        return self.shifted_densities is not None
-
-    @property
-    def shift_mean_gaps(self) -> np.ndarray | None:
+    def shift_mean_gaps(self) -> np.ndarray:
         """|mean of shifted densities - mean| per size."""
-        if self.shifted_densities is None:
-            return None
         return np.abs(self.shifted_densities.mean(axis=1) - self.means)
 
     @property
-    def shift_agrees(self) -> bool | None:
+    def shift_agrees(self) -> bool:
         """Shifted-realization mean density within 2x cross-seed spread, every size."""
-        gaps = self.shift_mean_gaps
-        if gaps is None:
-            return None
-        return bool(np.all(gaps <= 2.0 * self.spreads + 1e-15))
+        return bool(np.all(self.shift_mean_gaps <= 2.0 * self.spreads + 1e-15))
 
     def rows(self) -> list[tuple[int, float, float]]:
         return [
@@ -360,13 +349,11 @@ class DensityStudy:
 
     def records(self) -> list[tuple[int, int, float, float]]:
         """(N, seed index, energy, density) per run, CSV-ready."""
-        out = []
-        for i, N in enumerate(self.sizes):
-            for s in range(self.n_seeds):
-                out.append(
-                    (N, s, float(self.energies[i, s]), float(self.densities[i, s]))
-                )
-        return out
+        return [
+            (N, s, float(self.energies[i, s]), float(self.densities[i, s]))
+            for i, N in enumerate(self.sizes)
+            for s in range(self.n_seeds)
+        ]
 
 
 def study_window(
@@ -388,25 +375,22 @@ def box_sizes_error(sizes: Sequence[int]) -> str | None:
         return f"need at least 3 box sizes, got {len(sizes)}"
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         return "box sizes must be strictly increasing"
+    if sizes[0] < 1:
+        return f"box sizes must be positive, got {sizes[0]}"
     return None
 
 
-def _density_task(task) -> tuple[int, int, float, float, float | None]:
-    law, V, generic, N, size_idx, seed_idx, master_seed, shift, d = task
-    region = ((0.0, float(N)),) * d
-    if law is not None:
-        e = energy(study_window(law, V, N, master_seed, seed_idx), V, region)
-        e_s = energy(study_window(law, V, N, master_seed, seed_idx, shift), V, region)
-        shifted = e_s / float(N) ** d
-    else:
-        win = generic(N, derive_seed(master_seed, DOMAIN_POINTSET, seed_idx))
-        e = energy(win, V, region)
-        shifted = None
-    return (size_idx, seed_idx, e, e / float(N) ** d, shifted)
+def _density_task(task) -> tuple[int, int, float, float, float]:
+    """(size index, seed index, energy, density, shifted density) of one run."""
+    law, V, N, size_idx, seed_idx, master_seed, shift = task
+    region = ((0.0, float(N)),)
+    e = energy(study_window(law, V, N, master_seed, seed_idx), V, region)
+    e_s = energy(study_window(law, V, N, master_seed, seed_idx, shift), V, region)
+    return (size_idx, seed_idx, e, e / float(N), e_s / float(N))
 
 
 def thermodynamic_density(
-    generator: IntervalLaw | Callable[[int, int], PointSetWindow],
+    law: IntervalLaw,
     V: PairPotential,
     sizes: Sequence[int],
     n_seeds: int = 8,
@@ -414,53 +398,34 @@ def thermodynamic_density(
     shift: int = 8,
     map_fn: Callable[..., Iterable] | None = None,
 ) -> DensityStudy:
-    """Estimate the thermodynamic energy density over growing boxes [0, N]^d.
+    """Estimate the thermodynamic energy density of a renewal set over boxes [0, N].
 
-    generator: an IntervalLaw (renewal set on the line, shift action
-    supported) or a callable (N, seed) -> PointSetWindow covering
-    [0, N]^d, for which the shift invariance check is skipped and flagged.
-    Seed index s uses the derived sub-seed (master_seed, point-set
-    domain, s); aggregation is indexed, so results do not depend on
-    map_fn scheduling.
+    Seed index s measures the window `study_window` draws for it, and the
+    same window under the index shift by `shift`; aggregation is indexed,
+    so results do not depend on map_fn scheduling.
     """
     sizes = tuple(int(N) for N in sizes)
-    problem = box_sizes_error(sizes)
-    if problem:
+    if problem := box_sizes_error(sizes):
         raise ValueError(problem)
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds")
-    if map_fn is None:
-        map_fn = map
-    law = generator if isinstance(generator, IntervalLaw) else None
-    generic = None if law is not None else generator
-    d = 1 if law is not None else generic(sizes[0], 0).d
-    flags: tuple[str, ...] = ()
-    if law is None:
-        flags = ("shift invariance check skipped: generator has no shift action",)
-
     tasks = [
-        (law, V, generic, N, i, s, master_seed, shift, d)
+        (law, V, N, i, s, master_seed, shift)
         for i, N in enumerate(sizes)
         for s in range(n_seeds)
     ]
-    energies = np.empty((len(sizes), n_seeds))
-    densities = np.empty((len(sizes), n_seeds))
-    shifted = np.empty((len(sizes), n_seeds)) if law is not None else None
-    for i, s, e, dens, dens_s in map_fn(_density_task, tasks):
-        energies[i, s] = e
-        densities[i, s] = dens
-        if shifted is not None:
-            shifted[i, s] = dens_s
+    runs = np.empty((3, len(sizes), n_seeds))  # energy, density, shifted density
+    for i, s, *values in (map_fn or map)(_density_task, tasks):
+        runs[:, i, s] = values
     return DensityStudy(
         sizes=sizes,
         n_seeds=n_seeds,
         master_seed=master_seed,
         potential=V,
-        energies=energies,
-        densities=densities,
-        shifted_densities=shifted,
-        shift=shift if law is not None else None,
-        flags=flags,
+        energies=runs[0],
+        densities=runs[1],
+        shifted_densities=runs[2],
+        shift=shift,
     )
 
 
@@ -619,11 +584,6 @@ class LinearityVerdict:
     residual: float
     tol: float
     tested_shifts: tuple[tuple[int, ...], ...]
-
-    @property
-    def max_y_dependence(self) -> float:
-        """Spread of increments over base sites; the non-affine evidence."""
-        return self.residual
 
 
 def _shift_test_set(d: int, shape: tuple[int, ...]) -> list[tuple[int, ...]]:

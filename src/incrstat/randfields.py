@@ -399,6 +399,11 @@ class CovarianceEstimate:
         return int(hits[0])
 
 
+def lags_error(lags: Sequence) -> str | None:
+    """Why `lags` cannot be the lags of a covariance estimate, or None if they can."""
+    return None if len(lags) else "need at least one lag"
+
+
 def empirical_covariance(
     samples: Iterable[IncrementSample], lags: Sequence
 ) -> CovarianceEstimate:
@@ -409,6 +414,8 @@ def empirical_covariance(
     first, reduced to its (lags, d, d) statistic and dropped, so any
     iterable serves and no more than one sample is held at a time.
     """
+    if problem := lags_error(lags):
+        raise ValueError(problem)
     lag_arr = np.atleast_2d(np.asarray(lags, dtype=int))
     stats = []
     for s in samples:

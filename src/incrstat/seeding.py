@@ -28,16 +28,20 @@ DOMAIN_INTERVALS = 1
 DOMAIN_POINTSET = 2
 
 
+def _seed_sequence(master_seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    """The SeedSequence of stream (master_seed, *path); the seed must be nonnegative."""
+    if master_seed < 0:
+        raise ValueError("master_seed must be a nonnegative integer")
+    return np.random.SeedSequence((int(master_seed),) + tuple(int(p) for p in path))
+
+
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for stream (master_seed, *path).
 
     The same arguments always produce a bit-identical stream; distinct
     paths produce statistically independent streams.
     """
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
-    entropy = (int(master_seed),) + tuple(int(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(_seed_sequence(master_seed, path))
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -46,10 +50,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     Used where a downstream API wants one integer seed (e.g. one point-set
     realization per study seed index) rather than a Generator.
     """
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
-    entropy = (int(master_seed),) + tuple(int(p) for p in path)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master_seed, path).generate_state(1, np.uint64)[0])
 
 
 def zigzag(i: int) -> int:

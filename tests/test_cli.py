@@ -12,6 +12,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -407,6 +409,53 @@ def test_threads_below_one_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def run_threaded_tasks(tmp_path, monkeypatch, task, n_tasks, consumed, consume_s=0.0):
+    """main() at --threads 2 on a runner that maps `task` over range(n_tasks).
+
+    Each result is appended to `consumed` as the runner receives it; the
+    runner then sleeps `consume_s`.
+    """
+
+    def runner(values, out_dir, map_fn):
+        for r in map_fn(task, range(n_tasks)):
+            consumed.append(r)
+            time.sleep(consume_s)
+        return []
+
+    monkeypatch.setitem(cli._RUNNERS, "green", runner)
+    return cli.main(["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--threads", "2"])
+
+
+def test_threads_keep_at_most_twice_their_count_in_flight(tmp_path, monkeypatch):
+    lock = threading.Lock()
+    started, consumed, in_flight = [], [], []
+
+    def task(i):
+        with lock:
+            started.append(i)
+            in_flight.append(len(started) - len(consumed))
+        return i
+
+    # a slow consumer: were every task submitted at once, all 40 would start
+    assert run_threaded_tasks(tmp_path, monkeypatch, task, 40, consumed, consume_s=0.005) == 0
+    assert consumed == list(range(40))
+    assert max(in_flight) <= 4
+
+
+def test_failed_task_drops_the_queued_tasks(tmp_path, monkeypatch, capsys):
+    started = []
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            raise DiagnosticError("injected task failure")
+        return i
+
+    assert run_threaded_tasks(tmp_path, monkeypatch, task, 100, []) == 5
+    assert stderr_error(capsys)["message"] == "injected task failure"
+    assert len(started) <= 4
+
+
 def test_out_defaults_to_working_directory(tmp_path, monkeypatch, capsys):
     cfg_path = write_cfg(tmp_path, GREEN_CFG)
     monkeypatch.chdir(tmp_path)
@@ -597,17 +646,28 @@ def test_nonpositive_alpha_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "subcommand, text, message",
     [
-        ("d = 1\nL = 16\ngenerator = decay_alpha\nalpha = -1\nn_samples = 2\n", "alpha: "),
-        ("d = 1\nL = 16\ngenerator = iid\naxis = 2\nn_samples = 2\n", "axis: must be < d"),
+        ("covariance", "d = 1\nL = 16\ngenerator = decay_alpha\nalpha = -1\nn_samples = 2\n",
+         "alpha: "),
+        ("covariance", "d = 1\nL = 16\ngenerator = iid\naxis = 2\nn_samples = 2\n",
+         "axis: must be < d"),
+        ("green", GREEN_CFG + "p = 5.0\n", "p: p must lie in [1, 4], got 5.0"),
+        ("green", GREEN_CFG + "p = 2.0,0.5\n", "p: p must lie in [1, 4], got 0.5"),
+        ("covariance", COV_CFG.replace("lag_list = 0,1", "lag_list ="),
+         "lag_list: need at least one lag"),
+        ("energy", ENERGY_CFG.replace("64,128,256", "0,1,2"), "sizes: box sizes must be positive"),
+        ("energy", ENERGY_CFG.replace("64,128,256", "-3,-2,-1"),
+         "sizes: box sizes must be positive"),
     ],
-    ids=["alpha", "axis"],
+    ids=["alpha", "axis", "p_above", "p_below", "empty_lag_list", "zero_size", "negative_sizes"],
 )
-def test_constructor_rejected_config_leaves_no_out(tmp_path, capsys, text, message):
+def test_constructor_rejected_config_leaves_no_out(tmp_path, capsys, subcommand, text, message):
     out = tmp_path / "o"
-    assert cli.main(["covariance", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
-    assert stderr_error(capsys)["message"].startswith(message)
+    assert cli.main([subcommand, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["message"].startswith(message)
     assert not out.exists()
 
 
@@ -736,6 +796,7 @@ def test_report_renders_all_real_artifact_kinds(artifacts, capsys):
         assert title in out
     assert "decay exponent: indeterminate" in out
     assert "spread decreases with N:" in out
+    assert "shifted densities within 2x spread:" in out
     assert "note: L-rule capped at L=16" in out
 
 
@@ -758,6 +819,7 @@ ARTIFACT_FILES = {
         ("covariance_summary", "warnings", "none"),
         ("energy_summary", "spread_decreases", "yes"),
         ("energy_summary", "rows", [{"N": 64}]),
+        ("energy_summary", "shift_agrees", None),
     ],
 )
 def test_report_malformed_artifact_exits_5(artifacts, tmp_path, capsys, kind, field, bad):

@@ -11,7 +11,6 @@ from incrstat.green import (
     dyadic_gradient_norms,
     grad_green_l2,
     green_1d_exact,
-    green_1d_table,
     green_torus,
 )
 from incrstat.lattice import TorusGeometry, laplacian
@@ -137,16 +136,6 @@ def test_torus_wrap_estimate():
     assert table.wrap_estimate == pytest.approx(decay_rate_1d(mu) ** (L // 2), rel=1e-12)
 
 
-def test_exact_table_mode():
-    table = green_1d_table(3.0, radius=40)
-    assert table.mode == "exact_1d"
-    assert table.values.shape == (81,)
-    assert table.grad.shape == (1, 80)
-    assert table.wrap_estimate == pytest.approx(decay_rate_1d(3.0) ** 40, rel=1e-12)
-    with pytest.raises(ValueError):
-        green_1d_table(3.0, radius=1)
-
-
 # ------------------------------------------------------------- gradient norms
 
 
@@ -214,12 +203,6 @@ def test_dyadic_slopes_d3():
         assert fit.expected_slope == expected
         assert abs(fit.slope - expected) <= 0.5
         assert len(fit.annuli) >= 4
-
-
-def test_dyadic_exact_1d_mode():
-    fit = dyadic_gradient_norms(green_1d_table(0.01, radius=64), 2.0)
-    assert fit.expected_slope == 1 + 2 * (1 - 1)  # d + p(1-d) with d = 1
-    assert len(fit.annuli) >= 5
 
 
 def test_dyadic_needs_three_annuli():

@@ -417,6 +417,9 @@ def test_density_study_validation():
         thermodynamic_density(UNIT_INTERVAL, V, (64, 128))
     with pytest.raises(ValueError, match="strictly increasing"):
         thermodynamic_density(UNIT_INTERVAL, V, (64, 64, 128))
+    for sizes in ((0, 1, 2), (-3, -2, -1)):
+        with pytest.raises(ValueError, match="positive"):
+            thermodynamic_density(UNIT_INTERVAL, V, sizes)
     with pytest.raises(ValueError, match="at least 8"):
         thermodynamic_density(UNIT_INTERVAL, V, (64, 128, 256), n_seeds=4)
 
@@ -430,7 +433,6 @@ def test_density_deterministic_lattice():
         # pairs at distance 1 and 2 in the closed box [0, N]
         assert np.all(st.energies[i] == float(2 * N - 1))
         assert st.means[i] == pytest.approx(2.0 - 1.0 / N)
-    assert st.shift_supported
     assert st.shift_agrees
     assert np.all(st.shift_mean_gaps == 0.0)
 
@@ -447,20 +449,6 @@ def test_density_renewal_self_averaging():
     recs = st.records()
     assert len(recs) == 4 * 8
     assert recs[0][:2] == (64, 0)
-
-
-def test_density_callable_generator_skips_shift_check():
-    V = PairPotential("indicator", 1.5)
-
-    def gen(N, seed):
-        return renewal_pointset_1d(UNIT_INTERVAL, (-2.0, N + 2.0), seed)
-
-    st = thermodynamic_density(gen, V, (8, 16, 32), n_seeds=8)
-    assert not st.shift_supported
-    assert st.shift_agrees is None
-    assert st.shift_mean_gaps is None
-    assert st.shift is None
-    assert any("skipped" in f for f in st.flags)
 
 
 def test_density_order_independent():
@@ -626,7 +614,6 @@ def test_detector_flags_perturbed_field():
     assert not v.affine
     assert v.A is None
     assert v.residual > 0.1
-    assert v.max_y_dependence == v.residual
 
 
 def test_detector_zero_amplitude_gives_identity():

@@ -28,6 +28,7 @@ from incrstat.randfields import (
     gradient_increments,
     iid_increments,
 )
+from incrstat.seeding import derive_rng, derive_seed
 
 from oracle_utils import complex_fft_synthesis_reference
 
@@ -161,6 +162,15 @@ def test_iid_seed_determinism_property(kind, param, seed):
     a = iid_increments(geom, 0, law, seed)
     b = iid_increments(geom, 0, law, seed)
     assert np.array_equal(a.values, b.values)
+
+
+def test_derived_streams_are_pinned():
+    # values of the stream addresses fixed since the seeding rule was introduced
+    assert derive_seed(7, 2, 1) == 12885887828867826467
+    assert derive_rng(7, 0, 3).random() == 0.7765778436824163
+    for derive in (derive_rng, derive_seed):
+        with pytest.raises(ValueError, match="nonnegative"):
+            derive(-1, 0)
 
 
 def test_sample_id_and_second_moment():
@@ -504,6 +514,15 @@ def test_covariance_rejects_mixed_axis():
 def test_covariance_rejects_wrong_lag_width():
     with pytest.raises(ValueError, match="coordinates"):
         empirical_covariance(_iid_batch(2), [(0, 0)])
+
+
+def test_covariance_rejects_empty_lags_before_drawing():
+    def no_samples():
+        raise AssertionError("a sample was drawn")
+        yield
+
+    with pytest.raises(ValueError, match="at least one lag"):
+        empirical_covariance(no_samples(), [])
 
 
 def streamed(samples):

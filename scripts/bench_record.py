@@ -1,33 +1,48 @@
-"""Record the end-to-end medians of every perfbench workload in a BENCH trajectory file.
+"""Record alternating parent/change perfbench runs in a BENCH trajectory file.
 
 Usage:
-    python3 scripts/bench_record.py --label change --out BENCH_12.json
-    python3 scripts/bench_record.py --label parent --checkout ../parent --out BENCH_12.json
+    python3 scripts/bench_record.py --parent ../parent --out BENCH_15.json --pairs 3
+    python3 scripts/bench_record.py --parent ../parent --out BENCH_15.json --pairs 10 \\
+        --workload covariance-decay --seed 7 --seconds 10
 
-For each workload that the checkout's BENCHMARK.json declares, runs
-`python3 perfbench/run.py --workload W --seed S --seconds T` of that
-checkout (default: this one) and stores its end-to-end metrics under
-runs[LABEL], next to the Python and numpy versions, the CPU count
-(`nproc`), `git rev-parse HEAD` of the checkout and whether its src/
-differs from that revision. Other labels already in --out are kept, so
-one file holds a parent and a change measured with the same settings.
+On a noisy machine one run cannot rank two trees. So for each workload
+(default: every workload this checkout's BENCHMARK.json declares) this
+runs `python3 perfbench/run.py --workload W --seed S --seconds T` PAIRS
+times in each of two checkouts, the parent and this one (the change), in
+turn, with the side that runs first alternating from pair to pair. Each side runs its own perfbench/,
+so the two are comparable only when those files do not differ.
+
+The file keeps one series per (workload, seed, seconds): every run's
+end-to-end metrics; per metric, each side's median and quartiles and the
+number of pairs the change won, by the direction BENCHMARK.json declares
+(ties count for neither side); each side's git revision and whether its
+src/ differs from it; and the Python and numpy versions and the CPU
+count. Series already in --out under other keys are kept.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
 
 
 def git(checkout: str, *args: str) -> str | None:
     proc = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def revision(checkout: str) -> dict:
+    status = git(checkout, "status", "--porcelain", "--", "src")
+    return {"rev": git(checkout, "rev-parse", "HEAD"),
+            "src_modified": None if status is None else bool(status)}
 
 
 def run_workload(checkout: str, name: str, seed: int, seconds: float) -> dict:
@@ -40,43 +55,69 @@ def run_workload(checkout: str, name: str, seed: int, seconds: float) -> dict:
     return out
 
 
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change won."""
+    summary = {}
+    for metric, direction in better.items():
+        entry = {"better": direction}
+        for side in SIDES:
+            q1, q2, q3 = statistics.quantiles([p[side][metric] for p in pairs], n=4)
+            entry[side] = {"median": q2, "q1": q1, "q3": q3}
+        sign = 1.0 if direction == "higher" else -1.0
+        entry["change_wins"] = sum(sign * (p["change"][metric] - p["parent"][metric]) > 0
+                                   for p in pairs)
+        summary[metric] = entry
+    return summary
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this run in the file, e.g. parent or change")
+    ap.add_argument("--parent", required=True, help="source checkout of the parent commit")
     ap.add_argument("--out", required=True, help="trajectory file to create or update")
-    ap.add_argument("--checkout", default=ROOT, help="source checkout to measure (default: this one)")
+    ap.add_argument("--workload", action="append", help="workload to run (repeatable; default: all)")
+    ap.add_argument("--pairs", type=int, default=3, help="parent/change pairs per workload (at least 2)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=10.0)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: quartiles need two runs a side")
 
-    checkout = os.path.abspath(args.checkout)
-    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
-        names = [w["name"] for w in json.load(fh)["workloads"]]
-    status = git(checkout, "status", "--porcelain", "--", "src")
-    entry = {
-        "rev": git(checkout, "rev-parse", "HEAD"),
-        "src_modified": None if status is None else bool(status),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "workloads": {},
-    }
-    for name in names:
-        entry["workloads"][name] = run_workload(checkout, name, args.seed, args.seconds)
-        print(name, json.dumps(entry["workloads"][name]), flush=True)
+    checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    names = args.workload or [w["name"] for w in spec["workloads"]]
 
-    record = {"benchmark": "perfbench/run.py end-to-end medians", "runs": {}}
+    record = {"benchmark": "perfbench/run.py end-to-end metrics, alternating parent/change pairs",
+              "series": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
-    record["runs"][args.label] = entry
-    tmp = args.out + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, args.out)
+    for name in names:
+        pairs = []
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_workload(checkouts[side], name, args.seed, args.seconds)
+            pairs.append(pair)
+            print(name, json.dumps(pair), flush=True)
+        record.setdefault("series", {})[f"{name} seed={args.seed} seconds={args.seconds:g}"] = {
+            "workload": name,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "sides": {side: revision(path) for side, path in checkouts.items()},
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+            "summary": summarize(pairs, better),
+            "pairs": pairs,
+        }
+        tmp = args.out + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, args.out)
     return 0
 
 

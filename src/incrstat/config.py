@@ -22,7 +22,7 @@ from typing import Callable
 
 from .errors import ConfigError
 from .green import p_error
-from .pointsets import INTERVAL_LAWS, MIN_SEEDS, POTENTIALS, box_sizes_error
+from .pointsets import INTERVAL_LAWS, MIN_SEEDS, POTENTIALS, box_sizes_error, shift_error
 from .randfields import GENERATOR_KINDS, INCREMENT_LAWS, lags_error
 
 SCHEMA_VERSION = 1
@@ -106,7 +106,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("exponent", "float", default=0.0),
         Key("sizes", "int_list", required=True, check=box_sizes_error),
         Key("n_seeds", "int", default=8, check=_at_least(MIN_SEEDS)),
-        Key("shift", "int", default=8),
+        Key("shift", "int", default=8, check=shift_error),
         Key("export_points", "bool", default=False),
     ),
 }

@@ -17,13 +17,14 @@ alone and returns a new array (backward_divergence can write into a given
 one instead). All three operators are built from one slice stencil,
 `_neighbour_diff`; `_add_backward_diff` adds one term of D*.z to an
 accumulator in place, for residuals. Both take an explicit axis, so they
-also serve a (k,) + shape batch of fields. `np.roll` is used only by
-`shift`, which is a translation. The FFT solve supports arbitrary L >= 2,
+also serve a (k,) + shape batch of fields. Translations have one kernel,
+`_shift_into`, which `shift` wraps. The FFT solve supports arbitrary L >= 2,
 not only powers of two.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -147,8 +148,32 @@ def shift(f: np.ndarray, k) -> np.ndarray:
     k = np.asarray(k, dtype=int).ravel()
     if k.size != f.ndim:
         raise ValueError(f"shift vector has {k.size} entries, field is {f.ndim}d")
-    # np.roll by -k_l along axis l: roll(a, -k)[x] = a[x + k]
-    return np.roll(f, shift=tuple(-k), axis=tuple(range(f.ndim)))
+    return _shift_into(f, k, tuple(range(f.ndim)), np.empty_like(f))
+
+
+def _shift_into(f: np.ndarray, k, axes: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """out[x] = f[x + k] on the torus, k_l acting along axes[l]; returns out.
+
+    The values of np.roll(f, -k, axes), written into a caller's array (which
+    must not overlap f) by the same 2^m slice copies, m the number of axes
+    with k_l != 0 mod the side, and no temporary.
+    """
+    pieces = []
+    for axis, kl in zip(axes, k):
+        n = f.shape[axis]
+        s = int(kl) % n
+        # (source, destination) slice pairs along this axis
+        pieces.append(
+            [(slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))]
+            if s
+            else [(slice(None), slice(None))]
+        )
+    for pairs in itertools.product(*pieces):
+        src, dst = [slice(None)] * f.ndim, [slice(None)] * f.ndim
+        for axis, (a, b) in zip(axes, pairs):
+            src[axis], dst[axis] = a, b
+        out[tuple(dst)] = f[tuple(src)]
+    return out
 
 
 def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:

@@ -311,8 +311,6 @@ class DensityStudy:
 
     sizes: tuple[int, ...]
     n_seeds: int
-    master_seed: int
-    potential: PairPotential
     energies: np.ndarray  # (sizes, seeds)
     densities: np.ndarray  # (sizes, seeds)
     shifted_densities: np.ndarray  # (sizes, seeds)
@@ -380,6 +378,13 @@ def box_sizes_error(sizes: Sequence[int]) -> str | None:
     return None
 
 
+def shift_error(shift: int) -> str | None:
+    """Why `shift` cannot be the index shift of a density study's check, or None if it can."""
+    if shift == 0:
+        return "the index shift must be nonzero; a zero shift compares each window with itself"
+    return None
+
+
 def _density_task(task) -> tuple[int, int, float, float, float]:
     """(size index, seed index, energy, density, shifted density) of one run."""
     law, V, N, size_idx, seed_idx, master_seed, shift = task
@@ -405,7 +410,7 @@ def thermodynamic_density(
     so results do not depend on map_fn scheduling.
     """
     sizes = tuple(int(N) for N in sizes)
-    if problem := box_sizes_error(sizes):
+    if problem := box_sizes_error(sizes) or shift_error(shift):
         raise ValueError(problem)
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds")
@@ -420,8 +425,6 @@ def thermodynamic_density(
     return DensityStudy(
         sizes=sizes,
         n_seeds=n_seeds,
-        master_seed=master_seed,
-        potential=V,
         energies=runs[0],
         densities=runs[1],
         shifted_densities=runs[2],

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GeneratorError
-from .lattice import TorusGeometry, forward_gradient, laplace_symbol
+from .lattice import TorusGeometry, _shift_into, forward_gradient, laplace_symbol
 from .seeding import DOMAIN_FIELD, derive_rng
 
 __all__ = [
@@ -232,11 +232,22 @@ def _spectral_gaussian(
     """count centered real Gaussian fields of spectral density amplitude**2 (rfftn half spectrum).
 
     One (count,) + shape white-noise draw, the stream of count draws of
-    shape in turn, filtered by one rfftn/irfftn pair over the trailing axes.
+    shape in turn, filtered over the trailing axes by the passes of one
+    rfftn/irfftn pair, in their axis order: everything after the first
+    rfft runs in place on its half spectrum, and the last irfft writes
+    into the noise array, so the result equals
+    irfftn(rfftn(noise) * amplitude) bit for bit and only the noise and
+    one half spectrum are allocated.
     """
     axes = tuple(range(1, len(shape) + 1))
-    spectrum = np.fft.rfftn(rng.standard_normal((count,) + shape), axes=axes) * amplitude
-    out = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    noise = rng.standard_normal((count,) + shape)
+    spectrum = np.fft.rfft(noise, axis=axes[-1])
+    for axis in reversed(axes[:-1]):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    spectrum *= amplitude
+    for axis in axes[:-1]:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    out = np.fft.irfft(spectrum, n=shape[-1], axis=axes[-1], out=noise)
     out -= out.mean(axis=axes, keepdims=True)
     return out
 
@@ -425,6 +436,7 @@ def empirical_covariance(
             if lag_arr.shape[1] != d:
                 raise ValueError(f"lags must have {d} coordinates")
             space_axes = tuple(range(1, d + 1))
+            shifted = np.empty((d,) + geom.shape)  # one buffer for every lag of every sample
         elif s.geometry != geom:
             raise ValueError("samples live on different geometries")
         elif (s.generator_id, s.parameters) != generator:
@@ -432,12 +444,14 @@ def empirical_covariance(
         elif s.axis != axis:
             raise ValueError("samples have different axes")
         v = s.values  # (d,) + shape, exactly centered
+        flat = v.reshape(d, -1)
         stat = np.empty((len(lag_arr), d, d))
         for j, k in enumerate(lag_arr):
-            rolled = np.roll(v, shift=tuple(-k), axis=space_axes)
-            stat[j] = np.tensordot(rolled, v, axes=(space_axes, space_axes)) / geom.n_sites
+            # sum over x of v(x + k) v(x)^T, the BLAS call tensordot makes
+            np.dot(_shift_into(v, k, space_axes, shifted).reshape(d, -1), flat.T, out=stat[j])
+        stat /= geom.n_sites
         stats.append(stat)
-        del s, v, rolled  # not held while the next sample is drawn
+        del s, v, flat  # not held while the next sample is drawn
     if len(stats) < 2:
         raise ValueError("need at least 2 samples for a covariance estimate")
     R = len(stats)

@@ -182,3 +182,49 @@ def complex_fft_synthesis_reference(kind, d, L, seed, realization, alpha=None):
         f = np.fft.ifftn(amplitude * np.fft.fftn(rng.standard_normal((L,) * d))).real
         fields.append(f - f.mean())
     return np.stack(fields)
+
+
+def rfftn_pair_synthesis_reference(amplitude, rng, shape, count):
+    """Spectral Gaussian fields by one out-of-place rfftn/irfftn pair.
+
+    The form `randfields._spectral_gaussian` had before its passes ran in
+    place: irfftn(rfftn(noise) * amplitude), centered per field. Same
+    signature, so a test can patch it in for the kernel.
+    """
+    axes = tuple(range(1, len(shape) + 1))
+    spectrum = np.fft.rfftn(rng.standard_normal((count,) + shape), axes=axes) * amplitude
+    out = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    out -= out.mean(axis=axes, keepdims=True)
+    return out
+
+
+def roll_covariance_reference(samples, lags):
+    """(cov, stderr, alpha_hat) of the covariance estimator built on np.roll and np.tensordot.
+
+    Each sample's statistic at lag k is tensordot(np.roll(v, -k), v) over
+    the spatial axes divided by the site count; the jackknife and the
+    decay fit are those of `randfields.empirical_covariance`.
+    """
+    lag_arr = np.atleast_2d(np.asarray(lags, dtype=int))
+    stats = []
+    for s in samples:
+        v = s.values
+        space = tuple(range(1, v.ndim))
+        stats.append(np.stack([
+            np.tensordot(np.roll(v, shift=tuple(-k), axis=space), v, axes=(space, space))
+            / s.geometry.n_sites
+            for k in lag_arr
+        ]))
+    R = len(stats)
+    per_real = np.stack(stats)
+    mean = per_real.mean(axis=0)
+    loo = (mean[np.newaxis] * R - per_real) / (R - 1)
+    stderr = np.sqrt((R - 1) / R * np.sum((loo - mean[np.newaxis]) ** 2, axis=0))
+    mags = np.sqrt(np.sum(lag_arr.astype(float) ** 2, axis=1))
+    fit = (np.abs(mean) > 3.0 * stderr) & (mean != 0.0) & (mags > 0)[:, None, None]
+    x = np.log(mags[np.nonzero(fit)[0]])
+    y = np.log(np.abs(mean[fit]))
+    alpha_hat = None
+    if len(x) >= 2 and len(np.unique(x)) >= 2:
+        alpha_hat = float(-np.polyfit(x, y, 1)[0])
+    return mean, stderr, alpha_hat

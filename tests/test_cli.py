@@ -659,8 +659,11 @@ def test_nonpositive_alpha_is_config_error(tmp_path, capsys):
         ("energy", ENERGY_CFG.replace("64,128,256", "0,1,2"), "sizes: box sizes must be positive"),
         ("energy", ENERGY_CFG.replace("64,128,256", "-3,-2,-1"),
          "sizes: box sizes must be positive"),
+        ("energy", ENERGY_CFG.replace("shift = 2", "shift = 0"),
+         "shift: the index shift must be nonzero"),
     ],
-    ids=["alpha", "axis", "p_above", "p_below", "empty_lag_list", "zero_size", "negative_sizes"],
+    ids=["alpha", "axis", "p_above", "p_below", "empty_lag_list", "zero_size", "negative_sizes",
+         "zero_shift"],
 )
 def test_constructor_rejected_config_leaves_no_out(tmp_path, capsys, subcommand, text, message):
     out = tmp_path / "o"

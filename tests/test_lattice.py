@@ -132,6 +132,16 @@ def test_shift_group_law(seed, dl):
     assert np.array_equal(shift(f, np.zeros(geom.d, dtype=int)), f)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(SMALL_GEOMS))
+def test_shift_equals_np_roll(seed, dl):
+    geom = TorusGeometry(*dl)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(geom.shape)
+    k = rng.integers(-2 * geom.L, 2 * geom.L + 1, size=geom.d)
+    assert shift(f, k).tobytes() == np.roll(f, tuple(-k), tuple(range(geom.d))).tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from(SMALL_GEOMS))
 def test_shift_preserves_value_multiset(seed, dl):

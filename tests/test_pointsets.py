@@ -422,6 +422,8 @@ def test_density_study_validation():
             thermodynamic_density(UNIT_INTERVAL, V, sizes)
     with pytest.raises(ValueError, match="at least 8"):
         thermodynamic_density(UNIT_INTERVAL, V, (64, 128, 256), n_seeds=4)
+    with pytest.raises(ValueError, match="shift must be nonzero"):
+        thermodynamic_density(UNIT_INTERVAL, V, (64, 128, 256), shift=0)
 
 
 def test_density_deterministic_lattice():

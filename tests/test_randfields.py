@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incrstat import randfields
 from incrstat.errors import GeneratorError
 from incrstat.lattice import TorusGeometry, forward_gradient
 from incrstat.randfields import (
@@ -30,7 +31,11 @@ from incrstat.randfields import (
 )
 from incrstat.seeding import derive_rng, derive_seed
 
-from oracle_utils import complex_fft_synthesis_reference
+from oracle_utils import (
+    complex_fft_synthesis_reference,
+    rfftn_pair_synthesis_reference,
+    roll_covariance_reference,
+)
 
 
 def curl_max(sample: IncrementSample) -> float:
@@ -473,6 +478,18 @@ def test_gff_matches_complex_fft_oracle(L):
         assert s.psi_second_moment == pytest.approx(float(np.mean(psi**2)), rel=1e-13)
 
 
+@pytest.mark.parametrize("L", ORACLE_SIDES)
+@pytest.mark.parametrize("kind,d", [("decay_alpha", 1), ("decay_alpha", 2), ("decay_alpha", 3), ("gff", 2)])
+def test_spectral_synthesis_bitwise_equals_rfftn_pair(monkeypatch, kind, d, L):
+    # the in-place passes are the rfftn/irfftn passes in their axis order
+    spec = GeneratorSpec(kind, alpha=3.0 if kind == "decay_alpha" else None)
+    geom = TorusGeometry(d, L)
+    kernel = [spec.realize(geom, 5, i).values for i in range(2)]
+    monkeypatch.setattr(randfields, "_spectral_gaussian", rfftn_pair_synthesis_reference)
+    for i, values in enumerate(kernel):
+        assert values.tobytes() == spec.realize(geom, 5, i).values.tobytes()
+
+
 # ---------------------------------------------------------------- estimator
 
 
@@ -540,6 +557,24 @@ def test_covariance_over_generator_equals_list_bitwise():
     assert (a.axis, a.n_samples, a.alpha_hat, a.alpha_halfwidth, a.n_fit_entries) == (
         b.axis, b.n_samples, b.alpha_hat, b.alpha_halfwidth, b.n_fit_entries
     )
+
+
+@pytest.mark.parametrize(
+    "d,L,lags",
+    [
+        (1, 17, [(0,), (1,), (-1,), (2,), (5,), (17,), (22,), (-18,)]),
+        (2, 7, [(0, 0), (1, 0), (0, -2), (-1, 3), (3, 3), (7, 0), (9, -8)]),
+        (3, 8, [(0, 0, 0), (1, 0, 0), (0, -1, 0), (2, -3, 1), (-1, -1, -1), (8, 0, 0), (-9, 17, 4)]),
+    ],
+)
+def test_covariance_bitwise_equals_roll_tensordot_oracle(d, L, lags):
+    # lag 0, negative, multi-axis and components >= L, read from a one-pass generator
+    samples = [decay_alpha_increments(TorusGeometry(d, L), 0, 2.0, 4, i) for i in range(12)]
+    est = empirical_covariance(streamed(samples), lags)
+    cov, stderr, alpha_hat = roll_covariance_reference(samples, lags)
+    assert est.cov.tobytes() == cov.tobytes()
+    assert est.stderr.tobytes() == stderr.tobytes()
+    assert est.alpha_hat == alpha_hat
 
 
 def covariance_error_cases():

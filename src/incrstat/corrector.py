@@ -21,13 +21,14 @@ from .green import GreenTable, _linfit, grad_green_l2, green_torus
 from .lattice import (
     TorusGeometry,
     _add_backward_diff,
+    _divergence_rows,
     _inverse_symbol,
     _neighbour_diff,
     _spectral_quotient,
     backward_divergence,
     forward_gradient,
 )
-from .randfields import GeneratorSpec, IncrementSample, _sample_id
+from .randfields import GeneratorSpec, IncrementSample, _sample_id, _second_moments
 
 __all__ = [
     "CorrectorSolution",
@@ -111,31 +112,30 @@ def _row_square_sums(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _divergence_rows(
-    samples: Iterable[IncrementSample], k: int, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple], list[float | None]]:
-    """div*(zeta) of the i-th of k samples in row i of a (k,) + shape chunk.
+def _row_spectra(rhs: np.ndarray) -> np.ndarray:
+    """rfftn of each row of a (k,) + shape chunk over its spatial (trailing) axes."""
+    return np.fft.rfftn(rhs, axes=tuple(range(1, rhs.ndim)))
 
-    Returns the chunk, its rfftn over the spatial (trailing) axes, which
-    every mu on this torus shares, and per row the sample's zeta second
-    moment, label (the arguments of randfields._sample_id, formatted only
-    for a failing row) and psi second moment. Only the components in each
-    sample's support are read, and each sample is dropped once its row is
-    taken.
+
+def _chunk_divergence(
+    spec: GeneratorSpec, geometry: TorusGeometry, master_seed: int, indices: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """div*(zeta) of realization indices[i] of spec in row i of a (k,) + shape chunk.
+
+    One spec.chunk draw, then one stencil pass over the whole chunk per
+    component in the generator's support. Returns the divergence chunk,
+    its row spectra, which every mu on this torus shares, and per row the
+    zeta and the psi second moment (None when the generator has no
+    potential). The drawn fields are released before the rfftn, so they
+    are never held together with the spectra.
     """
-    zeta2 = np.empty(k)
-    labels: list[tuple] = []
-    psi2: list[float | None] = []
-    for row, sample in enumerate(samples):
-        if row == 0:  # not before: a one-row chunk then peaks no higher than its sample
-            rhs = np.empty((k,) + shape)
-        backward_divergence(sample.values, sample.support, out=rhs[row])
-        zeta2[row] = sample.second_moment()
-        labels.append((sample.generator_id, sample.parameters, sample.seed, sample.realization))
-        psi2.append(sample.psi_second_moment)
-        del sample
-    rhs_hat = np.fft.rfftn(rhs, axes=tuple(range(1, rhs.ndim)))
-    return rhs, rhs_hat, zeta2, labels, psi2
+    fields = spec.chunk(geometry, master_seed, indices)
+    support = spec.support(geometry.d)
+    rhs = np.empty((len(indices),) + geometry.shape)
+    _divergence_rows(fields.values, support, rhs)
+    zeta2, psi2 = _second_moments(fields.values, support), fields.psi_second_moment
+    del fields
+    return rhs, _row_spectra(rhs), zeta2, psi2
 
 
 def _certified_solve(
@@ -150,7 +150,8 @@ def _certified_solve(
 
     rhs_hat is rfftn(rhs) over the spatial (trailing) axes, inverse_symbol
     is lattice._inverse_symbol(mu, shape), and zeta_second_moment and
-    labels (see _divergence_rows) hold one entry per row. Returns (phi,
+    labels, the arguments of randfields._sample_id (formatted only for a
+    failing row), hold one entry per row. Returns (phi,
     second moments, Dirichlet energies, residual maxima, energy margins),
     the last four of shape (k,). Every row passes three checks in real
     space: the residual mu*phi - rhs + D*.(D phi), the pinned mean, and the
@@ -206,11 +207,12 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     the result and violations raise DiagnosticError. This is the one-row
     chunk of the Monte Carlo kernel.
     """
-    shape = zeta.geometry.shape
-    inverse = _inverse_symbol(mu, shape)
-    rhs, rhs_hat, zeta2, labels, _ = _divergence_rows((zeta,), 1, shape)
+    inverse = _inverse_symbol(mu, zeta.geometry.shape)
+    rhs = backward_divergence(zeta.values, zeta.support)[np.newaxis]
+    label = (zeta.generator_id, zeta.parameters, zeta.seed, zeta.realization)
+    zeta2 = np.array([zeta.second_moment()])
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, inverse, rhs, rhs_hat, zeta2, labels
+        mu, inverse, rhs, _row_spectra(rhs), zeta2, [label]
     )
     return CorrectorSolution(
         mu=float(mu),
@@ -300,21 +302,22 @@ def _chunk_rows(geometry: TorusGeometry, memory_budget_mb: float | None = None) 
     return max(1, sites // geometry.n_sites)
 
 
-def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], list[float | None]]:
+def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
     """Worker: one chunk of realizations, each solved at every mu of one torus side.
 
     task is (spec, geometry, steps, master_seed, indices). Realization
-    indices[i] is drawn from its own seed stream into row i of a
-    (k,) + shape chunk; one rfftn over the spatial axes serves every mu,
+    indices[i] is drawn from its own seed stream into row i of one chunk
+    (_chunk_divergence); one rfftn over the spatial axes serves every mu,
     and each mu takes one irfftn for the whole chunk. steps pairs each mu
     with its inverse symbol, built once per torus side. Returns indices,
-    per mu the rows' second moments and energy margins, and per row the
-    psi second moment (None when the generator has none). Module-level so
+    per mu the rows' second moments and energy margins, and the rows' psi
+    second moments (None when the generator has none). Module-level so
     that any map_fn can run it, a caller's process pool included.
     """
     spec, geometry, steps, master_seed, indices = task
-    samples = (spec.realize(geometry, master_seed, i) for i in indices)
-    rhs, rhs_hat, zeta2, labels, psi2 = _divergence_rows(samples, len(indices), geometry.shape)
+    rhs, rhs_hat, zeta2, psi2 = _chunk_divergence(spec, geometry, master_seed, indices)
+    generator_id, parameters = spec.generator_id, spec.parameters
+    labels = [(generator_id, parameters, master_seed, i) for i in indices]
     stats = []
     for mu, inverse in steps:
         _, second_moment, _, _, margin = _certified_solve(
@@ -358,7 +361,8 @@ def _second_moments_mc(
         for j, (second_moment, margin) in enumerate(stats):
             phi2[j, rows] = second_moment
             margins[j, rows] = margin
-        psi[rows] = [np.nan if p is None else p for p in psi_rows]
+        if psi_rows is not None:
+            psi[rows] = psi_rows
     has_psi = not np.isnan(psi).any()
     psi_mean = float(np.mean(psi)) if has_psi else None
     return [
@@ -456,11 +460,13 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 def _bytes_per_site(d: int) -> float:
     # peak working set of one _chunk_stats task per chunk site, measured
     # with tracemalloc at 3 mus with a cold symbol cache, counting the
-    # symbol and the per-mu inverse symbols the task shares: 41-56 bytes
-    # per site at d=1 (chunks of 2 to 1024 rows), 46-54 for d=2 chunks of
-    # 4 to 64 rows and up to 100 for one-row d=2 chunks (gff), 59-69 at
-    # d=3 for iid and gradient and 100-104 for decay_alpha (95-99 with its
-    # amplitude cached); 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
+    # symbol and the per-mu inverse symbols the task shares, over every
+    # generator kind: 41-52 bytes per site in d=1 chunks of 4 to 1024
+    # rows, 46-56 in d=2 chunks of 4 to 256 rows and 55-60 in d=3 chunks
+    # of 4 to 32 rows; one-row chunks take 60-68 at d=1 and d=2 and 62-84
+    # at d=3, decay_alpha the most (it builds its amplitude). A two-row
+    # chunk of a few dozen sites reads up to 257, a fixed few kilobytes.
+    # 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 
 

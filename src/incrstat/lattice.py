@@ -17,9 +17,11 @@ alone and returns a new array (backward_divergence can write into a given
 one instead). All three operators are built from one slice stencil,
 `_neighbour_diff`; `_add_backward_diff` adds one term of D*.z to an
 accumulator in place, for residuals. Both take an explicit axis, so they
-also serve a (k,) + shape batch of fields. Translations have one kernel,
-`_shift_into`, which `shift` wraps. The FFT solve supports arbitrary L >= 2,
-not only powers of two.
+also serve a (k,) + shape batch of fields: `_gradient_rows` and
+`_divergence_rows` apply D and D* to every row of a batch, and
+forward_gradient and backward_divergence are their one-row calls.
+Translations have one kernel, `_shift_into`, which `shift` wraps. The
+FFT solve supports arbitrary L >= 2, not only powers of two.
 """
 
 from __future__ import annotations
@@ -184,8 +186,8 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
     """out[x] = v[x + step*e_axis] - v[x] on the torus, step = +1 or -1.
 
     Same arithmetic as np.roll(v, -step, axis) - v, without the rolled copy.
-    Along the last axis of a C-contiguous out, one flat subtract covers the
-    whole array and the wrap column is written over afterwards.
+    Along the last axis of a C-contiguous v and out, one flat subtract
+    covers the whole array and the wrap column is written over afterwards.
     """
     n = v.shape[axis]
     # (sites, their neighbours) as index ranges along axis: the bulk, then the wrap
@@ -193,7 +195,7 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
         parts = ((0, n - 1, 1, n), (n - 1, n, 0, 1))
     else:
         parts = ((1, n, 0, n - 1), (0, 1, n - 1, n))
-    if axis == v.ndim - 1 and out.flags.c_contiguous:
+    if axis == v.ndim - 1 and v.flags.c_contiguous and out.flags.c_contiguous:
         # the flat bulk pairs each row's edge site with the next row's: the wrap fixes it
         flat, flat_out = v.reshape(-1), out.reshape(-1)
         if step == 1:
@@ -209,9 +211,13 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
 
 def forward_gradient(u: np.ndarray) -> np.ndarray:
     """(Du)_l(x) = u(x + e_l) - u(x), shape (d,) + u.shape; component l is the e_l difference."""
-    out = np.empty((u.ndim,) + u.shape)
-    for l in range(u.ndim):
-        _neighbour_diff(u, l, 1, out[l])
+    return _gradient_rows(u[np.newaxis], np.empty((1, u.ndim) + u.shape))[0]
+
+
+def _gradient_rows(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = D u[i] for each row of a (k,) + shape batch u; out is (k, d) + shape."""
+    for l in range(u.ndim - 1):
+        _neighbour_diff(u, l + 1, 1, out[:, l])
     return out
 
 
@@ -228,14 +234,20 @@ def backward_divergence(
         raise ValueError(
             f"backward_divergence expects {z.ndim - 1} components, got {z.shape[0]}"
         )
-    first, *rest = range(z.shape[0]) if axes is None else axes
     if out is None:
         out = np.empty(z.shape[1:])
-    _neighbour_diff(z[first], first, -1, out)
+    _divergence_rows(z[np.newaxis], range(z.shape[0]) if axes is None else axes, out[np.newaxis])
+    return out
+
+
+def _divergence_rows(z: np.ndarray, axes: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """out[i] = D*.z[i] for each row of a (k, d) + shape batch z, read only in components axes."""
+    first, *rest = axes
+    _neighbour_diff(z[:, first], first + 1, -1, out)
     if rest:
         term = np.empty_like(out)
         for l in rest:
-            out += _neighbour_diff(z[l], l, -1, term)
+            out += _neighbour_diff(z[:, l], l + 1, -1, term)
     return out
 
 

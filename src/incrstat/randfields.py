@@ -14,18 +14,23 @@ increment along e_l. Generators fall in two families:
 Every component of every sample has its empirical site mean removed at
 generation, so the zero spatial Fourier mode never feeds the 1/mu
 amplification of the regularized solve.
+
+Every kind has one kernel, GeneratorSpec.chunk: realization i is drawn
+from its own seed stream into row i of a (k, d) + shape array, and the
+rows are centred, and psi's second moments taken, all at once. realize,
+and the per-kind functions below, are its one-row call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GeneratorError
-from .lattice import TorusGeometry, _shift_into, forward_gradient, laplace_symbol
+from .lattice import TorusGeometry, _gradient_rows, _shift_into, laplace_symbol
 from .seeding import DOMAIN_FIELD, derive_rng
 
 __all__ = [
@@ -35,6 +40,7 @@ __all__ = [
     "gradient_increments",
     "decay_alpha_increments",
     "gff_increments",
+    "FieldChunk",
     "GeneratorSpec",
     "CovarianceEstimate",
     "empirical_covariance",
@@ -69,14 +75,29 @@ class IncrementLaw:
             raise ValueError("bernoulli_pm p must lie in (0, 1)")
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+        return self.fill(rng, np.empty(shape))
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Draw into the C-contiguous float64 array out and return it.
+
+        The values Generator.uniform and .normal would return for out's
+        shape, computed as they compute them (loc + scale * standard draw;
+        normal's +0.0 for loc is left out, which can only flip the sign of
+        an exact zero), without allocating.
+        """
         if self.kind == "uniform_centered":
-            w = self.param
-            return rng.uniform(-w / 2.0, w / 2.0, size=shape)
-        if self.kind == "gaussian":
-            return rng.normal(0.0, self.param, size=shape)
-        if self.kind == "bernoulli_pm":
-            return np.where(rng.random(shape) < self.param, 1.0, -1.0)
-        return np.full(shape, self.param, dtype=float)
+            lo, hi = -self.param / 2.0, self.param / 2.0
+            rng.random(out=out)
+            out *= hi - lo
+            out += lo
+        elif self.kind == "gaussian":
+            rng.standard_normal(out=out)
+            out *= self.param
+        elif self.kind == "bernoulli_pm":
+            out[...] = np.where(rng.random(out=out) < self.param, 1.0, -1.0)
+        else:
+            out.fill(self.param)
+        return out
 
     @property
     def variance(self) -> float:
@@ -139,11 +160,21 @@ class IncrementSample:
 
     def second_moment(self) -> float:
         """Site average of |zeta|^2, summed over the components in support."""
-        first, *rest = self.support
-        density = np.square(self.values[first])
-        for l in rest:
-            density += np.square(self.values[l])
-        return float(np.mean(density))
+        return float(_second_moments(self.values[np.newaxis], self.support)[0])
+
+
+def _second_moments(values: np.ndarray, support: Sequence[int]) -> np.ndarray:
+    """Per row of a (k, d) + shape chunk, the site average of |zeta|^2 over support."""
+    first, *rest = support
+    density = np.square(values[:, first])
+    for l in rest:
+        density += np.square(values[:, l])
+    return density.mean(axis=tuple(range(1, density.ndim)))
+
+
+def _centre(a: np.ndarray, d: int) -> None:
+    """Remove in place the site mean of each field of an array whose last d axes are spatial."""
+    a -= a.mean(axis=tuple(range(a.ndim - d, a.ndim)), keepdims=True)
 
 
 def _sample_id(generator_id: str, parameters: tuple, seed: int, realization: int) -> str:
@@ -156,6 +187,14 @@ def _check_axis(geometry: TorusGeometry, axis: int) -> None:
         raise ValueError(f"axis {axis} out of range for d={geometry.d}")
 
 
+def _direct(
+    spec: "GeneratorSpec", geometry: TorusGeometry, seed: int, realization: int
+) -> IncrementSample:
+    """spec.realize without its GeneratorError wrapping, so bad arguments raise ValueError."""
+    rows = range(realization, realization + 1)
+    return spec._sample(spec._chunk(geometry, seed, rows), geometry, seed, realization)
+
+
 def iid_increments(
     geometry: TorusGeometry, axis: int, law: IncrementLaw, seed: int, realization: int = 0
 ) -> IncrementSample:
@@ -166,22 +205,7 @@ def iid_increments(
     increment that moves each lattice direction by an independent amount
     along itself.
     """
-    _check_axis(geometry, axis)
-    rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    draw = law.draw(rng, geometry.shape)
-    vals = np.zeros((geometry.d,) + geometry.shape)
-    np.subtract(draw, draw.mean(), out=vals[axis])
-    return IncrementSample(
-        geometry=geometry,
-        axis=axis,
-        values=vals,
-        generator_id=f"iid_{law.kind}",
-        parameters=(law.param,),
-        seed=seed,
-        realization=realization,
-        curl_free=False,
-        support=(axis,),
-    )
+    return _direct(GeneratorSpec("iid", axis, law), geometry, seed, realization)
 
 
 def gradient_increments(
@@ -192,64 +216,32 @@ def gradient_increments(
     The sample records the site average of psi^2 (after centering), which
     bounds the corrector second moment uniformly in mu.
     """
-    _check_axis(geometry, axis)
-    rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    psi = law.draw(rng, geometry.shape)
-    psi -= psi.mean()
-    return _gradient_sample(
-        geometry, axis, psi, f"gradient_{law.kind}", (law.param,), seed, realization
-    )
-
-
-def _gradient_sample(
-    geometry: TorusGeometry,
-    axis: int,
-    psi: np.ndarray,
-    generator_id: str,
-    parameters: tuple,
-    seed: int,
-    realization: int,
-) -> IncrementSample:
-    """The curl-free sample zeta = D psi of a centered potential psi, each component centered."""
-    vals = forward_gradient(psi)
-    vals -= vals.mean(axis=tuple(range(1, geometry.d + 1)), keepdims=True)
-    return IncrementSample(
-        geometry=geometry,
-        axis=axis,
-        values=vals,
-        generator_id=generator_id,
-        parameters=parameters,
-        seed=seed,
-        realization=realization,
-        curl_free=True,
-        psi_second_moment=float(np.mean(psi**2)),
-    )
+    return _direct(GeneratorSpec("gradient", axis, law), geometry, seed, realization)
 
 
 def _spectral_gaussian(
-    amplitude: np.ndarray, rng: np.random.Generator, shape: tuple[int, ...], count: int
+    amplitude: np.ndarray, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """count centered real Gaussian fields of spectral density amplitude**2 (rfftn half spectrum).
+    """Fill out, a C-contiguous (count,) + shape array, with count real Gaussian fields.
 
-    One (count,) + shape white-noise draw, the stream of count draws of
-    shape in turn, filtered over the trailing axes by the passes of one
+    Their spectral density is amplitude**2 (rfftn half spectrum). One
+    white-noise draw into out, the stream of count draws of shape in
+    turn, is filtered over the trailing axes by the passes of one
     rfftn/irfftn pair, in their axis order: everything after the first
     rfft runs in place on its half spectrum, and the last irfft writes
-    into the noise array, so the result equals
-    irfftn(rfftn(noise) * amplitude) bit for bit and only the noise and
-    one half spectrum are allocated.
+    back into out, so out ends up equal to irfftn(rfftn(noise) *
+    amplitude) bit for bit and only one half spectrum is allocated. The
+    fields are not centred.
     """
-    axes = tuple(range(1, len(shape) + 1))
-    noise = rng.standard_normal((count,) + shape)
-    spectrum = np.fft.rfft(noise, axis=axes[-1])
+    axes = tuple(range(1, out.ndim))
+    rng.standard_normal(out=out)
+    spectrum = np.fft.rfft(out, axis=axes[-1])
     for axis in reversed(axes[:-1]):
         np.fft.fft(spectrum, axis=axis, out=spectrum)
     spectrum *= amplitude
     for axis in axes[:-1]:
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    out = np.fft.irfft(spectrum, n=shape[-1], axis=axes[-1], out=noise)
-    out -= out.mean(axis=axes, keepdims=True)
-    return out
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=axes[-1], out=out)
 
 
 def clamp_spectrum(cov_hat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -285,27 +277,7 @@ def decay_alpha_increments(
     warning is attached above 10%). Components are independent copies.
     Raw field: not curl-free.
     """
-    _check_axis(geometry, axis)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    amplitude, frac = _decay_amplitude(geometry.d, geometry.L, float(alpha))
-    warn: tuple[str, ...] = ()
-    if frac > CLAMP_WARN_FRACTION:
-        warn = (f"clamped spectral mass fraction {frac:.3f} exceeds {CLAMP_WARN_FRACTION}",)
-    vals = _spectral_gaussian(amplitude, rng, geometry.shape, geometry.d)
-    return IncrementSample(
-        geometry=geometry,
-        axis=axis,
-        values=vals,
-        generator_id="decay_alpha",
-        parameters=(alpha,),
-        seed=seed,
-        realization=realization,
-        curl_free=False,
-        clamped_mass_fraction=frac,
-        warnings=warn,
-    )
+    return _direct(GeneratorSpec("decay_alpha", axis, alpha=alpha), geometry, seed, realization)
 
 
 def gff_increments(
@@ -317,15 +289,22 @@ def gff_increments(
     hence Var[psi] grows like log L, while zeta = D psi is stationary
     with covariance decaying at quadratic rate. Only defined for d = 2.
     """
-    if geometry.d != 2:
-        raise GeneratorError("gff increments are only defined in d = 2")
-    _check_axis(geometry, axis)
-    rng = derive_rng(seed, DOMAIN_FIELD, realization)
-    sym = laplace_symbol(geometry.d, geometry.L)[..., : geometry.L // 2 + 1]
-    amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0
-    np.divide(1.0, amplitude, out=amplitude, where=sym > 0)
-    psi = _spectral_gaussian(amplitude, rng, geometry.shape, 1)[0]
-    return _gradient_sample(geometry, axis, psi, "gff", (), seed, realization)
+    return _direct(GeneratorSpec("gff", axis), geometry, seed, realization)
+
+
+class FieldChunk(NamedTuple):
+    """Realizations of one generator on one torus, row i for the i-th index drawn.
+
+    values is (k, d) + shape, each row centred like a sample's values;
+    psi_second_moment holds each row's site average of psi^2 for a
+    gradient-type generator (else None), and clamped_mass_fraction the
+    decay_alpha spectral clamp (else None). The rows' zeta second moments
+    are _second_moments(values, spec.support(d)).
+    """
+
+    values: np.ndarray
+    psi_second_moment: np.ndarray | None
+    clamped_mass_fraction: float | None
 
 
 @dataclass(frozen=True)
@@ -335,6 +314,9 @@ class GeneratorSpec:
     kind: "iid" | "gradient" | "decay_alpha" | "gff" | "zero"
     The "zero" kind is the degenerate iid constant law (useful as a null
     case: the corrector of the zero field is zero).
+
+    chunk draws many realizations into one array; realize is its one-row
+    call, so a realization does not depend on the chunk it is drawn in.
     """
 
     kind: str
@@ -350,26 +332,106 @@ class GeneratorSpec:
         if self.kind == "decay_alpha" and not (self.alpha is not None and self.alpha > 0):
             raise ValueError(f"decay_alpha generator needs a positive alpha, got {self.alpha}")
 
+    @property
+    def generator_id(self) -> str:
+        if self.kind in ("iid", "gradient"):
+            return f"{self.kind}_{self.law.kind}"
+        return "iid_constant" if self.kind == "zero" else self.kind
+
+    @property
+    def parameters(self) -> tuple:
+        if self.kind in ("iid", "gradient"):
+            return (self.law.param,)
+        return {"zero": (0.0,), "decay_alpha": (self.alpha,), "gff": ()}[self.kind]
+
+    def support(self, d: int) -> tuple[int, ...]:
+        """The components a realization can make nonzero: the axis alone for iid and zero."""
+        return (self.axis,) if self.kind in ("iid", "zero") else tuple(range(d))
+
+    def chunk(self, geometry: TorusGeometry, seed: int, indices: range) -> FieldChunk:
+        """Realizations indices, row i drawn from the stream (seed, field domain, indices[i])."""
+        try:
+            return self._chunk(geometry, seed, indices)
+        except GeneratorError:
+            raise
+        except Exception as exc:  # attach the realization indices for MC debugging
+            where = f"{indices[0]}..{indices[-1]}" if len(indices) > 1 else f"{indices[0]}"
+            raise GeneratorError(
+                f"generator {self.kind} failed at realization {where}: {exc}"
+            ) from exc
+
     def realize(
         self, geometry: TorusGeometry, seed: int, realization: int = 0
     ) -> IncrementSample:
-        try:
-            if self.kind == "iid":
-                return iid_increments(geometry, self.axis, self.law, seed, realization)
+        """Realization `realization`: row 0 of its one-row chunk, as an IncrementSample."""
+        rows = range(realization, realization + 1)
+        return self._sample(self.chunk(geometry, seed, rows), geometry, seed, realization)
+
+    def _chunk(self, geometry: TorusGeometry, seed: int, indices: range) -> FieldChunk:
+        """chunk's kernel: each row drawn from its own stream, then all rows reduced at once."""
+        _check_axis(geometry, self.axis)
+        if self.kind == "gff" and geometry.d != 2:
+            raise GeneratorError("gff increments are only defined in d = 2")
+        d, L, k = geometry.d, geometry.L, len(indices)
+        shape = (k, d) + geometry.shape
+        streams = (derive_rng(seed, DOMAIN_FIELD, i) for i in indices)
+        psi2 = frac = None
+        if self.kind in ("iid", "zero"):
+            law = self.law or IncrementLaw("constant", 0.0)
+            # zeros: the components off the support are never written, so never touched
+            values = np.zeros(shape)
+            rows = values[:, self.axis]
+            for rng, row in zip(streams, rows):
+                law.fill(rng, row)
+            _centre(rows, d)
+        elif self.kind == "decay_alpha":
+            # before the chunk is allocated: a cold build's full-spectrum fftn
+            # then does not add to the chunk's peak
+            amplitude, frac = _decay_amplitude(d, L, float(self.alpha))
+            values = np.empty(shape)
+            for rng, row in zip(streams, values):
+                _spectral_gaussian(amplitude, rng, row)
+            _centre(values, d)
+        else:  # gradient and gff: zeta = D psi, psi a centred potential
+            psi = np.empty((k,) + geometry.shape)
             if self.kind == "gradient":
-                return gradient_increments(geometry, self.axis, self.law, seed, realization)
-            if self.kind == "decay_alpha":
-                return decay_alpha_increments(geometry, self.axis, self.alpha, seed, realization)
-            if self.kind == "gff":
-                return gff_increments(geometry, self.axis, seed, realization)
-            zero = IncrementLaw("constant", 0.0)
-            return iid_increments(geometry, self.axis, zero, seed, realization)
-        except GeneratorError:
-            raise
-        except Exception as exc:  # attach the realization index for MC debugging
-            raise GeneratorError(
-                f"generator {self.kind} failed at realization {realization}: {exc}"
-            ) from exc
+                for rng, row in zip(streams, psi):
+                    self.law.fill(rng, row)
+            else:
+                sym = laplace_symbol(d, L)[..., : L // 2 + 1]
+                amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0
+                np.divide(1.0, amplitude, out=amplitude, where=sym > 0)
+                for rng, row in zip(streams, psi):
+                    _spectral_gaussian(amplitude, rng, row[np.newaxis])
+            _centre(psi, d)
+            psi2 = np.square(psi).mean(axis=tuple(range(1, d + 1)))
+            values = _gradient_rows(psi, np.empty(shape))
+            _centre(values, d)
+        return FieldChunk(values, psi2, frac)
+
+    def _sample(
+        self, chunk: FieldChunk, geometry: TorusGeometry, seed: int, realization: int
+    ) -> IncrementSample:
+        """Row 0 of a chunk drawn for realization alone, as an IncrementSample."""
+        frac = chunk.clamped_mass_fraction
+        warn: tuple[str, ...] = ()
+        if frac is not None and frac > CLAMP_WARN_FRACTION:
+            warn = (f"clamped spectral mass fraction {frac:.3f} exceeds {CLAMP_WARN_FRACTION}",)
+        psi2 = chunk.psi_second_moment
+        return IncrementSample(
+            geometry=geometry,
+            axis=self.axis,
+            values=chunk.values[0],
+            generator_id=self.generator_id,
+            parameters=self.parameters,
+            seed=seed,
+            realization=realization,
+            curl_free=self.kind in ("gradient", "gff"),
+            psi_second_moment=None if psi2 is None else float(psi2[0]),
+            clamped_mass_fraction=frac,
+            warnings=warn,
+            support=self.support(geometry.d),
+        )
 
     def describe(self) -> dict:
         out = {"kind": self.kind, "axis": self.axis}
@@ -456,11 +518,17 @@ def empirical_covariance(
         raise ValueError("need at least 2 samples for a covariance estimate")
     R = len(stats)
     per_real = np.stack(stats)
+    del stats
     mean = per_real.mean(axis=0)
     # jackknife over realizations; for this linear statistic it matches
-    # the classical stderr of the mean but keeps the estimator uniform
-    loo = (mean[np.newaxis] * R - per_real) / (R - 1)
-    stderr = np.sqrt((R - 1) / R * np.sum((loo - mean[np.newaxis]) ** 2, axis=0))
+    # the classical stderr of the mean but keeps the estimator uniform.
+    # The leave-one-out means, their deviations and squares overwrite
+    # per_real in turn: no second (R, lags, d, d) array is made.
+    loo = np.subtract(mean[np.newaxis] * R, per_real, out=per_real)
+    loo /= R - 1
+    loo -= mean[np.newaxis]
+    np.square(loo, out=loo)
+    stderr = np.sqrt((R - 1) / R * np.sum(loo, axis=0))
 
     mags = np.sqrt(np.sum(lag_arr.astype(float) ** 2, axis=1))
     fit = (np.abs(mean) > 3.0 * stderr) & (mean != 0.0) & (mags > 0)[:, None, None]

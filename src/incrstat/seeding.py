@@ -39,9 +39,11 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for stream (master_seed, *path).
 
     The same arguments always produce a bit-identical stream; distinct
-    paths produce statistically independent streams.
+    paths produce statistically independent streams. The generator is
+    built from its bit generator directly: the stream default_rng gives,
+    without its argument dispatch.
     """
-    return np.random.default_rng(_seed_sequence(master_seed, path))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(master_seed, path)))
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

@@ -184,17 +184,17 @@ def complex_fft_synthesis_reference(kind, d, L, seed, realization, alpha=None):
     return np.stack(fields)
 
 
-def rfftn_pair_synthesis_reference(amplitude, rng, shape, count):
+def rfftn_pair_synthesis_reference(amplitude, rng, out):
     """Spectral Gaussian fields by one out-of-place rfftn/irfftn pair.
 
     The form `randfields._spectral_gaussian` had before its passes ran in
-    place: irfftn(rfftn(noise) * amplitude), centered per field. Same
+    place: irfftn(rfftn(noise) * amplitude), noise one standard_normal
+    draw of out's shape, written into out and not centred. Same
     signature, so a test can patch it in for the kernel.
     """
-    axes = tuple(range(1, len(shape) + 1))
-    spectrum = np.fft.rfftn(rng.standard_normal((count,) + shape), axes=axes) * amplitude
-    out = np.fft.irfftn(spectrum, s=shape, axes=axes)
-    out -= out.mean(axis=axes, keepdims=True)
+    axes = tuple(range(1, out.ndim))
+    spectrum = np.fft.rfftn(rng.standard_normal(out.shape), axes=axes) * amplitude
+    out[...] = np.fft.irfftn(spectrum, s=out.shape[1:], axes=axes)
     return out
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from incrstat import corrector, lattice
+from incrstat import corrector, lattice, randfields
 from incrstat.corrector import (
     DEFAULT_MU_GRID,
     MCResult,
@@ -212,6 +212,27 @@ def perturb_one_row(monkeypatch, perturb):
     monkeypatch.setattr(corrector, "_pin_mean", pin)
 
 
+def shrink_zeta_moment(monkeypatch, row=None):
+    """Make randfields._second_moments report a tenth of the zeta second moment.
+
+    Of row `row` of a chunk that has one, or of every row if row is None;
+    every certified path takes its zeta second moments from that function,
+    which the corrector module imports by name.
+    """
+    exact = randfields._second_moments
+
+    def shrunk(values, support):
+        moments = exact(values, support)
+        if row is None:
+            moments *= 0.1
+        elif len(moments) > row:
+            moments[row] *= 0.1
+        return moments
+
+    monkeypatch.setattr(randfields, "_second_moments", shrunk)
+    monkeypatch.setattr(corrector, "_second_moments", shrunk)
+
+
 def names_sample(info, geom, index):
     """Whether a certification failure names realization index of IID_SPEC_2D at seed 0."""
     return str(info.value).endswith(f"(sample {IID_SPEC_2D.realize(geom, 0, index).sample_id})")
@@ -269,8 +290,7 @@ def test_mean_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
 
 @CERTIFIED_PATHS
 def test_energy_check_fires_on_shrunk_zeta_moment(monkeypatch, run):
-    exact = IncrementSample.second_moment
-    monkeypatch.setattr(IncrementSample, "second_moment", lambda self: 0.1 * exact(self))
+    shrink_zeta_moment(monkeypatch)
     geom = TorusGeometry(2, 16)
     with pytest.raises(DiagnosticError, match="energy estimate violated") as info:
         run(0.5, IID_SPEC_2D, geom)
@@ -280,12 +300,7 @@ def test_energy_check_fires_on_shrunk_zeta_moment(monkeypatch, run):
 @CHUNKED_PATHS
 def test_energy_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
     geom = TorusGeometry(2, 16)
-    exact = IncrementSample.second_moment
-
-    def shrunk_for_bad_row(self):
-        return (0.1 if self.realization == BAD_ROW else 1.0) * exact(self)
-
-    monkeypatch.setattr(IncrementSample, "second_moment", shrunk_for_bad_row)
+    shrink_zeta_moment(monkeypatch, BAD_ROW)
     with pytest.raises(DiagnosticError, match="energy estimate violated") as info:
         run(0.5, IID_SPEC_2D, geom)
     assert names_sample(info, geom, BAD_ROW)
@@ -306,14 +321,21 @@ def test_only_a_failing_row_formats_its_sample_id(monkeypatch):
     corrector._chunk_stats(task)
     assert formatted == []
 
-    exact = IncrementSample.second_moment
-    monkeypatch.setattr(
-        IncrementSample, "second_moment",
-        lambda self: (0.1 if self.realization == BAD_ROW else 1.0) * exact(self),
-    )
+    shrink_zeta_moment(monkeypatch, BAD_ROW)
     with pytest.raises(DiagnosticError, match="energy estimate violated"):
         corrector._chunk_stats(task)
     assert formatted == [BAD_ROW]
+
+
+def test_chunk_stats_builds_no_increment_sample(monkeypatch):
+    def refuse(self):
+        pytest.fail("an IncrementSample was built")
+
+    monkeypatch.setattr(IncrementSample, "__post_init__", refuse)
+    for spec, d in ALL_SPECS:
+        geom = TorusGeometry(d, SIDES[d])
+        steps = ((0.5, lattice._inverse_symbol(0.5, geom.shape)),)
+        corrector._chunk_stats((spec, geom, steps, 0, range(3)))
 
 
 def test_unperturbed_paths_pass_the_checks():
@@ -343,7 +365,7 @@ def test_one_component_divergence_and_moment_are_exact(d):
         assert z.support == (spec.axis,)
         full = dataclasses.replace(z, support=None)
         assert full.support == tuple(range(d))
-        rhs = corrector._divergence_rows((z,), 1, geom.shape)[0][0]
+        rhs = corrector._chunk_divergence(spec, geom, 3, range(1, 2))[0][0]
         assert rhs.tobytes() == lattice.backward_divergence(z.values).tobytes()
         assert z.second_moment() == full.second_moment()
         assert z.second_moment() == float(np.mean(np.sum(z.values**2, axis=0)))

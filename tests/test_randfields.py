@@ -691,6 +691,61 @@ def test_generator_spec_realize_matches_direct_call():
     assert np.array_equal(a.values, b.values)
 
 
+LAWS = (
+    IncrementLaw("uniform_centered", 0.7),
+    IncrementLaw("gaussian", 1.3),
+    IncrementLaw("bernoulli_pm", 0.3),
+    IncrementLaw("constant", 2.0),
+)
+CHUNK_CASES = (
+    [(GeneratorSpec("iid", d - 1, law), d) for law in LAWS for d in (1, 2, 3)]
+    + [(GeneratorSpec("gradient", 0, LAWS[0]), d) for d in (1, 2, 3)]
+    + [(GeneratorSpec("decay_alpha", d - 1, alpha=2.5), d) for d in (1, 2, 3)]
+    + [(GeneratorSpec("gff", 1), 2), (GeneratorSpec("zero"), 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, d", CHUNK_CASES,
+    ids=lambda c: c.generator_id if isinstance(c, GeneratorSpec) else f"d{c}",
+)
+def test_chunk_rows_equal_one_row_realizations(spec, d):
+    geom = TorusGeometry(d, {1: 16, 2: 8, 3: 4}[d])
+    indices = range(3, 8)
+    chunk = spec.chunk(geom, 5, indices)
+    assert chunk.values.shape == (len(indices), d) + geom.shape
+    assert (chunk.psi_second_moment is None) == (spec.kind not in ("gradient", "gff"))
+    zeta2 = randfields._second_moments(chunk.values, spec.support(d))
+    for row, i in enumerate(indices):
+        s = spec.realize(geom, 5, i)
+        assert chunk.values[row].tobytes() == s.values.tobytes()
+        assert zeta2[row] == s.second_moment()
+        if chunk.psi_second_moment is not None:
+            assert chunk.psi_second_moment[row] == s.psi_second_moment
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+def test_law_fill_draws_what_the_generator_methods_draw(law):
+    shape = (3, 50)
+    out = law.fill(np.random.default_rng(8), np.empty(shape))
+    rng = np.random.default_rng(8)
+    if law.kind == "uniform_centered":
+        expected = rng.uniform(-law.param / 2.0, law.param / 2.0, size=shape)
+    elif law.kind == "gaussian":
+        expected = rng.normal(0.0, law.param, size=shape)
+    elif law.kind == "bernoulli_pm":
+        expected = np.where(rng.random(shape) < law.param, 1.0, -1.0)
+    else:
+        expected = np.full(shape, law.param)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_generator_spec_chunk_names_its_realizations_on_failure():
+    spec = GeneratorSpec(kind="iid", axis=5, law=IncrementLaw("gaussian", 1.0))
+    with pytest.raises(GeneratorError, match=r"failed at realization 4\.\.9"):
+        spec.chunk(TorusGeometry(1, 8), 0, range(4, 10))
+
+
 def test_generator_spec_wraps_failures_with_index():
     spec = GeneratorSpec(kind="iid", axis=5, law=IncrementLaw("gaussian", 1.0))
     with pytest.raises(GeneratorError, match="failed at realization 7"):

@@ -285,7 +285,7 @@ def _render_scaling(payload: dict, lines: list[str]) -> None:
         f"|ln mu| slope {num(fits.loglin_slope)} (R^2 {num(fits.loglin_r2)}), "
         f"ratio {num(fits.boundedness_ratio)}"
     )
-    for verdict_name, rule, passes in verdict_checks(fits):
+    for verdict_name, rule, passes, _ in verdict_checks(fits):
         lines.append(f"    {verdict_name}: {rule}: {'pass' if passes else 'fail'}")
     points = _field(payload, "points", list)
     capped = [p for p in points if _field(p, "capped", bool)]
@@ -415,7 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker thread count (default: 1)")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="worker thread count, capped at the CPU count (default: 1)",
+        )
     rep = sub.add_parser("report", help="render artifacts as a text summary")
     rep.add_argument("artifacts", nargs="*", help="JSON artifacts produced by runs")
     return parser
@@ -454,13 +457,16 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"threads: must be at least 1, got {args.threads}")
         runner = _RUNNERS[args.command]
-        if args.threads == 1:
+        # artifacts do not depend on the worker count, and more workers than
+        # cores buy nothing, so an outsized --threads starts no more threads
+        workers = min(args.threads, os.cpu_count() or 1)
+        if workers == 1:
             paths = runner(values, args.out, map)
         else:
-            ex = ThreadPoolExecutor(max_workers=args.threads)
+            ex = ThreadPoolExecutor(max_workers=workers)
             try:
                 # a bounded window keeps a run's memory flat in its task count
-                map_fn = functools.partial(_windowed_map, ex, 2 * args.threads)
+                map_fn = functools.partial(_windowed_map, ex, 2 * workers)
                 paths = runner(values, args.out, map_fn)
             finally:
                 # on failure or interrupt, drop the queued tasks instead of running them

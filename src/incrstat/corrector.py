@@ -490,46 +490,47 @@ def _validate_grid(mu_grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def verdict_checks(fits: ScalingFits) -> tuple[tuple[str, str, bool], ...]:
-    """(verdict, rule, passes) for each decision threshold, in cascade order.
+def verdict_checks(fits: ScalingFits) -> tuple[tuple[str, str, bool, str], ...]:
+    """(verdict, rule, passes, reason) for each decision threshold, in cascade order.
 
-    A fit that is None (no positive estimate to take a logarithm of) fails
-    every rule that reads it.
+    The first rule that passes is the verdict; its reason, a format string
+    over the fields of fits, is the verdict_reason. None passing is
+    "inconclusive". A fit that is None (no positive estimate to take a
+    logarithm of) fails every rule that reads it.
     """
     ratio, slope, r2, lin_r2 = (
         fits.boundedness_ratio, fits.loglog_slope, fits.loglog_r2, fits.loglin_r2
     )
     return (
-        ("bounded", f"ratio <= {RATIO_BOUNDED}", ratio is not None and ratio <= RATIO_BOUNDED),
+        (
+            "bounded",
+            f"ratio <= {RATIO_BOUNDED}",
+            ratio is not None and ratio <= RATIO_BOUNDED,
+            f"max/first ratio {{boundedness_ratio:.4g}} <= {RATIO_BOUNDED}",
+        ),
         (
             "diverging-powerlaw",
             f"slope <= {LOGLOG_SLOPE_MAX} and R^2 >= {LOGLOG_R2_MIN}",
             slope is not None and slope <= LOGLOG_SLOPE_MAX
             and r2 is not None and r2 >= LOGLOG_R2_MIN,
+            f"log-log slope {{loglog_slope:.4g}} <= {LOGLOG_SLOPE_MAX} "
+            f"with R^2 {{loglog_r2:.4g}} >= {LOGLOG_R2_MIN}",
         ),
         (
             "diverging-log",
             f"affine R^2 >= {LOGLIN_R2_MIN}",
             lin_r2 is not None and lin_r2 >= LOGLIN_R2_MIN,
+            f"affine fit in |ln mu| has R^2 {{loglin_r2:.4g}} >= {LOGLIN_R2_MIN}",
         ),
     )
 
 
 def _verdict(fits: ScalingFits) -> tuple[str, str]:
     """The first verdict whose rule passes, and the measured values behind it."""
-    verdict = next((v for v, _, passes in verdict_checks(fits) if passes), "inconclusive")
-    if verdict == "bounded":
-        return verdict, f"max/first ratio {fits.boundedness_ratio:.4g} <= {RATIO_BOUNDED}"
-    if verdict == "diverging-powerlaw":
-        return verdict, (
-            f"log-log slope {fits.loglog_slope:.4g} <= {LOGLOG_SLOPE_MAX} "
-            f"with R^2 {fits.loglog_r2:.4g} >= {LOGLOG_R2_MIN}"
-        )
-    if verdict == "diverging-log":
-        return verdict, (
-            f"affine fit in |ln mu| has R^2 {fits.loglin_r2:.4g} >= {LOGLIN_R2_MIN}"
-        )
-    return verdict, "no decision threshold met"
+    for verdict, _, passes, reason in verdict_checks(fits):
+        if passes:
+            return verdict, reason.format(**asdict(fits))
+    return "inconclusive", "no decision threshold met"
 
 
 def scaling_study(
@@ -551,11 +552,8 @@ def scaling_study(
     largest mu in the grid cannot satisfy the rule under the cap, the
     study refuses to start (BudgetError).
 
-    Verdict thresholds, applied in order:
-      ratio = max estimate / estimate at largest mu <= 1.5    -> bounded
-      log-log slope <= -0.25 and R^2 >= 0.9                   -> diverging-powerlaw
-      affine-in-|ln mu| fit R^2 >= 0.95                       -> diverging-log
-      otherwise                                               -> inconclusive
+    The verdict is the first rule of verdict_checks that passes, where
+    ratio = max estimate / estimate at the largest mu.
     """
     grid = _validate_grid(mu_grid if mu_grid is not None else DEFAULT_MU_GRID)
     if n_per_mu < 2:

@@ -15,10 +15,10 @@ Every component of every sample has its empirical site mean removed at
 generation, so the zero spatial Fourier mode never feeds the 1/mu
 amplification of the regularized solve.
 
-Every kind has one kernel, GeneratorSpec.chunk: realization i is drawn
-from its own seed stream into row i of a (k, d) + shape array, and the
-rows are centred, and psi's second moments taken, all at once. realize,
-and the per-kind functions below, are its one-row call.
+GeneratorSpec is the one way to draw a field, and chunk its one kernel:
+realization i is drawn from its own seed stream into row i of a
+(k, d) + shape array, and the rows are centred, and psi's second moments
+taken, all at once. realize is its one-row call.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .seeding import DOMAIN_FIELD, derive_rng
 __all__ = [
     "IncrementLaw",
     "IncrementSample",
-    "iid_increments",
-    "gradient_increments",
-    "decay_alpha_increments",
-    "gff_increments",
     "FieldChunk",
     "GeneratorSpec",
     "CovarianceEstimate",
@@ -73,9 +69,6 @@ class IncrementLaw:
             raise ValueError("gaussian sigma must be positive")
         if self.kind == "bernoulli_pm" and not 0.0 < self.param < 1.0:
             raise ValueError("bernoulli_pm p must lie in (0, 1)")
-
-    def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        return self.fill(rng, np.empty(shape))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Draw into the C-contiguous float64 array out and return it.
@@ -182,43 +175,6 @@ def _sample_id(generator_id: str, parameters: tuple, seed: int, realization: int
     return f"{generator_id}({par})@{seed}/{realization}"
 
 
-def _check_axis(geometry: TorusGeometry, axis: int) -> None:
-    if not 0 <= axis < geometry.d:
-        raise ValueError(f"axis {axis} out of range for d={geometry.d}")
-
-
-def _direct(
-    spec: "GeneratorSpec", geometry: TorusGeometry, seed: int, realization: int
-) -> IncrementSample:
-    """spec.realize without its GeneratorError wrapping, so bad arguments raise ValueError."""
-    rows = range(realization, realization + 1)
-    return spec._sample(spec._chunk(geometry, seed, rows), geometry, seed, realization)
-
-
-def iid_increments(
-    geometry: TorusGeometry, axis: int, law: IncrementLaw, seed: int, realization: int = 0
-) -> IncrementSample:
-    """Independent increments a_l(k) acting along their own axis.
-
-    Component `axis` holds the centered iid values and is the sample's
-    whole support; the other components vanish identically, mirroring an
-    increment that moves each lattice direction by an independent amount
-    along itself.
-    """
-    return _direct(GeneratorSpec("iid", axis, law), geometry, seed, realization)
-
-
-def gradient_increments(
-    geometry: TorusGeometry, axis: int, law: IncrementLaw, seed: int, realization: int = 0
-) -> IncrementSample:
-    """zeta = D psi for an iid scalar field psi; exactly curl-free.
-
-    The sample records the site average of psi^2 (after centering), which
-    bounds the corrector second moment uniformly in mu.
-    """
-    return _direct(GeneratorSpec("gradient", axis, law), geometry, seed, realization)
-
-
 def _spectral_gaussian(
     amplitude: np.ndarray, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
@@ -266,32 +222,6 @@ def _decay_amplitude(d: int, L: int, alpha: float) -> tuple[np.ndarray, float]:
     return amplitude, frac
 
 
-def decay_alpha_increments(
-    geometry: TorusGeometry, axis: int, alpha: float, seed: int, realization: int = 0
-) -> IncrementSample:
-    """Gaussian components with target covariance C(k) = 1 / (1 + |k|_2^alpha).
-
-    Synthesis is spectral on the torus itself: the DFT of the periodized
-    covariance is clamped at zero where the target is not exactly positive
-    definite at finite L, and the clamped mass fraction is recorded (a
-    warning is attached above 10%). Components are independent copies.
-    Raw field: not curl-free.
-    """
-    return _direct(GeneratorSpec("decay_alpha", axis, alpha=alpha), geometry, seed, realization)
-
-
-def gff_increments(
-    geometry: TorusGeometry, axis: int, seed: int, realization: int = 0
-) -> IncrementSample:
-    """Gradient of the two-dimensional Gaussian free field.
-
-    psi has spectral density 1/symbol(-laplacian) away from the zero mode,
-    hence Var[psi] grows like log L, while zeta = D psi is stationary
-    with covariance decaying at quadratic rate. Only defined for d = 2.
-    """
-    return _direct(GeneratorSpec("gff", axis), geometry, seed, realization)
-
-
 class FieldChunk(NamedTuple):
     """Realizations of one generator on one torus, row i for the i-th index drawn.
 
@@ -309,14 +239,25 @@ class FieldChunk(NamedTuple):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Picklable recipe for producing increment samples.
+    """Picklable recipe for increment samples: the one way to draw them.
 
-    kind: "iid" | "gradient" | "decay_alpha" | "gff" | "zero"
-    The "zero" kind is the degenerate iid constant law (useful as a null
-    case: the corrector of the zero field is zero).
+    kind, one line each:
+      iid          independent centred values of law along axis alone, the other components zero
+      gradient     zeta = D psi for an iid psi of law: exactly curl-free, psi's mean square recorded
+      decay_alpha  independent Gaussian components with covariance 1 / (1 + |k|_2^alpha)
+      gff          the gradient of the two-dimensional Gaussian free field, d = 2 only
+      zero         the degenerate iid constant law, a null case whose corrector is zero
+
+    decay_alpha is synthesized spectrally on the torus; it clamps the
+    spectrum at zero where the target is not positive definite at finite
+    L, records the clamped mass fraction and warns above
+    CLAMP_WARN_FRACTION. gff's psi has spectral density
+    1/symbol(-laplacian) off the zero mode, so Var[psi] grows like log L.
 
     chunk draws many realizations into one array; realize is its one-row
     call, so a realization does not depend on the chunk it is drawn in.
+    A bad spec raises ValueError when it is built; a draw that fails
+    raises GeneratorError naming its realizations (gff off d = 2 names none).
     """
 
     kind: str
@@ -349,9 +290,50 @@ class GeneratorSpec:
         return (self.axis,) if self.kind in ("iid", "zero") else tuple(range(d))
 
     def chunk(self, geometry: TorusGeometry, seed: int, indices: range) -> FieldChunk:
-        """Realizations indices, row i drawn from the stream (seed, field domain, indices[i])."""
+        """Realizations indices, row i drawn from the stream (seed, field domain, indices[i]).
+
+        Each row is drawn from its own stream, then all rows are reduced at once.
+        """
         try:
-            return self._chunk(geometry, seed, indices)
+            d, L, k = geometry.d, geometry.L, len(indices)
+            if not 0 <= self.axis < d:
+                raise ValueError(f"axis {self.axis} out of range for d={d}")
+            if self.kind == "gff" and d != 2:
+                raise GeneratorError("gff increments are only defined in d = 2")
+            shape = (k, d) + geometry.shape
+            streams = (derive_rng(seed, DOMAIN_FIELD, i) for i in indices)
+            psi2 = frac = None
+            if self.kind in ("iid", "zero"):
+                law = self.law or IncrementLaw("constant", 0.0)
+                # zeros: the components off the support are never written, so never touched
+                values = np.zeros(shape)
+                rows = values[:, self.axis]
+                for rng, row in zip(streams, rows):
+                    law.fill(rng, row)
+                _centre(rows, d)
+            elif self.kind == "decay_alpha":
+                # before the chunk is allocated: a cold build's full-spectrum fftn
+                # then does not add to the chunk's peak
+                amplitude, frac = _decay_amplitude(d, L, float(self.alpha))
+                values = np.empty(shape)
+                for rng, row in zip(streams, values):
+                    _spectral_gaussian(amplitude, rng, row)
+                _centre(values, d)
+            else:  # gradient and gff: zeta = D psi, psi a centred potential
+                psi = np.empty((k,) + geometry.shape)
+                if self.kind == "gradient":
+                    for rng, row in zip(streams, psi):
+                        self.law.fill(rng, row)
+                else:
+                    sym = laplace_symbol(d, L)[..., : L // 2 + 1]
+                    amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0
+                    np.divide(1.0, amplitude, out=amplitude, where=sym > 0)
+                    for rng, row in zip(streams, psi):
+                        _spectral_gaussian(amplitude, rng, row[np.newaxis])
+                _centre(psi, d)
+                psi2 = np.square(psi).mean(axis=tuple(range(1, d + 1)))
+                values = _gradient_rows(psi, np.empty(shape))
+                _centre(values, d)
         except GeneratorError:
             raise
         except Exception as exc:  # attach the realization indices for MC debugging
@@ -359,60 +341,13 @@ class GeneratorSpec:
             raise GeneratorError(
                 f"generator {self.kind} failed at realization {where}: {exc}"
             ) from exc
+        return FieldChunk(values, psi2, frac)
 
     def realize(
         self, geometry: TorusGeometry, seed: int, realization: int = 0
     ) -> IncrementSample:
         """Realization `realization`: row 0 of its one-row chunk, as an IncrementSample."""
-        rows = range(realization, realization + 1)
-        return self._sample(self.chunk(geometry, seed, rows), geometry, seed, realization)
-
-    def _chunk(self, geometry: TorusGeometry, seed: int, indices: range) -> FieldChunk:
-        """chunk's kernel: each row drawn from its own stream, then all rows reduced at once."""
-        _check_axis(geometry, self.axis)
-        if self.kind == "gff" and geometry.d != 2:
-            raise GeneratorError("gff increments are only defined in d = 2")
-        d, L, k = geometry.d, geometry.L, len(indices)
-        shape = (k, d) + geometry.shape
-        streams = (derive_rng(seed, DOMAIN_FIELD, i) for i in indices)
-        psi2 = frac = None
-        if self.kind in ("iid", "zero"):
-            law = self.law or IncrementLaw("constant", 0.0)
-            # zeros: the components off the support are never written, so never touched
-            values = np.zeros(shape)
-            rows = values[:, self.axis]
-            for rng, row in zip(streams, rows):
-                law.fill(rng, row)
-            _centre(rows, d)
-        elif self.kind == "decay_alpha":
-            # before the chunk is allocated: a cold build's full-spectrum fftn
-            # then does not add to the chunk's peak
-            amplitude, frac = _decay_amplitude(d, L, float(self.alpha))
-            values = np.empty(shape)
-            for rng, row in zip(streams, values):
-                _spectral_gaussian(amplitude, rng, row)
-            _centre(values, d)
-        else:  # gradient and gff: zeta = D psi, psi a centred potential
-            psi = np.empty((k,) + geometry.shape)
-            if self.kind == "gradient":
-                for rng, row in zip(streams, psi):
-                    self.law.fill(rng, row)
-            else:
-                sym = laplace_symbol(d, L)[..., : L // 2 + 1]
-                amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0
-                np.divide(1.0, amplitude, out=amplitude, where=sym > 0)
-                for rng, row in zip(streams, psi):
-                    _spectral_gaussian(amplitude, rng, row[np.newaxis])
-            _centre(psi, d)
-            psi2 = np.square(psi).mean(axis=tuple(range(1, d + 1)))
-            values = _gradient_rows(psi, np.empty(shape))
-            _centre(values, d)
-        return FieldChunk(values, psi2, frac)
-
-    def _sample(
-        self, chunk: FieldChunk, geometry: TorusGeometry, seed: int, realization: int
-    ) -> IncrementSample:
-        """Row 0 of a chunk drawn for realization alone, as an IncrementSample."""
+        chunk = self.chunk(geometry, seed, range(realization, realization + 1))
         frac = chunk.clamped_mass_fraction
         warn: tuple[str, ...] = ()
         if frac is not None and frac > CLAMP_WARN_FRACTION:

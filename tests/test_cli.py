@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -454,6 +455,43 @@ def test_failed_task_drops_the_queued_tasks(tmp_path, monkeypatch, capsys):
     assert run_threaded_tasks(tmp_path, monkeypatch, task, 100, []) == 5
     assert stderr_error(capsys)["message"] == "injected task failure"
     assert len(started) <= 4
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+def test_threads_capped_at_cpu_count(tmp_path, monkeypatch, cpus, workers):
+    # no real pool: an uncapped --threads 100000 would start that many threads
+    requested, submitted_before_first = [], []
+
+    class RecordingExecutor:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs each task at submit."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def submit(self, fn, item):
+            future = Future()
+            future.set_result(fn(item))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    def runner(values, out_dir, map_fn):
+        calls = []
+        results = map_fn(lambda i: calls.append(i) or i, range(50))
+        assert next(results) == 0
+        submitted_before_first.append(len(calls))
+        assert list(results) == list(range(1, 50))
+        return []
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setitem(cli._RUNNERS, "green", runner)
+    argv = ["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--threads", "100000"]
+    assert cli.main(argv) == 0
+    assert requested == workers
+    # the window is twice the capped worker count; one worker maps serially
+    assert submitted_before_first == [2 * workers[0] if workers else 1]
 
 
 def test_out_defaults_to_working_directory(tmp_path, monkeypatch, capsys):

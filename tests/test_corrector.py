@@ -29,8 +29,6 @@ from incrstat.randfields import (
     IncrementSample,
     _decay_amplitude,
     _sample_id,
-    gradient_increments,
-    iid_increments,
 )
 from oracle_utils import (
     corrector_moments_reference,
@@ -63,7 +61,7 @@ def manual_sample(geometry, component_arrays, curl_free=False):
 
 
 def test_solve_rejects_nonpositive_mu():
-    z = iid_increments(TorusGeometry(1, 8), 0, UNIT_LAW, 0)
+    z = IID_SPEC.realize(TorusGeometry(1, 8), 0)
     with pytest.raises(ValueError, match="mu"):
         solve_corrector(0.0, z)
     with pytest.raises(ValueError, match="mu"):
@@ -104,7 +102,7 @@ def test_solve_matches_dense_4x4():
 
 def test_solution_arrays_are_read_only_and_consistent():
     geom = TorusGeometry(2, 8)
-    sol = solve_corrector(0.5, iid_increments(geom, 0, UNIT_LAW, 1))
+    sol = solve_corrector(0.5, IID_SPEC.realize(geom, 1))
     assert sol.phi.shape == geom.shape and sol.grad.shape == (2,) + geom.shape
     assert np.array_equal(sol.grad, lattice.forward_gradient(sol.phi))
     with pytest.raises(ValueError):
@@ -119,7 +117,7 @@ def test_solution_invariants_random_batch():
         geom = TorusGeometry(d, L)
         for mu in (2.0, 0.1, 1e-3):
             for i in range(5):
-                z = iid_increments(geom, 0, UNIT_LAW, 0, i)
+                z = IID_SPEC.realize(geom, 0, i)
                 sol = solve_corrector(mu, z)
                 phi_max = float(np.max(np.abs(sol.phi)))
                 assert sol.residual_max <= 1e-9 * (1.0 + phi_max)
@@ -131,7 +129,7 @@ def test_solution_invariants_random_batch():
 
 def test_solve_shift_equivariance():
     geom = TorusGeometry(2, 16)
-    z = iid_increments(geom, 0, UNIT_LAW, 3)
+    z = IID_SPEC.realize(geom, 3)
     shifted = IncrementSample(
         geometry=geom,
         axis=0,
@@ -457,20 +455,20 @@ def test_representation_zero_field():
 
 def test_representation_agrees_with_solver():
     geom = TorusGeometry(2, 32)
-    z = iid_increments(geom, 0, UNIT_LAW, 0)
+    z = IID_SPEC.realize(geom, 0)
     assert green_representation_check(0.5, z) <= 1e-8
 
 
 def test_representation_accepts_prebuilt_table():
     geom = TorusGeometry(1, 64)
-    z = iid_increments(geom, 0, UNIT_LAW, 1)
+    z = IID_SPEC.realize(geom, 1)
     table = green_torus(0.25, geom)
     assert green_representation_check(0.25, z, table=table) <= 1e-8
 
 
 def test_representation_rejects_mismatched_table():
     geom = TorusGeometry(1, 64)
-    z = iid_increments(geom, 0, UNIT_LAW, 1)
+    z = IID_SPEC.realize(geom, 1)
     with pytest.raises(ValueError, match="geometries"):
         green_representation_check(0.25, z, table=green_torus(0.25, TorusGeometry(1, 32)))
     with pytest.raises(ValueError, match="mu"):
@@ -479,7 +477,7 @@ def test_representation_rejects_mismatched_table():
 
 def test_representation_shift_invariant():
     geom = TorusGeometry(2, 16)
-    z = iid_increments(geom, 0, UNIT_LAW, 2)
+    z = IID_SPEC.realize(geom, 2)
     shifted = IncrementSample(
         geometry=geom,
         axis=0,
@@ -591,7 +589,7 @@ def test_mcresult_unpacks_as_pair():
 
 
 def test_gradient_defect_decreases_with_mu():
-    z = gradient_increments(TorusGeometry(1, 64), 0, UNIT_LAW, 0)
+    z = GeneratorSpec("gradient", 0, UNIT_LAW).realize(TorusGeometry(1, 64), 0)
     defects = [gradient_defect(solve_corrector(mu, z), z) for mu in (1.0, 0.1, 0.01, 1e-4)]
     assert all(b < a for a, b in zip(defects, defects[1:]))
     assert defects[-1] <= 1e-3

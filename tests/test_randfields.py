@@ -23,11 +23,7 @@ from incrstat.randfields import (
     IncrementLaw,
     IncrementSample,
     clamp_spectrum,
-    decay_alpha_increments,
     empirical_covariance,
-    gff_increments,
-    gradient_increments,
-    iid_increments,
 )
 from incrstat.seeding import derive_rng, derive_seed
 
@@ -76,11 +72,11 @@ def test_law_variance_values():
 
 def test_law_draw_supports():
     rng = np.random.default_rng(0)
-    u = IncrementLaw("uniform_centered", 2.0).draw(rng, (1000,))
+    u = IncrementLaw("uniform_centered", 2.0).fill(rng, np.empty(1000))
     assert np.all(np.abs(u) <= 1.0)
-    b = IncrementLaw("bernoulli_pm", 0.3).draw(rng, (1000,))
+    b = IncrementLaw("bernoulli_pm", 0.3).fill(rng, np.empty(1000))
     assert set(np.unique(b)) == {-1.0, 1.0}
-    c = IncrementLaw("constant", 3.0).draw(rng, (5,))
+    c = IncrementLaw("constant", 3.0).fill(rng, np.empty(5))
     assert np.all(c == 3.0)
 
 
@@ -90,7 +86,7 @@ def test_law_draw_supports():
 def test_iid_component_structure():
     geom = TorusGeometry(2, 16)
     law = IncrementLaw("uniform_centered", 1.0)
-    s = iid_increments(geom, 1, law, 3)
+    s = GeneratorSpec("iid", 1, law).realize(geom, 3)
     assert s.axis == 1
     assert not s.curl_free
     assert s.generator_id == "iid_uniform_centered"
@@ -111,20 +107,15 @@ def test_iid_component_structure():
     ],
 )
 def test_iid_zero_empirical_mean(law):
-    s = iid_increments(TorusGeometry(1, 128), 0, law, 1)
+    s = GeneratorSpec("iid", 0, law).realize(TorusGeometry(1, 128), 1)
     # centering is exact empirical subtraction; only rounding dust remains
     assert abs(float(s.values[0].mean())) <= 1e-14 * max(float(np.abs(s.values).max()), 1.0)
-
-
-def test_iid_axis_out_of_range():
-    with pytest.raises(ValueError, match="axis"):
-        iid_increments(TorusGeometry(1, 8), 1, IncrementLaw("gaussian", 1.0), 0)
 
 
 def test_iid_variance_matches_law():
     # law of large numbers at L=256: 4 standard errors of the sample variance
     law = IncrementLaw("uniform_centered", 1.0)
-    s = iid_increments(TorusGeometry(1, 256), 0, law, 0)
+    s = GeneratorSpec("iid", 0, law).realize(TorusGeometry(1, 256), 0)
     v = s.values[0]
     var = float(np.mean(v * v))
     m4 = float(np.mean(v**4))
@@ -135,7 +126,7 @@ def test_iid_variance_matches_law():
 def test_iid_nonzero_lags_insignificant():
     geom = TorusGeometry(1, 64)
     law = IncrementLaw("uniform_centered", 1.0)
-    samples = [iid_increments(geom, 0, law, 0, i) for i in range(100)]
+    samples = [GeneratorSpec("iid", 0, law).realize(geom, 0, i) for i in range(100)]
     est = empirical_covariance(samples, [(1,), (2,), (4,), (8,)])
     for j in range(len(est.lags)):
         assert abs(est.cov[j, 0, 0]) <= 4.0 * est.stderr[j, 0, 0]
@@ -148,10 +139,11 @@ def test_iid_nonzero_lags_insignificant():
 def test_iid_determinism_bitwise():
     geom = TorusGeometry(2, 8)
     law = IncrementLaw("gaussian", 1.0)
-    a = iid_increments(geom, 0, law, 5, 2)
-    b = iid_increments(geom, 0, law, 5, 2)
+    spec = GeneratorSpec("iid", 0, law)
+    a = spec.realize(geom, 5, 2)
+    b = spec.realize(geom, 5, 2)
     assert np.array_equal(a.values, b.values)
-    c = iid_increments(geom, 0, law, 5, 3)
+    c = spec.realize(geom, 5, 3)
     assert not np.array_equal(a.values, c.values)
 
 
@@ -163,9 +155,9 @@ def test_iid_determinism_bitwise():
 )
 def test_iid_seed_determinism_property(kind, param, seed):
     geom = TorusGeometry(1, 8)
-    law = IncrementLaw(kind, param)
-    a = iid_increments(geom, 0, law, seed)
-    b = iid_increments(geom, 0, law, seed)
+    spec = GeneratorSpec("iid", 0, IncrementLaw(kind, param))
+    a = spec.realize(geom, seed)
+    b = spec.realize(geom, seed)
     assert np.array_equal(a.values, b.values)
 
 
@@ -180,7 +172,7 @@ def test_derived_streams_are_pinned():
 
 def test_sample_id_and_second_moment():
     geom = TorusGeometry(1, 8)
-    z = iid_increments(geom, 0, IncrementLaw("constant", 4.0), 9, 1)
+    z = GeneratorSpec("iid", 0, IncrementLaw("constant", 4.0)).realize(geom, 9, 1)
     assert np.all(z.values == 0.0)
     assert z.second_moment() == 0.0
     assert z.sample_id == "iid_constant(4.0)@9/1"
@@ -230,7 +222,8 @@ def test_generated_values_are_read_only(spec):
 
 
 def test_sample_pickle_roundtrip():
-    s = gradient_increments(TorusGeometry(2, 6), 1, IncrementLaw("gaussian", 1.0), 3, 2)
+    spec = GeneratorSpec("gradient", 1, IncrementLaw("gaussian", 1.0))
+    s = spec.realize(TorusGeometry(2, 6), 3, 2)
     t = pickle.loads(pickle.dumps(s))
     assert np.array_equal(t.values, s.values)
     assert (t.geometry, t.axis, t.sample_id, t.psi_second_moment) == (
@@ -244,11 +237,11 @@ def test_iid_sample_declares_its_axis_as_support():
     geom = TorusGeometry(3, 4)
     law = IncrementLaw("gaussian", 1.0)
     for axis in range(3):
-        s = iid_increments(geom, axis, law, 0)
+        s = GeneratorSpec("iid", axis, law).realize(geom, 0)
         assert s.support == (axis,)
         assert not np.delete(s.values, axis, axis=0).any()
         assert pickle.loads(pickle.dumps(s)).support == (axis,)
-    assert gradient_increments(geom, 0, law, 0).support == (0, 1, 2)
+    assert GeneratorSpec("gradient", 0, law).realize(geom, 0).support == (0, 1, 2)
 
 
 @pytest.mark.parametrize("support", [(), (1, 0), (0, 0), (3,), (-1,)])
@@ -264,7 +257,7 @@ def test_sample_support_must_be_increasing_components(support):
 
 
 def test_gradient_constant_law_gives_zero_field():
-    s = gradient_increments(TorusGeometry(2, 8), 0, IncrementLaw("constant", 2.0), 0)
+    s = GeneratorSpec("gradient", 0, IncrementLaw("constant", 2.0)).realize(TorusGeometry(2, 8), 0)
     assert np.all(s.values == 0.0)
     assert s.psi_second_moment == 0.0
     assert s.curl_free
@@ -272,7 +265,7 @@ def test_gradient_constant_law_gives_zero_field():
 
 @pytest.mark.parametrize("d,L", [(2, 16), (3, 8)])
 def test_gradient_curl_free(d, L):
-    s = gradient_increments(TorusGeometry(d, L), 0, IncrementLaw("gaussian", 1.0), 7)
+    s = GeneratorSpec("gradient", 0, IncrementLaw("gaussian", 1.0)).realize(TorusGeometry(d, L), 7)
     assert s.curl_free
     # identity holds exactly in exact arithmetic; rounding leaves ~1e-15
     assert curl_max(s) <= 1e-12
@@ -280,7 +273,7 @@ def test_gradient_curl_free(d, L):
 
 def test_gradient_metadata():
     law = IncrementLaw("uniform_centered", 2.0)
-    s = gradient_increments(TorusGeometry(1, 64), 0, law, 3)
+    s = GeneratorSpec("gradient", 0, law).realize(TorusGeometry(1, 64), 3)
     assert s.generator_id == "gradient_uniform_centered"
     assert s.psi_second_moment is not None and s.psi_second_moment > 0.0
     assert s.clamped_mass_fraction is None
@@ -294,13 +287,13 @@ def test_gradient_metadata():
 def test_decay_alpha_validation():
     geom = TorusGeometry(1, 8)
     with pytest.raises(ValueError, match="alpha"):
-        decay_alpha_increments(geom, 0, 0.0, 0)
+        GeneratorSpec("decay_alpha", 0, alpha=0.0).realize(geom, 0)
     with pytest.raises(ValueError, match="alpha"):
-        decay_alpha_increments(geom, 0, -1.0, 0)
+        GeneratorSpec("decay_alpha", 0, alpha=-1.0).realize(geom, 0)
 
 
 def test_decay_alpha_components_independent_copies():
-    s = decay_alpha_increments(TorusGeometry(3, 8), 0, 3.0, 0)
+    s = GeneratorSpec("decay_alpha", 0, alpha=3.0).realize(TorusGeometry(3, 8), 0)
     assert not s.curl_free
     assert s.generator_id == "decay_alpha"
     assert s.parameters == (3.0,)
@@ -324,7 +317,7 @@ def test_clamp_spectrum_exact():
 
 
 def test_decay_alpha_clamp_reported_small_case():
-    s = decay_alpha_increments(TorusGeometry(3, 64), 0, 3.0, 0)
+    s = GeneratorSpec("decay_alpha", 0, alpha=3.0).realize(TorusGeometry(3, 64), 0)
     assert s.clamped_mass_fraction is not None
     assert 0.0 <= s.clamped_mass_fraction < CLAMP_WARN_FRACTION
     assert s.warnings == ()
@@ -332,7 +325,7 @@ def test_decay_alpha_clamp_reported_small_case():
 
 def test_decay_alpha_clamp_warning_above_threshold():
     # a near-indicator covariance is far from positive definite in d=3
-    s = decay_alpha_increments(TorusGeometry(3, 16), 0, 20.0, 0)
+    s = GeneratorSpec("decay_alpha", 0, alpha=20.0).realize(TorusGeometry(3, 16), 0)
     assert s.clamped_mass_fraction > CLAMP_WARN_FRACTION
     assert len(s.warnings) == 1
     assert "clamped spectral mass" in s.warnings[0]
@@ -340,8 +333,9 @@ def test_decay_alpha_clamp_warning_above_threshold():
 
 def test_decay_alpha_cross_seed_correlation():
     geom = TorusGeometry(1, 4096)
-    a = decay_alpha_increments(geom, 0, 3.0, 0).values[0]
-    b = decay_alpha_increments(geom, 0, 3.0, 1).values[0]
+    spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
+    a = spec.realize(geom, 0).values[0]
+    b = spec.realize(geom, 1).values[0]
     corr = float(np.mean(a * b) / np.sqrt(np.mean(a * a) * np.mean(b * b)))
     # independent fields; the correlation scale here is sqrt(sum C^2 / N) ~ 0.02
     assert abs(corr) <= 0.08
@@ -369,7 +363,8 @@ def decay_estimate_3d():
     alpha_hat as a fit over the fitted lags alone would give it.
     """
     geom = TorusGeometry(3, 64)
-    samples = (decay_alpha_increments(geom, 0, 3.0, 0, i) for i in range(200))
+    spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
+    samples = (spec.realize(geom, 0, i) for i in range(200))
     return geom, empirical_covariance(samples, [(0, 0, 0)] + axis_lags(FIT_LAG_SIDES, 3))
 
 
@@ -402,13 +397,13 @@ def test_decay_alpha_lag0_variance(decay_estimate_3d):
 
 def test_gff_requires_d2():
     with pytest.raises(GeneratorError, match="d = 2"):
-        gff_increments(TorusGeometry(1, 16), 0, 0)
+        GeneratorSpec("gff", 0).realize(TorusGeometry(1, 16), 0)
     with pytest.raises(GeneratorError, match="d = 2"):
-        gff_increments(TorusGeometry(3, 4), 0, 0)
+        GeneratorSpec("gff", 0).realize(TorusGeometry(3, 4), 0)
 
 
 def test_gff_curl_free_and_metadata():
-    s = gff_increments(TorusGeometry(2, 32), 1, 5)
+    s = GeneratorSpec("gff", 1).realize(TorusGeometry(2, 32), 5)
     assert s.curl_free
     assert s.axis == 1
     assert s.generator_id == "gff"
@@ -422,9 +417,10 @@ def test_gff_curl_free_and_metadata():
 def test_gff_log_variance_growth():
     sides = (32, 64, 128)
     means = []
+    spec = GeneratorSpec("gff", 0)
     for L in sides:
         geom = TorusGeometry(2, L)
-        vals = [gff_increments(geom, 0, 0, i).psi_second_moment for i in range(100)]
+        vals = [spec.realize(geom, 0, i).psi_second_moment for i in range(100)]
         means.append(float(np.mean(vals)))
     assert means[0] < means[1] < means[2]
     xs = np.log(np.array(sides, dtype=float))
@@ -438,7 +434,7 @@ def test_gff_log_variance_growth():
 
 def test_gff_covariance_exponent_near_two():
     geom = TorusGeometry(2, 128)
-    samples = (gff_increments(geom, 0, 0, i) for i in range(100))
+    samples = (GeneratorSpec("gff", 0).realize(geom, 0, i) for i in range(100))
     est = empirical_covariance(samples, axis_lags(FIT_LAG_SIDES, 2))
     assert est.alpha_hat is not None
     assert 1.5 <= est.alpha_hat <= 2.5
@@ -461,8 +457,9 @@ def test_decay_alpha_matches_complex_fft_oracle(d, L):
     # the oracle draws the d components one after another, so this also pins
     # that one (d,) + shape draw takes the same stream
     geom = TorusGeometry(d, L)
+    spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
     for i in range(2):
-        s = decay_alpha_increments(geom, 0, 3.0, 5, i)
+        s = spec.realize(geom, 5, i)
         ref = complex_fft_synthesis_reference("decay_alpha", d, L, 5, i, 3.0)
         assert within_oracle(s.values, ref)
 
@@ -470,7 +467,7 @@ def test_decay_alpha_matches_complex_fft_oracle(d, L):
 @pytest.mark.parametrize("L", ORACLE_SIDES + (64,))
 def test_gff_matches_complex_fft_oracle(L):
     for i in range(2):
-        s = gff_increments(TorusGeometry(2, L), 0, 5, i)
+        s = GeneratorSpec("gff", 0).realize(TorusGeometry(2, L), 5, i)
         psi = complex_fft_synthesis_reference("gff", 2, L, 5, i)[0]
         zeta = np.stack([np.roll(psi, -1, axis=l) - psi for l in range(2)])
         zeta -= zeta.mean(axis=(1, 2), keepdims=True)
@@ -495,8 +492,8 @@ def test_spectral_synthesis_bitwise_equals_rfftn_pair(monkeypatch, kind, d, L):
 
 def _iid_batch(n, geom=None, seed=0):
     geom = geom or TorusGeometry(1, 16)
-    law = IncrementLaw("gaussian", 1.0)
-    return [iid_increments(geom, 0, law, seed, i) for i in range(n)]
+    spec = GeneratorSpec("iid", 0, IncrementLaw("gaussian", 1.0))
+    return [spec.realize(geom, seed, i) for i in range(n)]
 
 
 def test_covariance_needs_two_samples():
@@ -513,8 +510,8 @@ def test_covariance_rejects_mixed_geometry():
 
 def test_covariance_rejects_mixed_generator():
     geom = TorusGeometry(1, 16)
-    a = [iid_increments(geom, 0, IncrementLaw("gaussian", 1.0), 0, 0)]
-    b = [iid_increments(geom, 0, IncrementLaw("gaussian", 2.0), 0, 1)]
+    a = [GeneratorSpec("iid", 0, IncrementLaw("gaussian", 1.0)).realize(geom, 0, 0)]
+    b = [GeneratorSpec("iid", 0, IncrementLaw("gaussian", 2.0)).realize(geom, 0, 1)]
     with pytest.raises(ValueError, match="generators"):
         empirical_covariance(a + b, [(0,)])
 
@@ -522,8 +519,8 @@ def test_covariance_rejects_mixed_generator():
 def test_covariance_rejects_mixed_axis():
     geom = TorusGeometry(2, 8)
     law = IncrementLaw("gaussian", 1.0)
-    a = iid_increments(geom, 0, law, 0, 0)
-    b = iid_increments(geom, 1, law, 0, 1)
+    a = GeneratorSpec("iid", 0, law).realize(geom, 0, 0)
+    b = GeneratorSpec("iid", 1, law).realize(geom, 0, 1)
     with pytest.raises(ValueError, match="axes"):
         empirical_covariance([a, b], [(0, 0)])
 
@@ -548,7 +545,8 @@ def streamed(samples):
 
 
 def test_covariance_over_generator_equals_list_bitwise():
-    samples = [decay_alpha_increments(TorusGeometry(2, 8), 1, 3.0, 2, i) for i in range(5)]
+    spec, geom = GeneratorSpec("decay_alpha", 1, alpha=3.0), TorusGeometry(2, 8)
+    samples = [spec.realize(geom, 2, i) for i in range(5)]
     lags = [(0, 0), (1, 0), (0, 2), (-1, 3)]
     a = empirical_covariance(samples, lags)
     b = empirical_covariance(streamed(samples), lags)
@@ -569,7 +567,8 @@ def test_covariance_over_generator_equals_list_bitwise():
 )
 def test_covariance_bitwise_equals_roll_tensordot_oracle(d, L, lags):
     # lag 0, negative, multi-axis and components >= L, read from a one-pass generator
-    samples = [decay_alpha_increments(TorusGeometry(d, L), 0, 2.0, 4, i) for i in range(12)]
+    spec, geom = GeneratorSpec("decay_alpha", 0, alpha=2.0), TorusGeometry(d, L)
+    samples = [spec.realize(geom, 4, i) for i in range(12)]
     est = empirical_covariance(streamed(samples), lags)
     cov, stderr, alpha_hat = roll_covariance_reference(samples, lags)
     assert est.cov.tobytes() == cov.tobytes()
@@ -581,8 +580,9 @@ def covariance_error_cases():
     """(message, samples, lags) of each case the existing list tests raise on."""
     geom1, geom2 = TorusGeometry(1, 16), TorusGeometry(2, 8)
     g1, g2 = IncrementLaw("gaussian", 1.0), IncrementLaw("gaussian", 2.0)
-    mixed_law = [iid_increments(geom1, 0, g1, 0, 0), iid_increments(geom1, 0, g2, 0, 1)]
-    mixed_axis = [iid_increments(geom2, 0, g1, 0, 0), iid_increments(geom2, 1, g1, 0, 1)]
+    x1, x2 = GeneratorSpec("iid", 0, g1), GeneratorSpec("iid", 0, g2)
+    mixed_law = [x1.realize(geom1, 0, 0), x2.realize(geom1, 0, 1)]
+    mixed_axis = [x1.realize(geom2, 0, 0), GeneratorSpec("iid", 1, g1).realize(geom2, 0, 1)]
     return [
         ("at least 2", [], [(0,)]),
         ("at least 2", _iid_batch(1), [(0,)]),
@@ -602,12 +602,13 @@ def test_covariance_errors_raise_on_a_generator(case):
 
 def test_covariance_drops_each_sample_before_the_next():
     geom = TorusGeometry(2, 8)
+    spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
     seen = []
 
     def tracked():
         for i in range(4):
             assert all(ref() is None for ref in seen), "an earlier sample is still held"
-            s = decay_alpha_increments(geom, 0, 3.0, 0, i)
+            s = spec.realize(geom, 0, i)
             seen.append(weakref.ref(s))
             yield s
             del s
@@ -624,7 +625,7 @@ def test_lag_index_lookup():
 
 def test_covariance_lag_negation_symmetry():
     geom = TorusGeometry(2, 32)
-    samples = [decay_alpha_increments(geom, 0, 3.0, 0, i) for i in range(100)]
+    samples = [GeneratorSpec("decay_alpha", 0, alpha=3.0).realize(geom, 0, i) for i in range(100)]
     lags = []
     for m in (1, 2, 3, 5):
         lags += [(m, 0), (-m, 0), (0, m), (0, -m), (m, m), (-m, -m)]
@@ -653,7 +654,7 @@ def test_covariance_lag0_is_variance():
 def test_zero_samples_indeterminate():
     geom = TorusGeometry(1, 16)
     law = IncrementLaw("constant", 2.0)
-    samples = [iid_increments(geom, 0, law, 0, i) for i in range(3)]
+    samples = [GeneratorSpec("iid", 0, law).realize(geom, 0, i) for i in range(3)]
     est = empirical_covariance(samples, [(0,), (1,), (2,)])
     assert np.all(est.cov == 0.0)
     assert np.all(est.stderr == 0.0)
@@ -680,15 +681,6 @@ def test_generator_spec_zero_kind():
     s = spec.realize(TorusGeometry(2, 8), 0)
     assert np.all(s.values == 0.0)
     assert s.generator_id == "iid_constant"
-
-
-def test_generator_spec_realize_matches_direct_call():
-    geom = TorusGeometry(1, 32)
-    law = IncrementLaw("uniform_centered", 1.0)
-    spec = GeneratorSpec(kind="iid", axis=0, law=law)
-    a = spec.realize(geom, 4, 7)
-    b = iid_increments(geom, 0, law, 4, 7)
-    assert np.array_equal(a.values, b.values)
 
 
 LAWS = (

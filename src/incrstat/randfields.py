@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GeneratorError
 from .lattice import TorusGeometry, _gradient_rows, _shift_into, laplace_symbol
-from .seeding import DOMAIN_FIELD, derive_rng
+from .seeding import DOMAIN_FIELD, derive_rngs
 
 __all__ = [
     "IncrementLaw",
@@ -301,7 +301,7 @@ class GeneratorSpec:
             if self.kind == "gff" and d != 2:
                 raise GeneratorError("gff increments are only defined in d = 2")
             shape = (k, d) + geometry.shape
-            streams = (derive_rng(seed, DOMAIN_FIELD, i) for i in indices)
+            streams = derive_rngs(seed, DOMAIN_FIELD, indices)  # each valid until the next is taken
             psi2 = frac = None
             if self.kind in ("iid", "zero"):
                 law = self.law or IncrementLaw("constant", 0.0)

@@ -1,12 +1,17 @@
 """Deterministic RNG derivation.
 
-All randomness in the package flows through `derive_rng`. A stream is
+All randomness in the package flows through derived streams. A stream is
 addressed by the master seed plus an integer path (stream domain, then
 indices such as the realization counter or a block number). The path is
 fed to `numpy.random.SeedSequence` as an entropy tuple, so any stream can
 be reconstructed independently of execution order or thread count. This
 is what makes Monte Carlo results bit-stable under parallel scheduling:
 workers never share or advance a common generator state.
+
+`derive_rng` builds the generator of one stream. A Monte Carlo chunk
+derives the same streams for its whole range of indices in one pass:
+`derive_rngs` runs SeedSequence's hash vectorized over the range and sets
+each stream in turn on one reused generator.
 
 Stream domains used in the package:
 
@@ -19,13 +24,29 @@ Stream domains used in the package:
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterator
+
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed"]
+__all__ = ["derive_rng", "derive_rngs", "derive_seed"]
 
 DOMAIN_FIELD = 0
 DOMAIN_INTERVALS = 1
 DOMAIN_POINTSET = 2
+
+# derive_rngs derives ranges shorter than this with derive_rng, one stream at
+# a time: below it the vectorized pass's fixed cost outweighs its saving
+BATCH_MIN_STREAMS = 16
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def _seed_sequence(master_seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
@@ -44,6 +65,90 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     without its argument dispatch.
     """
     return np.random.Generator(np.random.PCG64(_seed_sequence(master_seed, path)))
+
+
+def derive_rngs(master_seed: int, domain: int, indices: range) -> Iterator[np.random.Generator]:
+    """The generator of stream (master_seed, domain, i) for each i of indices, in order.
+
+    Every stream is bit-identical to derive_rng's. A range of at least
+    BATCH_MIN_STREAMS indices below 2**32 is derived in one vectorized pass,
+    and its streams are set in turn on one reused generator: a yielded
+    generator is valid only until the next one is requested. Shorter ranges,
+    and indices that need more than one 32-bit word, take derive_rng.
+    """
+    if master_seed < 0:
+        raise ValueError("master_seed must be a nonnegative integer")
+    batched = indices[:0]
+    if indices.step > 0 and indices.start >= 0:
+        batched = range(indices.start, min(indices.stop, 1 << 32), indices.step)
+    if len(batched) < BATCH_MIN_STREAMS:
+        return (derive_rng(master_seed, domain, i) for i in indices)
+    lanes = np.arange(batched.start, batched.stop, batched.step, dtype=np.uint64)
+    words = _state_words(_words(master_seed) + _words(domain) + [lanes])
+    rest = (derive_rng(master_seed, domain, i) for i in indices[len(batched):])
+    return chain(_pcg64_streams(*(w.tolist() for w in words)), rest)
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads an entropy integer: 32-bit words, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hashmix, each call taking the next hash constant of (init, mult)."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _state_words(entropy: list) -> list:
+    """SeedSequence(entropy).generate_state(4, np.uint64), as four words.
+
+    An entropy word is a Python int or a uint64 array of values below
+    2**32, and arrays run the steps of ints lane by lane: uint64 holds every
+    product of two 32-bit words, and the masks reduce modulo 2**32.
+    """
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (entropy + [0] * _POOL_SIZE)[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = [hashmix(pool[j % _POOL_SIZE]) for j in range(8)]
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _pcg64_streams(s_hi, s_lo, seq_hi, seq_lo) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the PCG64 each 128-bit (seed, sequence) pair seeds."""
+    bit_generator = np.random.PCG64(0)  # its first state is never used
+    rng = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    for a, b, c, e in zip(s_hi, s_lo, seq_hi, seq_lo):
+        inc = ((c << 64 | e) << 1 | 1) & _MASK128
+        # pcg64_set_seed: state 0, one step, add the seed, one more step
+        state["state"] = {"state": (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+        bit_generator.state = state
+        yield rng
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

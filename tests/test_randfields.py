@@ -25,7 +25,7 @@ from incrstat.randfields import (
     clamp_spectrum,
     empirical_covariance,
 )
-from incrstat.seeding import derive_rng, derive_seed
+from incrstat.seeding import BATCH_MIN_STREAMS, derive_rng, derive_rngs, derive_seed
 
 from oracle_utils import (
     complex_fft_synthesis_reference,
@@ -170,6 +170,40 @@ def test_derived_streams_are_pinned():
             derive(-1, 0)
 
 
+STREAM_RANGES = (
+    range(0),
+    range(4, 5),
+    range(3, 2 + BATCH_MIN_STREAMS),  # one short of the batched path
+    range(3, 3 + BATCH_MIN_STREAMS),
+    range(1000),
+    range(2**32 - 40, 2**32),  # ends at the last one-word index
+    range(2**32 - 20, 2**32 + 20),  # crosses into two-word indices
+)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("domain", [0, 1, 2])
+@pytest.mark.parametrize("indices", STREAM_RANGES, ids=lambda r: f"{r.start}-{r.stop}")
+def test_derive_rngs_match_seed_sequence(seed, domain, indices):
+    rngs = derive_rngs(seed, domain, indices)
+    for i, rng in zip(indices, rngs):
+        oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, i))))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.integers(2**63, size=3).tolist() == oracle.integers(2**63, size=3).tolist()
+        assert rng.random() == oracle.random()
+    assert next(rngs, None) is None
+
+
+def test_derive_rngs_batches_from_the_threshold():
+    # the batched path sets every stream on one generator; derive_rng builds one per stream
+    short = list(derive_rngs(7, 0, range(BATCH_MIN_STREAMS - 1)))
+    assert len({id(rng) for rng in short}) == BATCH_MIN_STREAMS - 1
+    assert len({id(rng) for rng in derive_rngs(7, 0, range(BATCH_MIN_STREAMS))}) == 1
+    for indices in (range(0), range(3), range(1000)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            derive_rngs(-1, 0, indices)
+
+
 def test_sample_id_and_second_moment():
     geom = TorusGeometry(1, 8)
     z = GeneratorSpec("iid", 0, IncrementLaw("constant", 4.0)).realize(geom, 9, 1)
@@ -282,14 +316,6 @@ def test_gradient_metadata():
 
 
 # ---------------------------------------------------------------- decay_alpha
-
-
-def test_decay_alpha_validation():
-    geom = TorusGeometry(1, 8)
-    with pytest.raises(ValueError, match="alpha"):
-        GeneratorSpec("decay_alpha", 0, alpha=0.0).realize(geom, 0)
-    with pytest.raises(ValueError, match="alpha"):
-        GeneratorSpec("decay_alpha", 0, alpha=-1.0).realize(geom, 0)
 
 
 def test_decay_alpha_components_independent_copies():
@@ -697,13 +723,14 @@ CHUNK_CASES = (
 )
 
 
-@pytest.mark.parametrize(
-    "spec, d", CHUNK_CASES,
-    ids=lambda c: c.generator_id if isinstance(c, GeneratorSpec) else f"d{c}",
-)
-def test_chunk_rows_equal_one_row_realizations(spec, d):
+# each case on a range derived one stream at a time, then on one derived in a batched pass
+@pytest.mark.parametrize("spec, d, indices", [
+    pytest.param(spec, d, indices, id=f"{spec.generator_id}-d{d}{suffix}")
+    for indices, suffix in ((range(3, 8), ""), (range(3, 5 + BATCH_MIN_STREAMS), "-batched"))
+    for spec, d in CHUNK_CASES
+])
+def test_chunk_rows_equal_one_row_realizations(spec, d, indices):
     geom = TorusGeometry(d, {1: 16, 2: 8, 3: 4}[d])
-    indices = range(3, 8)
     chunk = spec.chunk(geom, 5, indices)
     assert chunk.values.shape == (len(indices), d) + geom.shape
     assert (chunk.psi_second_moment is None) == (spec.kind not in ("gradient", "gff"))

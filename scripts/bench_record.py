@@ -13,9 +13,11 @@ turn, with the side that runs first alternating from pair to pair. Each side run
 so the two are comparable only when those files do not differ.
 
 The file keeps one series per (workload, seed, seconds): every run's
-end-to-end metrics; per metric, each side's median and quartiles and the
+end-to-end metrics; per metric, each side's median and quartiles, the
 number of pairs the change won, by the direction BENCHMARK.json declares
-(ties count for neither side); each side's git revision and whether its
+(ties count for neither side), and a verdict (gain, regression,
+unresolved or unchanged; see summarize), judged against the bounds
+BENCHMARK.json declares; each side's git revision and whether its
 src/ differs from it; and the Python and numpy versions and the CPU
 count. Series already in --out under other keys are kept.
 """
@@ -55,18 +57,47 @@ def run_workload(checkout: str, name: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change won, and a verdict.
+
+    metrics are BENCHMARK.json's end-to-end entries (name, better, bound);
+    a bound is a fraction of the parent's median. The verdict is the first
+    that holds of:
+      gain        the change won at least 9 in 10 pairs (ties count for
+                  neither side) and its median is better than the
+                  parent's by more than the parent's interquartile range
+      regression  the change's median is worse than the parent's by more
+                  than the bound
+      unresolved  the parent's interquartile range exceeds the bound, and
+                  some change run is not better than every parent run
+      unchanged   otherwise
+    """
     summary = {}
-    for metric, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
+        runs = {side: [p[side][name] for p in pairs] for side in SIDES}
         entry = {"better": direction}
         for side in SIDES:
-            q1, q2, q3 = statistics.quantiles([p[side][metric] for p in pairs], n=4)
+            q1, q2, q3 = statistics.quantiles(runs[side], n=4)
             entry[side] = {"median": q2, "q1": q1, "q3": q3}
         sign = 1.0 if direction == "higher" else -1.0
-        entry["change_wins"] = sum(sign * (p["change"][metric] - p["parent"][metric]) > 0
+        entry["change_wins"] = sum(sign * (p["change"][name] - p["parent"][name]) > 0
                                    for p in pairs)
-        summary[metric] = entry
+        parent = entry["parent"]
+        iqr = parent["q3"] - parent["q1"]
+        allowed = metric["bound"] * abs(parent["median"])
+        better_by = sign * (entry["change"]["median"] - parent["median"])
+        beats_every_run = (min(runs["change"]) > max(runs["parent"]) if direction == "higher"
+                           else max(runs["change"]) < min(runs["parent"]))
+        if 10 * entry["change_wins"] >= 9 * len(pairs) and better_by > iqr:
+            entry["verdict"] = "gain"
+        elif -better_by > allowed:
+            entry["verdict"] = "regression"
+        elif iqr > allowed and not beats_every_run:
+            entry["verdict"] = "unresolved"
+        else:
+            entry["verdict"] = "unchanged"
+        summary[name] = entry
     return summary
 
 
@@ -85,7 +116,6 @@ def main(argv=None) -> int:
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     names = args.workload or [w["name"] for w in spec["workloads"]]
 
     record = {"benchmark": "perfbench/run.py end-to-end metrics, alternating parent/change pairs",
@@ -110,7 +140,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)),
-            "summary": summarize(pairs, better),
+            "summary": summarize(pairs, spec["end_to_end"]),
             "pairs": pairs,
         }
         tmp = args.out + ".tmp"

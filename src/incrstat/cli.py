@@ -417,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
             "--threads", type=int, default=1,
-            help="worker thread count, capped at the CPU count (default: 1)",
+            help="worker thread count, capped at the CPU count; a d=1 "
+            "corrector-scaling run is always serial (default: 1)",
         )
     rep = sub.add_parser("report", help="render artifacts as a text summary")
     rep.add_argument("artifacts", nargs="*", help="JSON artifacts produced by runs")
@@ -460,6 +461,10 @@ def main(argv=None) -> int:
         # artifacts do not depend on the worker count, and more workers than
         # cores buy nothing, so an outsized --threads starts no more threads
         workers = min(args.threads, os.cpu_count() or 1)
+        if args.command == "corrector-scaling" and values["d"] == 1:
+            # a d=1 chunk is a few small numpy calls under the GIL: threads
+            # only contend for it, and the pool ran slower than serial
+            workers = 1
         if workers == 1:
             paths = runner(values, args.out, map)
         else:

@@ -550,7 +550,7 @@ def lattice_image_pointset(
     rng = derive_rng(seed, DOMAIN_POINTSET, 0)
     if spec.kind == "affine":
         b_law = spec.b_law if spec.b_law is not None else IncrementLaw("constant", 0.0)
-        b = b_law.fill(rng, np.empty(spec.d))
+        b = b_law.fill([rng], np.empty((1, spec.d)))[0]
         phi = z @ spec.A.T + b
         gen_id = "affine"
     else:

@@ -70,27 +70,32 @@ class IncrementLaw:
         if self.kind == "bernoulli_pm" and not 0.0 < self.param < 1.0:
             raise ValueError("bernoulli_pm p must lie in (0, 1)")
 
-    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Draw into the C-contiguous float64 array out and return it.
+    def fill(self, streams: Iterable[np.random.Generator], rows: np.ndarray) -> np.ndarray:
+        """Draw row i of the float64 array rows from the i-th generator of streams; return rows.
 
-        The values Generator.uniform and .normal would return for out's
-        shape, computed as they compute them (loc + scale * standard draw;
-        normal's +0.0 for loc is left out, which can only flip the sign of
-        an exact zero), without allocating.
+        Row i gets the values Generator.uniform and .normal would return
+        for its shape. Each row, which must be C-contiguous, takes its
+        standard draw (random or standard_normal) from its own stream;
+        then the law's affine map, in place (loc + scale * standard draw;
+        normal's +0.0 for loc is left out, which can only flip the sign
+        of an exact zero), or its threshold runs once over all rows. The
+        constant law draws nothing.
         """
+        if self.kind == "constant":
+            rows.fill(self.param)
+            return rows
+        draw = "standard_normal" if self.kind == "gaussian" else "random"
+        for rng, row in zip(streams, rows):
+            getattr(rng, draw)(out=row)
         if self.kind == "uniform_centered":
             lo, hi = -self.param / 2.0, self.param / 2.0
-            rng.random(out=out)
-            out *= hi - lo
-            out += lo
+            rows *= hi - lo
+            rows += lo
         elif self.kind == "gaussian":
-            rng.standard_normal(out=out)
-            out *= self.param
-        elif self.kind == "bernoulli_pm":
-            out[...] = np.where(rng.random(out=out) < self.param, 1.0, -1.0)
-        else:
-            out.fill(self.param)
-        return out
+            rows *= self.param
+        else:  # bernoulli_pm
+            rows[...] = np.where(rows < self.param, 1.0, -1.0)
+        return rows
 
     @property
     def variance(self) -> float:
@@ -307,9 +312,7 @@ class GeneratorSpec:
                 law = self.law or IncrementLaw("constant", 0.0)
                 # zeros: the components off the support are never written, so never touched
                 values = np.zeros(shape)
-                rows = values[:, self.axis]
-                for rng, row in zip(streams, rows):
-                    law.fill(rng, row)
+                rows = law.fill(streams, values[:, self.axis])
                 _centre(rows, d)
             elif self.kind == "decay_alpha":
                 # before the chunk is allocated: a cold build's full-spectrum fftn
@@ -322,8 +325,7 @@ class GeneratorSpec:
             else:  # gradient and gff: zeta = D psi, psi a centred potential
                 psi = np.empty((k,) + geometry.shape)
                 if self.kind == "gradient":
-                    for rng, row in zip(streams, psi):
-                        self.law.fill(rng, row)
+                    self.law.fill(streams, psi)
                 else:
                     sym = laplace_symbol(d, L)[..., : L // 2 + 1]
                     amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0

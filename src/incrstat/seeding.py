@@ -9,9 +9,16 @@ is what makes Monte Carlo results bit-stable under parallel scheduling:
 workers never share or advance a common generator state.
 
 `derive_rng` builds the generator of one stream. A Monte Carlo chunk
-derives the same streams for its whole range of indices in one pass:
-`derive_rngs` runs SeedSequence's hash vectorized over the range and sets
-each stream in turn on one reused generator.
+takes the streams of its whole range of indices from `derive_rngs`, which
+sets each in turn on one reused generator. Their PCG64 states come from a
+memo of blocks of STREAM_BLOCK (1024) consecutive indices below 2**32:
+a block's states are derived once, by SeedSequence's hash run vectorized
+over its indices, and kept for later chunks, so realization i is hashed
+once however many torus sides draw it while its block stays in the memo.
+The memo is a bounded functools.lru_cache of at most BLOCK_CACHE_SIZE
+(16) blocks, about 107 kB each (1.7 MB in all), keyed by (master seed,
+domain, block). It is process-local and thread-safe: two threads that
+miss the same block both build it, with identical results.
 
 Stream domains used in the package:
 
@@ -24,6 +31,7 @@ Stream domains used in the package:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
@@ -36,8 +44,13 @@ DOMAIN_INTERVALS = 1
 DOMAIN_POINTSET = 2
 
 # derive_rngs derives ranges shorter than this with derive_rng, one stream at
-# a time: below it the vectorized pass's fixed cost outweighs its saving
+# a time, and builds no block of the memo for them: a chunk of a few rows on a
+# large torus then costs what derive_rng costs
 BATCH_MIN_STREAMS = 16
+# derive_rngs memoizes stream states in blocks of STREAM_BLOCK consecutive
+# indices, BLOCK_CACHE_SIZE blocks at most
+STREAM_BLOCK = 1024
+BLOCK_CACHE_SIZE = 16
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -71,22 +84,21 @@ def derive_rngs(master_seed: int, domain: int, indices: range) -> Iterator[np.ra
     """The generator of stream (master_seed, domain, i) for each i of indices, in order.
 
     Every stream is bit-identical to derive_rng's. A range of at least
-    BATCH_MIN_STREAMS indices below 2**32 is derived in one vectorized pass,
-    and its streams are set in turn on one reused generator: a yielded
-    generator is valid only until the next one is requested. Shorter ranges,
-    and indices that need more than one 32-bit word, take derive_rng.
+    BATCH_MIN_STREAMS indices below 2**32 takes its states from the memo of
+    blocks, and its streams are set in turn on one reused generator: a
+    yielded generator is valid only until the next one is requested.
+    Shorter ranges, and indices that need more than one 32-bit word, take
+    derive_rng.
     """
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+    if master_seed < 0 or domain < 0:
+        raise ValueError("master_seed and domain must be nonnegative integers")
     batched = indices[:0]
     if indices.step > 0 and indices.start >= 0:
         batched = range(indices.start, min(indices.stop, 1 << 32), indices.step)
     if len(batched) < BATCH_MIN_STREAMS:
         return (derive_rng(master_seed, domain, i) for i in indices)
-    lanes = np.arange(batched.start, batched.stop, batched.step, dtype=np.uint64)
-    words = _state_words(_words(master_seed) + _words(domain) + [lanes])
     rest = (derive_rng(master_seed, domain, i) for i in indices[len(batched):])
-    return chain(_pcg64_streams(*(w.tolist() for w in words)), rest)
+    return chain(_pcg64_streams(master_seed, domain, batched), rest)
 
 
 def _words(n: int) -> list[int]:
@@ -138,15 +150,41 @@ def _state_words(entropy: list) -> list:
     return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
 
 
-def _pcg64_streams(s_hi, s_lo, seq_hi, seq_lo) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the PCG64 each 128-bit (seed, sequence) pair seeds."""
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_states(master_seed: int, domain: int, block: int) -> tuple[tuple[int, ...], ...]:
+    """The PCG64 states and the incs of streams (master_seed, domain, i), i in block.
+
+    Entry j of each tuple is what PCG64(SeedSequence((master_seed, domain,
+    i))) starts from, for i = block * STREAM_BLOCK + j; the block's indices
+    must lie below 2**32.
+    """
+    start = block * STREAM_BLOCK
+    lanes = np.arange(start, start + STREAM_BLOCK, dtype=np.uint64)
+    words = _state_words(_words(master_seed) + _words(domain) + [lanes])
+    states, incs = [], []
+    for a, b, c, e in zip(*(w.tolist() for w in words)):
+        inc = ((c << 64 | e) << 1 | 1) & _MASK128
+        # pcg64_set_seed: state 0, one step, add the seed, one more step
+        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return tuple(states), tuple(incs)
+
+
+def _pcg64_streams(master_seed: int, domain: int, indices: range) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to stream (master_seed, domain, i) for each i of indices.
+
+    indices are nonnegative, increasing and below 2**32.
+    """
     bit_generator = np.random.PCG64(0)  # its first state is never used
     rng = np.random.Generator(bit_generator)
     state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
-    for a, b, c, e in zip(s_hi, s_lo, seq_hi, seq_lo):
-        inc = ((c << 64 | e) << 1 | 1) & _MASK128
-        # pcg64_set_seed: state 0, one step, add the seed, one more step
-        state["state"] = {"state": (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+    loaded = None
+    for i in indices:
+        block, j = divmod(i, STREAM_BLOCK)
+        if block != loaded:
+            states, incs = _block_states(master_seed, domain, block)
+            loaded = block
+        state["state"] = {"state": states[j], "inc": incs[j]}
         bit_generator.state = state
         yield rng
 

@@ -15,7 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -367,16 +367,30 @@ def test_json_artifacts_sorted_and_newline_terminated(artifacts):
 # ------------------------------------------------- execution flags and seed
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    cfg_path = write_cfg(tmp_path, SCALING_CFG)
-    for threads, sub in (("1", "t1"), ("2", "t2")):
-        argv = [
-            "corrector-scaling", "--config", cfg_path,
-            "--out", str(tmp_path / sub), "--threads", threads,
-        ]
-        assert cli.main(argv) == 0
-    for name in ("scaling.csv", "scaling_report.json"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
+    # a d=1 study is GIL-bound, so --threads 2 builds no pool for it; d=2 still does
+    built = []
+
+    class RecordingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
+    for d, pools in ((1, []), (2, [2])):
+        built.clear()
+        cfg_path = write_cfg(tmp_path, SCALING_CFG.replace("d = 1", f"d = {d}"), name=f"d{d}.cfg")
+        for threads in ("1", "2"):
+            argv = [
+                "corrector-scaling", "--config", cfg_path,
+                "--out", str(tmp_path / f"d{d}-t{threads}"), "--threads", threads,
+            ]
+            assert cli.main(argv) == 0
+        assert built == pools
+        for name in ("scaling.csv", "scaling_report.json"):
+            assert (tmp_path / f"d{d}-t1" / name).read_bytes() == (
+                tmp_path / f"d{d}-t2" / name).read_bytes()
 
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
@@ -595,7 +609,7 @@ def test_failure_in_worker_thread_maps_to_exit_code(tmp_path, monkeypatch, capsy
         return real(task)
 
     monkeypatch.setattr(corrector, "_chunk_stats", stats)
-    cfg_path = write_cfg(tmp_path, SCALING_CFG)
+    cfg_path = write_cfg(tmp_path, SCALING_CFG.replace("d = 1", "d = 2"))  # d=1 builds no pool
     out = tmp_path / "o"
     argv = ["corrector-scaling", "--config", cfg_path, "--out", str(out), "--threads", "2"]
     assert cli.main(argv) == code

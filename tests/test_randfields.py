@@ -7,14 +7,18 @@ otherwise.
 """
 
 import pickle
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incrstat import randfields
+from incrstat import randfields, seeding
+from incrstat.corrector import scaling_study
 from incrstat.errors import GeneratorError
 from incrstat.lattice import TorusGeometry, forward_gradient
 from incrstat.randfields import (
@@ -25,7 +29,9 @@ from incrstat.randfields import (
     clamp_spectrum,
     empirical_covariance,
 )
-from incrstat.seeding import BATCH_MIN_STREAMS, derive_rng, derive_rngs, derive_seed
+from incrstat.seeding import (
+    BATCH_MIN_STREAMS, STREAM_BLOCK, derive_rng, derive_rngs, derive_seed,
+)
 
 from oracle_utils import (
     complex_fft_synthesis_reference,
@@ -72,11 +78,11 @@ def test_law_variance_values():
 
 def test_law_draw_supports():
     rng = np.random.default_rng(0)
-    u = IncrementLaw("uniform_centered", 2.0).fill(rng, np.empty(1000))
+    u = IncrementLaw("uniform_centered", 2.0).fill([rng], np.empty((1, 1000)))
     assert np.all(np.abs(u) <= 1.0)
-    b = IncrementLaw("bernoulli_pm", 0.3).fill(rng, np.empty(1000))
+    b = IncrementLaw("bernoulli_pm", 0.3).fill([rng], np.empty((1, 1000)))
     assert set(np.unique(b)) == {-1.0, 1.0}
-    c = IncrementLaw("constant", 3.0).fill(rng, np.empty(5))
+    c = IncrementLaw("constant", 3.0).fill([rng], np.empty((1, 5)))
     assert np.all(c == 3.0)
 
 
@@ -176,6 +182,9 @@ STREAM_RANGES = (
     range(3, 2 + BATCH_MIN_STREAMS),  # one short of the batched path
     range(3, 3 + BATCH_MIN_STREAMS),
     range(1000),
+    range(STREAM_BLOCK - 1, STREAM_BLOCK + 1),  # either side of the first block edge
+    range(STREAM_BLOCK, 2 * STREAM_BLOCK),  # exactly the second block
+    range(1000, 2100),  # the end of one block, a whole block and the start of a third
     range(2**32 - 40, 2**32),  # ends at the last one-word index
     range(2**32 - 20, 2**32 + 20),  # crosses into two-word indices
 )
@@ -185,23 +194,63 @@ STREAM_RANGES = (
 @pytest.mark.parametrize("domain", [0, 1, 2])
 @pytest.mark.parametrize("indices", STREAM_RANGES, ids=lambda r: f"{r.start}-{r.stop}")
 def test_derive_rngs_match_seed_sequence(seed, domain, indices):
-    rngs = derive_rngs(seed, domain, indices)
-    for i, rng in zip(indices, rngs):
-        oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, i))))
-        assert rng.bit_generator.state == oracle.bit_generator.state
-        assert rng.integers(2**63, size=3).tolist() == oracle.integers(2**63, size=3).tolist()
-        assert rng.random() == oracle.random()
-    assert next(rngs, None) is None
+    seeding._block_states.cache_clear()
+    for _ in ("cold", "warm"):  # the second derivation reads the blocks the first one built
+        rngs = derive_rngs(seed, domain, indices)
+        for i, rng in zip(indices, rngs):
+            oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, i))))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert rng.integers(2**63, size=3).tolist() == oracle.integers(2**63, size=3).tolist()
+            assert rng.random() == oracle.random()
+        assert next(rngs, None) is None
 
 
-def test_derive_rngs_batches_from_the_threshold():
+def test_derive_rngs_batches_from_the_threshold(monkeypatch):
     # the batched path sets every stream on one generator; derive_rng builds one per stream
     short = list(derive_rngs(7, 0, range(BATCH_MIN_STREAMS - 1)))
     assert len({id(rng) for rng in short}) == BATCH_MIN_STREAMS - 1
     assert len({id(rng) for rng in derive_rngs(7, 0, range(BATCH_MIN_STREAMS))}) == 1
     for indices in (range(0), range(3), range(1000)):
-        with pytest.raises(ValueError, match="nonnegative"):
-            derive_rngs(-1, 0, indices)
+        for seed, domain in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                derive_rngs(seed, domain, indices)
+    # six torus sides draw the same 1100 realizations in chunks of 32 to 1024
+    # rows, yet each of their two blocks of streams is hashed once
+    hashed = []
+    real = seeding._state_words
+
+    def counted(entropy):
+        hashed.append(entropy)
+        return real(entropy)
+
+    monkeypatch.setattr(seeding, "_state_words", counted)
+    seeding._block_states.cache_clear()
+    spec = GeneratorSpec("iid", 0, IncrementLaw("uniform_centered", 1.0))
+    report = scaling_study(spec, 1, n_per_mu=1100, master_seed=3)
+    assert len({p.L for p in report.points}) == 6
+    assert len(hashed) == 2
+
+
+def test_derive_rngs_builds_a_cold_block_from_many_threads():
+    # four threads on two cores miss the same two cold blocks at once; each
+    # must still get the streams derive_rng gives
+    indices = range(STREAM_BLOCK // 2, STREAM_BLOCK + 8)
+    start = threading.Barrier(4, timeout=30)
+
+    def states(_):
+        start.wait()
+        return [rng.bit_generator.state for rng in derive_rngs(11, 0, indices)]
+
+    seeding._block_states.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            results = list(ex.map(states, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [derive_rng(11, 0, i).bit_generator.state for i in indices]
+    assert all(r == expected for r in results)
 
 
 def test_sample_id_and_second_moment():
@@ -745,18 +794,20 @@ def test_chunk_rows_equal_one_row_realizations(spec, d, indices):
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
 def test_law_fill_draws_what_the_generator_methods_draw(law):
-    shape = (3, 50)
-    out = law.fill(np.random.default_rng(8), np.empty(shape))
-    rng = np.random.default_rng(8)
-    if law.kind == "uniform_centered":
-        expected = rng.uniform(-law.param / 2.0, law.param / 2.0, size=shape)
-    elif law.kind == "gaussian":
-        expected = rng.normal(0.0, law.param, size=shape)
-    elif law.kind == "bernoulli_pm":
-        expected = np.where(rng.random(shape) < law.param, 1.0, -1.0)
-    else:
-        expected = np.full(shape, law.param)
-    assert out.tobytes() == expected.tobytes()
+    # a chunk of four (3, 50) rows, row i from stream i; each row against the per-row draw
+    rows, shape = 4, (3, 50)
+    out = law.fill([np.random.default_rng(i) for i in range(rows)], np.empty((rows,) + shape))
+    for i in range(rows):
+        rng = np.random.default_rng(i)
+        if law.kind == "uniform_centered":
+            expected = rng.uniform(-law.param / 2.0, law.param / 2.0, size=shape)
+        elif law.kind == "gaussian":
+            expected = rng.normal(0.0, law.param, size=shape)
+        elif law.kind == "bernoulli_pm":
+            expected = np.where(rng.random(shape) < law.param, 1.0, -1.0)
+        else:
+            expected = np.full(shape, law.param)
+        assert out[i].tobytes() == expected.tobytes()
 
 
 def test_generator_spec_chunk_names_its_realizations_on_failure():

@@ -2,8 +2,11 @@
 
 Each script runs in a fresh interpreter with the package source on
 PYTHONPATH, so a public name a script imports cannot vanish unnoticed.
+The verdict rule of scripts/bench_record.py is checked in process, on
+synthetic parent/change pairs.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +39,31 @@ def test_script_runs_and_writes_its_artifacts(tmp_path, script, args, artifacts)
     assert proc.returncode == 0, proc.stderr
     for name in artifacts:
         assert (out / name).is_file(), name
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", REPO / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]
+WIDE = [0.60, 1.40, 0.70, 1.30, 0.80, 1.20, 0.90, 1.10, 1.00, 1.00]  # IQR 0.45
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    ("lower", TIGHT, [v * 0.80 for v in TIGHT], "gain"),  # 10 of 10 won, far beyond the IQR
+    ("higher", TIGHT, [v * 1.20 for v in TIGHT], "gain"),
+    ("lower", TIGHT, [v * 1.40 for v in TIGHT], "regression"),  # 40 % worse, bound 25 %
+    ("higher", TIGHT, [v * 0.60 for v in TIGHT], "regression"),
+    ("lower", WIDE, [v * 0.95 for v in WIDE[::-1]], "unresolved"),  # IQR beyond the bound
+    ("lower", WIDE, [v * 0.45 for v in WIDE], "gain"),  # the spread does not hide a clear win
+    ("lower", TIGHT, [v * 1.05 for v in TIGHT], "unchanged"),  # worse, within the bound
+    ("lower", WIDE, [0.59] * 10, "unchanged"),  # beats every parent run, by less than the IQR
+])
+def test_bench_record_verdicts(better, parent, change, verdict):
+    bench_record = load_bench_record()
+    pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+    metrics = [{"name": "m", "better": better, "bound": 0.25}]
+    assert bench_record.summarize(pairs, metrics)["m"]["verdict"] == verdict

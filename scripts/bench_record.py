@@ -10,7 +10,9 @@ On a noisy machine one run cannot rank two trees. So for each workload
 runs `python3 perfbench/run.py --workload W --seed S --seconds T` PAIRS
 times in each of two checkouts, the parent and this one (the change), in
 turn, with the side that runs first alternating from pair to pair. Each side runs its own perfbench/,
-so the two are comparable only when those files do not differ.
+so the two are comparable only when those files do not differ: if the
+digests of the two checkouts' perfbench/ files and BENCHMARK.json differ,
+it exits 2 before any run and writes nothing.
 
 The file keeps one series per (workload, seed, seconds): every run's
 end-to-end metrics; per metric, each side's median and quartiles, the
@@ -23,6 +25,7 @@ count. Series already in --out under other keys are kept.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,6 +48,20 @@ def revision(checkout: str) -> dict:
     status = git(checkout, "status", "--porcelain", "--", "src")
     return {"rev": git(checkout, "rev-parse", "HEAD"),
             "src_modified": None if status is None else bool(status)}
+
+
+def benchmark_digest(checkout: str) -> str:
+    """sha256 over the relative paths and bytes of perfbench/'s files and BENCHMARK.json."""
+    paths = ["BENCHMARK.json"]
+    for root, dirs, files in os.walk(os.path.join(checkout, "perfbench")):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        paths += [os.path.relpath(os.path.join(root, f), checkout) for f in files]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(path.encode() + b"\0")
+        with open(os.path.join(checkout, path), "rb") as fh:
+            digest.update(hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
 
 
 def run_workload(checkout: str, name: str, seed: int, seconds: float) -> dict:
@@ -114,6 +131,10 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2: quartiles need two runs a side")
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    if benchmark_digest(checkouts["parent"]) != benchmark_digest(ROOT):
+        print(f"bench_record: {checkouts['parent']} and {ROOT} differ in perfbench/ or "
+              "BENCHMARK.json, so their runs are not comparable", file=sys.stderr)
+        return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     names = args.workload or [w["name"] for w in spec["workloads"]]

@@ -34,7 +34,7 @@ from .errors import (
     DiagnosticError,
     GeneratorError,
 )
-from .green import dyadic_gradient_norms, green_torus
+from .green import SLOPE_TOLERANCE, dyadic_gradient_norms, green_torus
 from .lattice import TorusGeometry, backward_divergence
 from .pointsets import IntervalLaw, PairPotential, study_window, thermodynamic_density
 from .randfields import GeneratorSpec, IncrementLaw, empirical_covariance
@@ -306,10 +306,10 @@ def _render_green(payload: dict, lines: list[str]) -> None:
     )
     for p, fit in sorted(_field(payload, "slopes", dict).items()):
         slope, expected = _field(fit, "slope", *_NUM), _field(fit, "expected_slope", *_NUM)
-        ok = abs(slope - expected) <= 0.3
+        ok = abs(slope - expected) <= SLOPE_TOLERANCE
         lines.append(
             f"  p={p}: annulus slope {slope:.4g} vs expected "
-            f"{expected:.4g} (within 0.3: {'pass' if ok else 'fail'})"
+            f"{expected:.4g} (within {SLOPE_TOLERANCE}: {'pass' if ok else 'fail'})"
         )
 
 

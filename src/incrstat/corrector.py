@@ -420,8 +420,6 @@ class ScalingFits:
     boundedness_ratio: float
 
 
-VERDICTS = ("bounded", "diverging-powerlaw", "diverging-log", "inconclusive")
-
 RATIO_BOUNDED = 1.5
 LOGLOG_SLOPE_MAX = -0.25
 LOGLOG_R2_MIN = 0.9

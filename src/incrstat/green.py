@@ -107,6 +107,10 @@ def grad_green_l2(mu: float, geometry: TorusGeometry, axis: int = 0) -> float:
     return float(np.sum(table.grad[axis] ** 2))
 
 
+# how far a fitted dyadic slope may lie from d + p(1 - d) in the green report
+SLOPE_TOLERANCE = 0.3
+
+
 def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of y on x and its R^2; a flat y scores 1.0 only when the fit is exact."""
     slope, intercept = np.polyfit(x, y, 1)

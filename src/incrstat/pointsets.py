@@ -385,13 +385,17 @@ def shift_error(shift: int) -> str | None:
     return None
 
 
-def _density_task(task) -> tuple[int, int, float, float, float]:
-    """(size index, seed index, energy, density, shifted density) of one run."""
-    law, V, N, size_idx, seed_idx, master_seed, shift = task
-    region = ((0.0, float(N)),)
-    e = energy(study_window(law, V, N, master_seed, seed_idx), V, region)
-    e_s = energy(study_window(law, V, N, master_seed, seed_idx, shift), V, region)
-    return (size_idx, seed_idx, e, e / float(N), e_s / float(N))
+def _density_task(task) -> tuple[int, list[float], list[float]]:
+    """(seed index, energies, shifted energies) of one seed index, one per box size.
+
+    The seed's unshifted and shifted windows are drawn once, for the
+    largest box: a renewal window's points do not depend on its extent, so
+    every box [0, N] sees the points its own window would hold.
+    """
+    law, V, sizes, seed_idx, master_seed, shift = task
+    regions = [((0.0, float(N)),) for N in sizes]
+    windows = (study_window(law, V, sizes[-1], master_seed, seed_idx, k) for k in (0, shift))
+    return seed_idx, *([energy(w, V, r) for r in regions] for w in windows)
 
 
 def thermodynamic_density(
@@ -414,20 +418,17 @@ def thermodynamic_density(
         raise ValueError(problem)
     if n_seeds < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds")
-    tasks = [
-        (law, V, N, i, s, master_seed, shift)
-        for i, N in enumerate(sizes)
-        for s in range(n_seeds)
-    ]
-    runs = np.empty((3, len(sizes), n_seeds))  # energy, density, shifted density
-    for i, s, *values in (map_fn or map)(_density_task, tasks):
-        runs[:, i, s] = values
+    tasks = [(law, V, sizes, s, master_seed, shift) for s in range(n_seeds)]
+    energies = np.empty((2, len(sizes), n_seeds))  # unshifted, shifted
+    for s, e, e_shifted in (map_fn or map)(_density_task, tasks):
+        energies[:, :, s] = e, e_shifted
+    densities = energies / np.array(sizes, dtype=float)[:, None]
     return DensityStudy(
         sizes=sizes,
         n_seeds=n_seeds,
-        energies=runs[0],
-        densities=runs[1],
-        shifted_densities=runs[2],
+        energies=energies[0],
+        densities=densities[0],
+        shifted_densities=densities[1],
         shift=shift,
     )
 

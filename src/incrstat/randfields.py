@@ -306,7 +306,7 @@ class GeneratorSpec:
             if self.kind == "gff" and d != 2:
                 raise GeneratorError("gff increments are only defined in d = 2")
             shape = (k, d) + geometry.shape
-            streams = derive_rngs(seed, DOMAIN_FIELD, indices)  # each valid until the next is taken
+            streams = derive_rngs(seed, DOMAIN_FIELD, indices)
             psi2 = frac = None
             if self.kind in ("iid", "zero"):
                 law = self.law or IncrementLaw("constant", 0.0)

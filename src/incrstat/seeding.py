@@ -1,24 +1,26 @@
 """Deterministic RNG derivation.
 
 All randomness in the package flows through derived streams. A stream is
-addressed by the master seed plus an integer path (stream domain, then
-indices such as the realization counter or a block number). The path is
-fed to `numpy.random.SeedSequence` as an entropy tuple, so any stream can
-be reconstructed independently of execution order or thread count. This
-is what makes Monte Carlo results bit-stable under parallel scheduling:
-workers never share or advance a common generator state.
+addressed by the master seed, a stream domain and an index (such as the
+realization counter or a block number), all nonnegative integers. Its
+generator is numpy's PCG64 seeded with the four uint64 words that
+`numpy.random.SeedSequence` generates from the entropy (master_seed,
+domain, index), so any stream can be reconstructed independently of
+execution order or thread count. This is what makes Monte Carlo results
+bit-stable under parallel scheduling: workers never share or advance a
+common generator state.
 
-`derive_rng` builds the generator of one stream. A Monte Carlo chunk
-takes the streams of its whole range of indices from `derive_rngs`, which
-sets each in turn on one reused generator. Their PCG64 states come from a
-memo of blocks of STREAM_BLOCK (1024) consecutive indices below 2**32:
-a block's states are derived once, by SeedSequence's hash run vectorized
-over its indices, and kept for later chunks, so realization i is hashed
-once however many torus sides draw it while its block stays in the memo.
-The memo is a bounded functools.lru_cache of at most BLOCK_CACHE_SIZE
-(16) blocks, about 107 kB each (1.7 MB in all), keyed by (master seed,
+There is one route from an address to its generator. The seed words come
+from a memo of blocks of STREAM_BLOCK (1024) consecutive indices: a block
+is derived once, by SeedSequence's hash run vectorized over its indices,
+and kept as one read-only (1024, 4) uint64 array of 32 kB, so realization
+i is hashed once however many torus sides draw it while its block stays
+in the memo. The memo is a bounded functools.lru_cache of at most
+BLOCK_CACHE_SIZE (16) blocks (0.5 MB in all), keyed by (master seed,
 domain, block). It is process-local and thread-safe: two threads that
-miss the same block both build it, with identical results.
+miss the same block both build it, with identical results. numpy's PCG64
+then seeds itself from a block's row, so every generator handed out is
+its own. The tests hold every stream to numpy's SeedSequence, the oracle.
 
 Stream domains used in the package:
 
@@ -32,7 +34,6 @@ Stream domains used in the package:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -43,62 +44,76 @@ DOMAIN_FIELD = 0
 DOMAIN_INTERVALS = 1
 DOMAIN_POINTSET = 2
 
-# derive_rngs derives ranges shorter than this with derive_rng, one stream at
-# a time, and builds no block of the memo for them: a chunk of a few rows on a
-# large torus then costs what derive_rng costs
-BATCH_MIN_STREAMS = 16
-# derive_rngs memoizes stream states in blocks of STREAM_BLOCK consecutive
-# indices, BLOCK_CACHE_SIZE blocks at most
+# the memo holds the seed words of blocks of STREAM_BLOCK consecutive indices,
+# BLOCK_CACHE_SIZE blocks at most
 STREAM_BLOCK = 1024
 BLOCK_CACHE_SIZE = 16
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
-def _seed_sequence(master_seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
-    """The SeedSequence of stream (master_seed, *path); the seed must be nonnegative."""
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
-    return np.random.SeedSequence((int(master_seed),) + tuple(int(p) for p in path))
-
-
-def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Return the generator for stream (master_seed, *path).
+def derive_rng(master_seed: int, domain: int, index: int) -> np.random.Generator:
+    """Return the generator for stream (master_seed, domain, index).
 
     The same arguments always produce a bit-identical stream; distinct
-    paths produce statistically independent streams. The generator is
-    built from its bit generator directly: the stream default_rng gives,
-    without its argument dispatch.
+    addresses produce statistically independent streams.
     """
-    return np.random.Generator(np.random.PCG64(_seed_sequence(master_seed, path)))
+    return next(derive_rngs(master_seed, domain, range(index, index + 1)))
 
 
 def derive_rngs(master_seed: int, domain: int, indices: range) -> Iterator[np.random.Generator]:
     """The generator of stream (master_seed, domain, i) for each i of indices, in order.
 
-    Every stream is bit-identical to derive_rng's. A range of at least
-    BATCH_MIN_STREAMS indices below 2**32 takes its states from the memo of
-    blocks, and its streams are set in turn on one reused generator: a
-    yielded generator is valid only until the next one is requested.
-    Shorter ranges, and indices that need more than one 32-bit word, take
-    derive_rng.
+    Each generator is a new one, seeded from the memo of seed words.
     """
-    if master_seed < 0 or domain < 0:
-        raise ValueError("master_seed and domain must be nonnegative integers")
-    batched = indices[:0]
-    if indices.step > 0 and indices.start >= 0:
-        batched = range(indices.start, min(indices.stop, 1 << 32), indices.step)
-    if len(batched) < BATCH_MIN_STREAMS:
-        return (derive_rng(master_seed, domain, i) for i in indices)
-    rest = (derive_rng(master_seed, domain, i) for i in indices[len(batched):])
-    return chain(_pcg64_streams(master_seed, domain, batched), rest)
+    generator, pcg64, seed_words = np.random.Generator, np.random.PCG64, _seed_words_type()
+    return (generator(pcg64(seed_words(w))) for w in _stream_words(master_seed, domain, indices))
+
+
+def derive_seed(master_seed: int, domain: int, index: int) -> int:
+    """Collapse a stream address to a single u64 sub-seed.
+
+    Used where a downstream API wants one integer seed (e.g. one point-set
+    realization per study seed index) rather than a Generator. It is the
+    first of the stream's seed words.
+    """
+    return int(next(_stream_words(master_seed, domain, range(index, index + 1)))[0])
+
+
+def _stream_words(master_seed: int, domain: int, indices: range) -> Iterator[np.ndarray]:
+    """The seed words of stream (master_seed, domain, i) for each i of indices, in order.
+
+    The arguments are checked now, not when the first row is taken.
+    """
+    if master_seed < 0 or domain < 0 or (indices and min(indices[0], indices[-1]) < 0):
+        raise ValueError("master_seed, domain and indices must be nonnegative integers")
+    master_seed, domain = int(master_seed), int(domain)
+    return (_block_words(master_seed, domain, i // STREAM_BLOCK)[i % STREAM_BLOCK] for i in indices)
+
+
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """The numpy ISeedSequence that hands PCG64 one row of the memo.
+
+    Built on first use, so that importing the package does not import
+    numpy.random.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a derived stream holds exactly 4 uint64 seed words")
+            return self.words
+
+    return SeedWords
 
 
 def _words(n: int) -> list[int]:
@@ -130,7 +145,7 @@ def _mix(x, y):
 
 
 def _state_words(entropy: list) -> list:
-    """SeedSequence(entropy).generate_state(4, np.uint64), as four words.
+    """The generate_state(4, np.uint64) of numpy's SeedSequence of entropy, as four words.
 
     An entropy word is a Python int or a uint64 array of values below
     2**32, and arrays run the steps of ints lane by lane: uint64 holds every
@@ -151,51 +166,22 @@ def _state_words(entropy: list) -> list:
 
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _block_states(master_seed: int, domain: int, block: int) -> tuple[tuple[int, ...], ...]:
-    """The PCG64 states and the incs of streams (master_seed, domain, i), i in block.
+def _block_words(master_seed: int, domain: int, block: int) -> np.ndarray:
+    """The seed words of stream (master_seed, domain, i) for each i in block.
 
-    Entry j of each tuple is what PCG64(SeedSequence((master_seed, domain,
-    i))) starts from, for i = block * STREAM_BLOCK + j; the block's indices
-    must lie below 2**32.
+    Row j, read-only, holds the generate_state(4, np.uint64) of numpy's
+    SeedSequence of entropy (master_seed, domain, i), for i = block *
+    STREAM_BLOCK + j. An index of 2**32 or more adds its higher 32-bit
+    words to the entropy; they are the same for every index of an aligned
+    block.
     """
     start = block * STREAM_BLOCK
-    lanes = np.arange(start, start + STREAM_BLOCK, dtype=np.uint64)
-    words = _state_words(_words(master_seed) + _words(domain) + [lanes])
-    states, incs = [], []
-    for a, b, c, e in zip(*(w.tolist() for w in words)):
-        inc = ((c << 64 | e) << 1 | 1) & _MASK128
-        # pcg64_set_seed: state 0, one step, add the seed, one more step
-        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128)
-        incs.append(inc)
-    return tuple(states), tuple(incs)
-
-
-def _pcg64_streams(master_seed: int, domain: int, indices: range) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to stream (master_seed, domain, i) for each i of indices.
-
-    indices are nonnegative, increasing and below 2**32.
-    """
-    bit_generator = np.random.PCG64(0)  # its first state is never used
-    rng = np.random.Generator(bit_generator)
-    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
-    loaded = None
-    for i in indices:
-        block, j = divmod(i, STREAM_BLOCK)
-        if block != loaded:
-            states, incs = _block_states(master_seed, domain, block)
-            loaded = block
-        state["state"] = {"state": states[j], "inc": incs[j]}
-        bit_generator.state = state
-        yield rng
-
-
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Collapse a stream address to a single u64 sub-seed.
-
-    Used where a downstream API wants one integer seed (e.g. one point-set
-    realization per study seed index) rather than a Generator.
-    """
-    return int(_seed_sequence(master_seed, path).generate_state(1, np.uint64)[0])
+    low = start & _MASK32
+    lanes = np.arange(low, low + STREAM_BLOCK, dtype=np.uint64)
+    words = _state_words(_words(master_seed) + _words(domain) + [lanes] + _words(start)[1:])
+    block_words = np.stack(words, axis=1)
+    block_words.flags.writeable = False
+    return block_words
 
 
 def zigzag(i: int) -> int:

@@ -1,4 +1,10 @@
-"""The package's public namespace is the union of its submodules' public names."""
+"""The package's public namespace is the union of its submodules' public names,
+and importing it leaves numpy.random unloaded."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import incrstat
 from incrstat import corrector, errors, green, lattice, pointsets, randfields, seeding
@@ -18,3 +24,12 @@ def test_all_is_the_union_of_submodule_lists():
     for module in SUBMODULES:
         for name in module.__all__:
             assert getattr(incrstat, name) is getattr(module, name), name
+
+
+def test_import_does_not_load_numpy_random():
+    # seeding builds its numpy.random types on first use, so the import stays cheap
+    src = str(Path(incrstat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, incrstat.cli; assert 'numpy.random' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -29,9 +29,8 @@ from incrstat.randfields import (
     clamp_spectrum,
     empirical_covariance,
 )
-from incrstat.seeding import (
-    BATCH_MIN_STREAMS, STREAM_BLOCK, derive_rng, derive_rngs, derive_seed,
-)
+from incrstat.pointsets import IntervalLaw, PairPotential, thermodynamic_density
+from incrstat.seeding import STREAM_BLOCK, derive_rng, derive_rngs, derive_seed
 
 from oracle_utils import (
     complex_fft_synthesis_reference,
@@ -168,54 +167,71 @@ def test_iid_seed_determinism_property(kind, param, seed):
 
 
 def test_derived_streams_are_pinned():
-    # values of the stream addresses fixed since the seeding rule was introduced
+    # values of the stream addresses fixed since the seeding rule was introduced;
+    # the wide index and the wide seed were computed with numpy's SeedSequence
     assert derive_seed(7, 2, 1) == 12885887828867826467
     assert derive_rng(7, 0, 3).random() == 0.7765778436824163
+    assert derive_seed(7, 2, 2**32 + 5) == 16072380819543932236
+    assert derive_rng(7, 0, 2**32 + 5).random() == 0.27977443871973784
+    assert derive_seed(2**64 + 5, 2, 1) == 8714778776445040909
+    assert derive_rng(2**64 + 5, 0, 3).random() == 0.5892859262605555
     for derive in (derive_rng, derive_seed):
         with pytest.raises(ValueError, match="nonnegative"):
-            derive(-1, 0)
+            derive(-1, 0, 0)
 
 
 STREAM_RANGES = (
     range(0),
     range(4, 5),
-    range(3, 2 + BATCH_MIN_STREAMS),  # one short of the batched path
-    range(3, 3 + BATCH_MIN_STREAMS),
+    range(3, 18),
+    range(3, 19),
     range(1000),
     range(STREAM_BLOCK - 1, STREAM_BLOCK + 1),  # either side of the first block edge
     range(STREAM_BLOCK, 2 * STREAM_BLOCK),  # exactly the second block
     range(1000, 2100),  # the end of one block, a whole block and the start of a third
+    range(1030, 1000, -7),  # downward across the first block edge
     range(2**32 - 40, 2**32),  # ends at the last one-word index
     range(2**32 - 20, 2**32 + 20),  # crosses into two-word indices
 )
+
+
+def seed_sequence_rng(seed, domain, i):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, i))))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("domain", [0, 1, 2])
 @pytest.mark.parametrize("indices", STREAM_RANGES, ids=lambda r: f"{r.start}-{r.stop}")
 def test_derive_rngs_match_seed_sequence(seed, domain, indices):
-    seeding._block_states.cache_clear()
+    seeding._block_words.cache_clear()
     for _ in ("cold", "warm"):  # the second derivation reads the blocks the first one built
         rngs = derive_rngs(seed, domain, indices)
         for i, rng in zip(indices, rngs):
-            oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, domain, i))))
+            oracle = seed_sequence_rng(seed, domain, i)
             assert rng.bit_generator.state == oracle.bit_generator.state
             assert rng.integers(2**63, size=3).tolist() == oracle.integers(2**63, size=3).tolist()
             assert rng.random() == oracle.random()
         assert next(rngs, None) is None
+    for i in indices:  # the one-index calls read the same memo
+        oracle = seed_sequence_rng(seed, domain, i)
+        assert derive_rng(seed, domain, i).bit_generator.state == oracle.bit_generator.state
+        words = oracle.bit_generator.seed_seq.generate_state(1, np.uint64)
+        assert derive_seed(seed, domain, i) == int(words[0])
 
 
-def test_derive_rngs_batches_from_the_threshold(monkeypatch):
-    # the batched path sets every stream on one generator; derive_rng builds one per stream
-    short = list(derive_rngs(7, 0, range(BATCH_MIN_STREAMS - 1)))
-    assert len({id(rng) for rng in short}) == BATCH_MIN_STREAMS - 1
-    assert len({id(rng) for rng in derive_rngs(7, 0, range(BATCH_MIN_STREAMS))}) == 1
+def test_derive_rngs_gives_every_generator_its_own_stream(monkeypatch):
+    # generators of one range, held together and drawn in reverse order, each
+    # give the stream of their own index
+    indices = range(STREAM_BLOCK - 20, STREAM_BLOCK + 20)
+    rngs = list(derive_rngs(7, 0, indices))
+    draws = [rng.random(4).tolist() for rng in reversed(rngs)][::-1]
+    assert draws == [seed_sequence_rng(7, 0, i).random(4).tolist() for i in indices]
     for indices in (range(0), range(3), range(1000)):
         for seed, domain in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="nonnegative"):
                 derive_rngs(seed, domain, indices)
-    # six torus sides draw the same 1100 realizations in chunks of 32 to 1024
-    # rows, yet each of their two blocks of streams is hashed once
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_rngs(0, 0, range(2, -3, -1))
     hashed = []
     real = seeding._state_words
 
@@ -224,11 +240,20 @@ def test_derive_rngs_batches_from_the_threshold(monkeypatch):
         return real(entropy)
 
     monkeypatch.setattr(seeding, "_state_words", counted)
-    seeding._block_states.cache_clear()
+    # six torus sides draw the same 1100 realizations in chunks of 32 to 1024
+    # rows, yet each of their two blocks of streams is hashed once
+    seeding._block_words.cache_clear()
     spec = GeneratorSpec("iid", 0, IncrementLaw("uniform_centered", 1.0))
     report = scaling_study(spec, 1, n_per_mu=1100, master_seed=3)
     assert len({p.L for p in report.points}) == 6
     assert len(hashed) == 2
+    # the energy study hashes its sub-seeds' block once, then one interval
+    # block per sub-seed, however many box sizes and shifts read it
+    hashed.clear()
+    seeding._block_words.cache_clear()
+    thermodynamic_density(IntervalLaw("uniform", 0.5, 1.5), PairPotential("indicator", 2.0),
+                          (64, 128, 256, 512), n_seeds=8)
+    assert len(hashed) == 1 + 8
 
 
 def test_derive_rngs_builds_a_cold_block_from_many_threads():
@@ -241,7 +266,7 @@ def test_derive_rngs_builds_a_cold_block_from_many_threads():
         start.wait()
         return [rng.bit_generator.state for rng in derive_rngs(11, 0, indices)]
 
-    seeding._block_states.cache_clear()
+    seeding._block_words.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -772,10 +797,14 @@ CHUNK_CASES = (
 )
 
 
-# each case on a range derived one stream at a time, then on one derived in a batched pass
+# each case on a short range, then ("-batched") on one across the first block
+# edge of the stream memo
+EDGE = range(STREAM_BLOCK - 9, STREAM_BLOCK + 9)
+
+
 @pytest.mark.parametrize("spec, d, indices", [
     pytest.param(spec, d, indices, id=f"{spec.generator_id}-d{d}{suffix}")
-    for indices, suffix in ((range(3, 8), ""), (range(3, 5 + BATCH_MIN_STREAMS), "-batched"))
+    for indices, suffix in ((range(3, 8), ""), (EDGE, "-batched"))
     for spec, d in CHUNK_CASES
 ])
 def test_chunk_rows_equal_one_row_realizations(spec, d, indices):

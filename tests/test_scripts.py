@@ -3,11 +3,13 @@
 Each script runs in a fresh interpreter with the package source on
 PYTHONPATH, so a public name a script imports cannot vanish unnoticed.
 The verdict rule of scripts/bench_record.py is checked in process, on
-synthetic parent/change pairs.
+synthetic parent/change pairs, and its refusal of unlike benchmarks on two
+temporary checkouts.
 """
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,3 +69,27 @@ def test_bench_record_verdicts(better, parent, change, verdict):
     pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
     metrics = [{"name": "m", "better": better, "bound": 0.25}]
     assert bench_record.summarize(pairs, metrics)["m"]["verdict"] == verdict
+
+
+def test_bench_record_refuses_checkouts_with_unlike_benchmarks(tmp_path):
+    # two checkouts that differ in one perfbench file: exit 2 before any run, nothing written
+    for side in ("parent", "change"):
+        shutil.copytree(REPO / "perfbench", tmp_path / side / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(REPO / "BENCHMARK.json", tmp_path / side)
+    (tmp_path / "change" / "scripts").mkdir()
+    shutil.copy(REPO / "scripts" / "bench_record.py", tmp_path / "change" / "scripts")
+    with open(tmp_path / "parent" / "perfbench" / "workloads.py", "a", encoding="utf-8") as fh:
+        fh.write("\n# one more line\n")
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "change" / "scripts" / "bench_record.py"),
+         "--parent", str(tmp_path / "parent"), "--out", str(out), "--pairs", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "not comparable" in proc.stderr
+    assert not out.exists() and not (tmp_path / "BENCH.json.tmp").exists()
+    assert not (tmp_path / "parent" / ".perfbench_runs").exists()
+    assert not (tmp_path / "change" / ".perfbench_runs").exists()

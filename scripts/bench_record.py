@@ -12,7 +12,9 @@ times in each of two checkouts, the parent and this one (the change), in
 turn, with the side that runs first alternating from pair to pair. Each side runs its own perfbench/,
 so the two are comparable only when those files do not differ: if the
 digests of the two checkouts' perfbench/ files and BENCHMARK.json differ,
-it exits 2 before any run and writes nothing.
+it exits 2 before any run and writes nothing. So it does when either
+checkout has no git revision (`git rev-parse HEAD` fails, as in a
+`git archive` copy): a series must name both sides.
 
 The file keeps one series per (workload, seed, seconds): every run's
 end-to-end metrics; per metric, each side's median and quartiles, the
@@ -135,6 +137,12 @@ def main(argv=None) -> int:
         print(f"bench_record: {checkouts['parent']} and {ROOT} differ in perfbench/ or "
               "BENCHMARK.json, so their runs are not comparable", file=sys.stderr)
         return 2
+    sides = {side: revision(path) for side, path in checkouts.items()}
+    for side in SIDES:
+        if sides[side]["rev"] is None:
+            print(f"bench_record: the {side} checkout {checkouts[side]} has no git revision; "
+                  "make it with git clone", file=sys.stderr)
+            return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     names = args.workload or [w["name"] for w in spec["workloads"]]
@@ -157,7 +165,7 @@ def main(argv=None) -> int:
             "workload": name,
             "seed": args.seed,
             "seconds": args.seconds,
-            "sides": {side: revision(path) for side, path in checkouts.items()},
+            "sides": sides,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)),

@@ -1,10 +1,11 @@
 """Experiment orchestration: config in, deterministic CSV/JSON artifacts out.
 
-Subcommands: green, covariance, corrector-scaling, energy, report.
-Artifacts embed the canonical config; identical configs produce
-byte-identical outputs regardless of worker count, because every
-realization draws from a seed stream addressed by its own index and all
-reductions run in index order.
+Subcommands: green, covariance, corrector-scaling, energy, report. Each
+Monte Carlo subcommand is one library study, given the pool's map as
+map_fn, and its artifact writes. Artifacts embed the canonical config;
+identical configs produce byte-identical outputs regardless of worker
+count, because every realization draws from a seed stream addressed by
+its own index and all reductions run in index order.
 
 Exit codes: 0 success, 2 config/usage, 3 budget, 4 generator,
 5 diagnostic, 6 I/O, 130 interrupted.
@@ -46,8 +47,8 @@ _NUM = (int, float)
 _fmt = cfg.format_value
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write `lines` to a temp file beside `path`, then move it into place.
+def _write_lines(path: str, *parts) -> None:
+    """Write the lines of each of `parts` to a temp file beside `path`, then move it into place.
 
     The directory is made here, so a run that writes no artifact leaves
     none behind, and a run that fails mid-write leaves no truncated
@@ -57,7 +58,8 @@ def _write_lines(path: str, lines) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+            for lines in parts:
+                fh.writelines(lines)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -67,7 +69,7 @@ def _write_lines(path: str, lines) -> None:
 def _write_csv(path: str, config_text: str, header, rows) -> None:
     comments = [f"# {line}\n" for line in config_text.rstrip("\n").split("\n")]
     body = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    _write_lines(path, itertools.chain(comments, [",".join(header) + "\n"], body))
+    _write_lines(path, comments, [",".join(header) + "\n"], body)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -134,15 +136,11 @@ def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
 def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
     spec = _generator_spec(values)
     geom = TorusGeometry(values["d"], values["L"])
-    n = values["n_samples"]
-    samples = iter(map_fn(functools.partial(spec.realize, geom, values["seed"]), range(n)))
-    # clamping and its warning depend only on the generator and the torus
-    first = next(samples)
     d = geom.d
     # lag 0 once, every other lag length along each axis in turn
     axes = np.eye(d, dtype=int)
     lags = [m * e for m in sorted(set(values["lag_list"])) for e in axes[: d if m else 1]]
-    est = empirical_covariance(itertools.chain([first], samples), lags)
+    est = empirical_covariance(spec, geom, values["n_samples"], values["seed"], lags, map_fn)
     config_text = cfg.canonical_text("covariance", values)
     rows = [
         (";".join(str(int(c)) for c in lag), l, lp, est.axis, float(est.cov[j, l, lp]),
@@ -160,12 +158,12 @@ def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
             "generator": spec.describe(),
             "d": d,
             "L": geom.L,
-            "n_samples": n,
+            "n_samples": est.n_samples,
             "alpha_hat": "indeterminate" if est.alpha_hat is None else est.alpha_hat,
             "alpha_halfwidth": est.alpha_halfwidth,
             "n_fit_entries": est.n_fit_entries,
-            "clamped_mass_fraction": first.clamped_mass_fraction,
-            "warnings": sorted(first.warnings),
+            "clamped_mass_fraction": est.clamped_mass_fraction,
+            "warnings": sorted(est.warnings),
             "config_text": config_text,
         },
     )
@@ -232,12 +230,14 @@ def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
     )
     paths = [csv_path, json_path]
     if values["export_points"]:
-        # position list for the first study seed at each size
+        # the first study seed's positions at each size, cut from its window at
+        # the largest size, which holds each smaller window's points bit for bit
+        win = study_window(law, V, study.sizes[-1], values["seed"], 0)
+        k, x = win.labels[:, 0], win.points[:, 0]
         for N in study.sizes:
-            win = study_window(law, V, N, values["seed"], 0)
+            keep = (x >= -V.cutoff) & (x <= N + V.cutoff)
             ppath = os.path.join(out_dir, f"points_N{N}_s0.csv")
-            rows = zip(win.labels[:, 0].tolist(), win.points[:, 0].tolist())
-            _write_csv(ppath, config_text, ("k", "x"), rows)
+            _write_csv(ppath, config_text, ("k", "x"), zip(k[keep].tolist(), x[keep].tolist()))
             paths.append(ppath)
     return paths
 

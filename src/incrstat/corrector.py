@@ -28,7 +28,7 @@ from .lattice import (
     backward_divergence,
     forward_gradient,
 )
-from .randfields import GeneratorSpec, IncrementSample, _sample_id, _second_moments
+from .randfields import CHUNK_SITES, GeneratorSpec, IncrementSample, _sample_id, _second_moments
 
 __all__ = [
     "CorrectorSolution",
@@ -85,15 +85,6 @@ class CorrectorSolution:
         return self.zeta_second_moment - (
             self.mu * self.second_moment + self.dirichlet_energy
         )
-
-
-# Sites per Monte Carlo chunk: a task solves k = max(1, CHUNK_SITES // L^d)
-# realizations of one torus side together, so small tori pay Python dispatch
-# once per chunk rather than once per realization; large tori keep k = 1.
-# At most 2^14: a chunk of two or more rows then has rows of at most 2^13
-# sites, which fit einsum's 8192-element buffer, so each row's sum of
-# squares is bitwise the sum over that row alone.
-CHUNK_SITES = 2**14
 
 
 def _pin_mean(phi: np.ndarray) -> None:

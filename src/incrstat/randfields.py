@@ -18,14 +18,16 @@ amplification of the regularized solve.
 GeneratorSpec is the one way to draw a field, and chunk its one kernel:
 realization i is drawn from its own seed stream into row i of a
 (k, d) + shape array, and the rows are centred, and psi's second moments
-taken, all at once. realize is its one-row call.
+taken, all at once. realize is its one-row call; empirical_covariance is
+a study whose workers draw chunks and reduce them to per-lag statistics.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +45,16 @@ __all__ = [
 ]
 
 CLAMP_WARN_FRACTION = 0.10
+# Sites per Monte Carlo chunk: a study task draws k = max(1, CHUNK_SITES // L^d)
+# realizations of one torus side together, so small tori pay Python dispatch
+# once per chunk rather than once per realization; large tori keep k = 1.
+# At most 2^14: a chunk of two or more rows then has rows of at most 2^13
+# sites, which fit einsum's 8192-element buffer, so each row's sum of
+# squares in the corrector is bitwise the sum over that row alone.
+CHUNK_SITES = 2**14
+# each thread's covariance shift buffer, kept across its tasks: one freed per
+# sample can tip glibc's heap into trimming, which costs time and resident memory
+_worker = threading.local()
 GENERATOR_KINDS = ("iid", "gradient", "decay_alpha", "gff", "zero")
 INCREMENT_LAWS = ("uniform_centered", "gaussian", "bernoulli_pm", "constant")
 
@@ -205,6 +217,13 @@ def _spectral_gaussian(
     return np.fft.irfft(spectrum, n=out.shape[-1], axis=axes[-1], out=out)
 
 
+def _clamp_warnings(frac: float | None) -> tuple[str, ...]:
+    """The warning a clamped spectral mass fraction above CLAMP_WARN_FRACTION raises, if any."""
+    if frac is None or frac <= CLAMP_WARN_FRACTION:
+        return ()
+    return (f"clamped spectral mass fraction {frac:.3f} exceeds {CLAMP_WARN_FRACTION}",)
+
+
 def clamp_spectrum(cov_hat: np.ndarray) -> tuple[np.ndarray, float]:
     """Zero out negative spectral mass; return (clamped spectrum, clamped fraction)."""
     real = cov_hat.real
@@ -250,19 +269,20 @@ class GeneratorSpec:
       iid          independent centred values of law along axis alone, the other components zero
       gradient     zeta = D psi for an iid psi of law: exactly curl-free, psi's mean square recorded
       decay_alpha  independent Gaussian components with covariance 1 / (1 + |k|_2^alpha)
-      gff          the gradient of the two-dimensional Gaussian free field, d = 2 only
+      gff          the gradient of the Gaussian free field
       zero         the degenerate iid constant law, a null case whose corrector is zero
 
     decay_alpha is synthesized spectrally on the torus; it clamps the
     spectrum at zero where the target is not positive definite at finite
     L, records the clamped mass fraction and warns above
     CLAMP_WARN_FRACTION. gff's psi has spectral density
-    1/symbol(-laplacian) off the zero mode, so Var[psi] grows like log L.
+    1/symbol(-laplacian) off the zero mode, so Var[psi] grows like L in
+    d = 1 and like log L in d = 2, and stays bounded in d = 3.
 
     chunk draws many realizations into one array; realize is its one-row
     call, so a realization does not depend on the chunk it is drawn in.
     A bad spec raises ValueError when it is built; a draw that fails
-    raises GeneratorError naming its realizations (gff off d = 2 names none).
+    raises GeneratorError naming its realizations.
     """
 
     kind: str
@@ -303,8 +323,6 @@ class GeneratorSpec:
             d, L, k = geometry.d, geometry.L, len(indices)
             if not 0 <= self.axis < d:
                 raise ValueError(f"axis {self.axis} out of range for d={d}")
-            if self.kind == "gff" and d != 2:
-                raise GeneratorError("gff increments are only defined in d = 2")
             shape = (k, d) + geometry.shape
             streams = derive_rngs(seed, DOMAIN_FIELD, indices)
             psi2 = frac = None
@@ -336,8 +354,6 @@ class GeneratorSpec:
                 psi2 = np.square(psi).mean(axis=tuple(range(1, d + 1)))
                 values = _gradient_rows(psi, np.empty(shape))
                 _centre(values, d)
-        except GeneratorError:
-            raise
         except Exception as exc:  # attach the realization indices for MC debugging
             where = f"{indices[0]}..{indices[-1]}" if len(indices) > 1 else f"{indices[0]}"
             raise GeneratorError(
@@ -350,10 +366,6 @@ class GeneratorSpec:
     ) -> IncrementSample:
         """Realization `realization`: row 0 of its one-row chunk, as an IncrementSample."""
         chunk = self.chunk(geometry, seed, range(realization, realization + 1))
-        frac = chunk.clamped_mass_fraction
-        warn: tuple[str, ...] = ()
-        if frac is not None and frac > CLAMP_WARN_FRACTION:
-            warn = (f"clamped spectral mass fraction {frac:.3f} exceeds {CLAMP_WARN_FRACTION}",)
         psi2 = chunk.psi_second_moment
         return IncrementSample(
             geometry=geometry,
@@ -365,8 +377,8 @@ class GeneratorSpec:
             realization=realization,
             curl_free=self.kind in ("gradient", "gff"),
             psi_second_moment=None if psi2 is None else float(psi2[0]),
-            clamped_mass_fraction=frac,
-            warnings=warn,
+            clamped_mass_fraction=chunk.clamped_mass_fraction,
+            warnings=_clamp_warnings(chunk.clamped_mass_fraction),
             support=self.support(geometry.d),
         )
 
@@ -385,11 +397,12 @@ class CovarianceEstimate:
     """Cross-realization covariance of increment components at integer lags.
 
     cov[j, l, m] estimates Cov(zeta_l(k + lag_j), zeta_m(k)) for the fixed
-    axis of the input samples, with jackknife standard errors over the
+    axis of the generator, with jackknife standard errors over the
     realizations. alpha_hat is the least-squares decay exponent of
     log|cov| against log|lag| over entries passing the 3 sigma
     significance filter, or None when no entry passes (reported as
-    "indeterminate" downstream, never as a number).
+    "indeterminate" downstream, never as a number). clamped_mass_fraction
+    and warnings are the spectral clamp's, as each sample would carry them.
     """
 
     axis: int
@@ -400,6 +413,8 @@ class CovarianceEstimate:
     alpha_hat: float | None
     alpha_halfwidth: float | None
     n_fit_entries: int
+    clamped_mass_fraction: float | None
+    warnings: tuple[str, ...]
 
     def lag_index(self, lag) -> int:
         lag = np.asarray(lag, dtype=int)
@@ -414,48 +429,56 @@ def lags_error(lags: Sequence) -> str | None:
     return None if len(lags) else "need at least one lag"
 
 
-def empirical_covariance(
-    samples: Iterable[IncrementSample], lags: Sequence
-) -> CovarianceEstimate:
-    """Unbiased covariance over realizations, spatially averaged per lag.
+def _covariance_rows(task) -> tuple[range, np.ndarray, float | None]:
+    """Worker: indices, statistics and clamped mass fraction of one chunk, for any map_fn.
 
-    Requires at least two samples from one generator on one geometry.
-    samples is read once, in one pass: each sample is checked against the
-    first, reduced to its (lags, d, d) statistic and dropped, so any
-    iterable serves and no more than one sample is held at a time.
+    task is (spec, geometry, master_seed, lags, indices); statistic [i, j]
+    is the site average of zeta(x + lag_j) zeta(x)^T for realization indices[i].
+    """
+    spec, geometry, master_seed, lags, indices = task
+    chunk = spec.chunk(geometry, master_seed, indices)
+    d, space_axes = geometry.d, tuple(range(1, geometry.d + 1))
+    shifted = getattr(_worker, "shifted", None)
+    if shifted is None or shifted.shape != chunk.values.shape[1:]:
+        shifted = _worker.shifted = np.empty(chunk.values.shape[1:])
+    stats = np.empty((len(indices), len(lags), d, d))
+    for v, stat in zip(chunk.values, stats):  # v is (d,) + shape, exactly centred
+        flat = v.reshape(d, -1)
+        for j, k in enumerate(lags):
+            # sum over x of v(x + k) v(x)^T, the BLAS call tensordot makes
+            np.dot(_shift_into(v, k, space_axes, shifted).reshape(d, -1), flat.T, out=stat[j])
+    stats /= geometry.n_sites
+    return indices, stats, chunk.clamped_mass_fraction
+
+
+def empirical_covariance(
+    spec: GeneratorSpec,
+    geometry: TorusGeometry,
+    n_samples: int,
+    master_seed: int,
+    lags: Sequence,
+    map_fn: Callable[..., Iterable] | None = None,
+) -> CovarianceEstimate:
+    """Unbiased covariance over realizations 0 .. n_samples - 1 of spec, averaged over sites.
+
+    Lags and n_samples >= 2 are checked before any draw. map_fn runs
+    _covariance_rows over consecutive ranges of max(1, CHUNK_SITES // L^d)
+    indices, and their statistics, never the samples, are kept in index order.
     """
     if problem := lags_error(lags):
         raise ValueError(problem)
     lag_arr = np.atleast_2d(np.asarray(lags, dtype=int))
-    stats = []
-    for s in samples:
-        if not stats:
-            geom, generator, axis = s.geometry, (s.generator_id, s.parameters), s.axis
-            d = geom.d
-            if lag_arr.shape[1] != d:
-                raise ValueError(f"lags must have {d} coordinates")
-            space_axes = tuple(range(1, d + 1))
-            shifted = np.empty((d,) + geom.shape)  # one buffer for every lag of every sample
-        elif s.geometry != geom:
-            raise ValueError("samples live on different geometries")
-        elif (s.generator_id, s.parameters) != generator:
-            raise ValueError("samples come from different generators")
-        elif s.axis != axis:
-            raise ValueError("samples have different axes")
-        v = s.values  # (d,) + shape, exactly centered
-        flat = v.reshape(d, -1)
-        stat = np.empty((len(lag_arr), d, d))
-        for j, k in enumerate(lag_arr):
-            # sum over x of v(x + k) v(x)^T, the BLAS call tensordot makes
-            np.dot(_shift_into(v, k, space_axes, shifted).reshape(d, -1), flat.T, out=stat[j])
-        stat /= geom.n_sites
-        stats.append(stat)
-        del s, v, flat  # not held while the next sample is drawn
-    if len(stats) < 2:
+    d = geometry.d
+    if lag_arr.shape[1] != d:
+        raise ValueError(f"lags must have {d} coordinates")
+    if n_samples < 2:
         raise ValueError("need at least 2 samples for a covariance estimate")
-    R = len(stats)
-    per_real = np.stack(stats)
-    del stats
+    R, k = n_samples, max(1, CHUNK_SITES // geometry.n_sites)
+    ranges = (range(i, min(i + k, R)) for i in range(0, R, k))
+    tasks = ((spec, geometry, master_seed, lag_arr, indices) for indices in ranges)
+    per_real = np.empty((R, len(lag_arr), d, d))
+    for indices, stats, frac in (map_fn or map)(_covariance_rows, tasks):
+        per_real[indices.start : indices.stop] = stats
     mean = per_real.mean(axis=0)
     # jackknife over realizations; for this linear statistic it matches
     # the classical stderr of the mean but keeps the estimator uniform.
@@ -481,7 +504,7 @@ def empirical_covariance(
         alpha_hat = float(-slope)
         halfwidth = 1.96 * se
     return CovarianceEstimate(
-        axis=axis,
+        axis=spec.axis,
         lags=lag_arr,
         cov=mean,
         stderr=stderr,
@@ -489,4 +512,6 @@ def empirical_covariance(
         alpha_hat=alpha_hat,
         alpha_halfwidth=halfwidth,
         n_fit_entries=len(x),
+        clamped_mass_fraction=frac,
+        warnings=_clamp_warnings(frac),
     )

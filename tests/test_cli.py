@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import incrstat.config as cfg
-from incrstat import cli
+from incrstat import cli, randfields
 from incrstat.corrector import solve_corrector
 from incrstat.errors import ConfigError, DiagnosticError
 from incrstat.green import green_torus
@@ -296,12 +296,14 @@ def covariance_peak_bytes(out_dir, n_samples):
 
 
 def test_covariance_memory_does_not_grow_with_n_samples(tmp_path):
-    # samples stream through the estimator, so only the per-sample statistic
-    # of (lags, d, d) floats accumulates; one sample is 3 * 16^3 floats
+    # no sample outlives its task, so only the per-sample statistics of
+    # (13 lags, 3, 3) floats accumulate; the 1 kB slack covers allocator
+    # noise (the growth read 168 bytes under the statistics' own), while one
+    # sample is 3 * 16^3 floats
     covariance_peak_bytes(tmp_path / "warm", 2)  # numpy's lazy set-up, the amplitude cache
     small = covariance_peak_bytes(tmp_path / "small", 8)
     large = covariance_peak_bytes(tmp_path / "large", 32)
-    assert large - small < 3 * 16**3 * 8
+    assert large - small < (32 - 8) * 13 * 9 * 8 + 1024
 
 
 def test_scaling_artifacts_and_cap_note(artifacts):
@@ -378,19 +380,27 @@ def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
-    for d, pools in ((1, []), (2, [2])):
+    scaling = ("corrector-scaling", ("scaling.csv", "scaling_report.json"))
+    covariance = ("covariance", ("covariance.csv", "covariance_summary.json"))
+    # the covariance run takes 3 tasks of 4 samples at d=2, L=64
+    cov_text = "d = 2\nL = 64\ngenerator = decay_alpha\nalpha = 3.0\nn_samples = 12\n"
+    for name, (command, files), text, pools in (
+        ("d1", scaling, SCALING_CFG, []),
+        ("d2", scaling, SCALING_CFG.replace("d = 1", "d = 2"), [2]),
+        ("cov", covariance, cov_text, [2]),
+    ):
         built.clear()
-        cfg_path = write_cfg(tmp_path, SCALING_CFG.replace("d = 1", f"d = {d}"), name=f"d{d}.cfg")
+        cfg_path = write_cfg(tmp_path, text, name=f"{name}.cfg")
         for threads in ("1", "2"):
             argv = [
-                "corrector-scaling", "--config", cfg_path,
-                "--out", str(tmp_path / f"d{d}-t{threads}"), "--threads", threads,
+                command, "--config", cfg_path,
+                "--out", str(tmp_path / f"{name}-t{threads}"), "--threads", threads,
             ]
             assert cli.main(argv) == 0
         assert built == pools
-        for name in ("scaling.csv", "scaling_report.json"):
-            assert (tmp_path / f"d{d}-t1" / name).read_bytes() == (
-                tmp_path / f"d{d}-t2" / name).read_bytes()
+        for file in files:
+            assert (tmp_path / f"{name}-t1" / file).read_bytes() == (
+                tmp_path / f"{name}-t2" / file).read_bytes()
 
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
@@ -584,13 +594,18 @@ def test_budget_refusal_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_generator_failure_exits_4(tmp_path, capsys):
+def test_generator_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise FloatingPointError("injected synthesis failure")
+
+    monkeypatch.setattr(randfields, "_spectral_gaussian", fail)
     text = "d = 1\nL = 16\ngenerator = gff\nn_samples = 2\n"
     cfg_path = write_cfg(tmp_path, text)
     assert cli.main(["covariance", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 4
     err = stderr_error(capsys)
     assert err["error"] == "GeneratorError"
-    assert "d = 2" in err["message"]
+    assert "failed at realization 0..1: injected synthesis failure" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -148,7 +148,7 @@ def test_solve_shift_equivariance():
 # ---------------------------------------------------------------- certification
 
 
-# every spec the MC path serves; gff exists only in d = 2
+# every spec the MC path serves
 ALL_SPECS = (
     (GeneratorSpec(kind="iid", axis=0, law=UNIT_LAW), 1),
     (GeneratorSpec(kind="iid", axis=1, law=IncrementLaw("gaussian", 0.7)), 3),
@@ -157,6 +157,8 @@ ALL_SPECS = (
     (GeneratorSpec(kind="decay_alpha", axis=0, alpha=3.0), 3),
     (GeneratorSpec(kind="decay_alpha", axis=0, alpha=1.5), 2),
     (GeneratorSpec(kind="zero"), 2),
+    (GeneratorSpec(kind="gff", axis=0), 1),
+    (GeneratorSpec(kind="gff", axis=2), 3),
 )
 SIDES = {1: 64, 2: 16, 3: 8}
 

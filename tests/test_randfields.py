@@ -6,10 +6,10 @@ exists (spectral expectations) and against 4-standard-error bands
 otherwise.
 """
 
+import itertools
 import pickle
 import sys
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -129,10 +129,8 @@ def test_iid_variance_matches_law():
 
 
 def test_iid_nonzero_lags_insignificant():
-    geom = TorusGeometry(1, 64)
-    law = IncrementLaw("uniform_centered", 1.0)
-    samples = [GeneratorSpec("iid", 0, law).realize(geom, 0, i) for i in range(100)]
-    est = empirical_covariance(samples, [(1,), (2,), (4,), (8,)])
+    spec = GeneratorSpec("iid", 0, IncrementLaw("uniform_centered", 1.0))
+    est = empirical_covariance(spec, TorusGeometry(1, 64), 100, 0, [(1,), (2,), (4,), (8,)])
     for j in range(len(est.lags)):
         assert abs(est.cov[j, 0, 0]) <= 4.0 * est.stderr[j, 0, 0]
     # nothing survives the significance filter, so no exponent is reported
@@ -425,10 +423,14 @@ def test_decay_alpha_clamp_reported_small_case():
 
 def test_decay_alpha_clamp_warning_above_threshold():
     # a near-indicator covariance is far from positive definite in d=3
-    s = GeneratorSpec("decay_alpha", 0, alpha=20.0).realize(TorusGeometry(3, 16), 0)
+    spec, geom = GeneratorSpec("decay_alpha", 0, alpha=20.0), TorusGeometry(3, 16)
+    s = spec.realize(geom, 0)
     assert s.clamped_mass_fraction > CLAMP_WARN_FRACTION
     assert len(s.warnings) == 1
     assert "clamped spectral mass" in s.warnings[0]
+    # the covariance estimate reports the clamp as its samples do
+    est = empirical_covariance(spec, geom, 2, 0, [(0, 0, 0)])
+    assert (est.clamped_mass_fraction, est.warnings) == (s.clamped_mass_fraction, s.warnings)
 
 
 def test_decay_alpha_cross_seed_correlation():
@@ -457,15 +459,14 @@ def axis_lags(sides, d):
 
 @pytest.fixture(scope="module")
 def decay_estimate_3d():
-    """One streamed estimate over 200 d=3, L=64 samples, at lag 0 and the fitted lags.
+    """One estimate over 200 d=3, L=64 samples, at lag 0 and the fitted lags.
 
     Lag 0 lies outside the exponent fit, so sharing the estimate leaves
     alpha_hat as a fit over the fitted lags alone would give it.
     """
     geom = TorusGeometry(3, 64)
     spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
-    samples = (spec.realize(geom, 0, i) for i in range(200))
-    return geom, empirical_covariance(samples, [(0, 0, 0)] + axis_lags(FIT_LAG_SIDES, 3))
+    return geom, empirical_covariance(spec, geom, 200, 0, [(0, 0, 0)] + axis_lags(FIT_LAG_SIDES, 3))
 
 
 def test_decay_alpha_fitted_exponent(decay_estimate_3d):
@@ -495,11 +496,13 @@ def test_decay_alpha_lag0_variance(decay_estimate_3d):
 # ---------------------------------------------------------------- gff
 
 
-def test_gff_requires_d2():
-    with pytest.raises(GeneratorError, match="d = 2"):
-        GeneratorSpec("gff", 0).realize(TorusGeometry(1, 16), 0)
-    with pytest.raises(GeneratorError, match="d = 2"):
-        GeneratorSpec("gff", 0).realize(TorusGeometry(3, 4), 0)
+def test_gff_d1_increments_are_centred_white_noise():
+    # at d=1, |D^(k)|^2 / symbol(k) = 1 off the zero mode: zeta is unit white
+    # noise less its site mean, so C(0) = 1 - 1/L and C(k) = -1/L elsewhere
+    L = 256
+    est = empirical_covariance(GeneratorSpec("gff"), TorusGeometry(1, L), 400, 0, [(0,), (1,)])
+    for lag, exact in ((0, 1.0 - 1.0 / L), (1, -1.0 / L)):
+        assert abs(est.cov[lag, 0, 0] - exact) <= 5.0 * est.stderr[lag, 0, 0]
 
 
 def test_gff_curl_free_and_metadata():
@@ -533,9 +536,8 @@ def test_gff_log_variance_growth():
 
 
 def test_gff_covariance_exponent_near_two():
-    geom = TorusGeometry(2, 128)
-    samples = (GeneratorSpec("gff", 0).realize(geom, 0, i) for i in range(100))
-    est = empirical_covariance(samples, axis_lags(FIT_LAG_SIDES, 2))
+    est = empirical_covariance(GeneratorSpec("gff"), TorusGeometry(2, 128), 100, 0,
+                               axis_lags(FIT_LAG_SIDES, 2))
     assert est.alpha_hat is not None
     assert 1.5 <= est.alpha_hat <= 2.5
 
@@ -566,12 +568,12 @@ def test_decay_alpha_matches_complex_fft_oracle(d, L):
 
 @pytest.mark.parametrize("L", ORACLE_SIDES + (64,))
 def test_gff_matches_complex_fft_oracle(L):
-    for i in range(2):
-        s = GeneratorSpec("gff", 0).realize(TorusGeometry(2, L), 5, i)
-        psi = complex_fft_synthesis_reference("gff", 2, L, 5, i)[0]
-        zeta = np.stack([np.roll(psi, -1, axis=l) - psi for l in range(2)])
-        zeta -= zeta.mean(axis=(1, 2), keepdims=True)
-        assert within_oracle(s.values, zeta)
+    for d, i in itertools.product((1, 2, 3), range(2)):
+        s = GeneratorSpec("gff", 0).realize(TorusGeometry(d, L), 5, i)
+        psi = complex_fft_synthesis_reference("gff", d, L, 5, i)[0]
+        zeta = np.stack([np.roll(psi, -1, axis=l) - psi for l in range(d)])
+        zeta -= zeta.mean(axis=tuple(range(1, d + 1)), keepdims=True)
+        assert within_oracle(s.values, zeta), f"d={d}"
         assert s.psi_second_moment == pytest.approx(float(np.mean(psi**2)), rel=1e-13)
 
 
@@ -589,72 +591,34 @@ def test_spectral_synthesis_bitwise_equals_rfftn_pair(monkeypatch, kind, d, L):
 
 # ---------------------------------------------------------------- estimator
 
-
-def _iid_batch(n, geom=None, seed=0):
-    geom = geom or TorusGeometry(1, 16)
-    spec = GeneratorSpec("iid", 0, IncrementLaw("gaussian", 1.0))
-    return [spec.realize(geom, seed, i) for i in range(n)]
+IID_GAUSSIAN = GeneratorSpec("iid", 0, IncrementLaw("gaussian", 1.0))
 
 
-def test_covariance_needs_two_samples():
-    with pytest.raises(ValueError, match="at least 2"):
-        empirical_covariance(_iid_batch(1), [(0,)])
-
-
-def test_covariance_rejects_mixed_geometry():
-    a = _iid_batch(1, TorusGeometry(1, 16))
-    b = _iid_batch(1, TorusGeometry(1, 32))
-    with pytest.raises(ValueError, match="geometries"):
-        empirical_covariance(a + b, [(0,)])
-
-
-def test_covariance_rejects_mixed_generator():
-    geom = TorusGeometry(1, 16)
-    a = [GeneratorSpec("iid", 0, IncrementLaw("gaussian", 1.0)).realize(geom, 0, 0)]
-    b = [GeneratorSpec("iid", 0, IncrementLaw("gaussian", 2.0)).realize(geom, 0, 1)]
-    with pytest.raises(ValueError, match="generators"):
-        empirical_covariance(a + b, [(0,)])
-
-
-def test_covariance_rejects_mixed_axis():
-    geom = TorusGeometry(2, 8)
-    law = IncrementLaw("gaussian", 1.0)
-    a = GeneratorSpec("iid", 0, law).realize(geom, 0, 0)
-    b = GeneratorSpec("iid", 1, law).realize(geom, 0, 1)
-    with pytest.raises(ValueError, match="axes"):
-        empirical_covariance([a, b], [(0, 0)])
-
-
-def test_covariance_rejects_wrong_lag_width():
-    with pytest.raises(ValueError, match="coordinates"):
-        empirical_covariance(_iid_batch(2), [(0, 0)])
-
-
-def test_covariance_rejects_empty_lags_before_drawing():
-    def no_samples():
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any test that draws a field."""
+    def chunk(*args):
         raise AssertionError("a sample was drawn")
-        yield
 
+    monkeypatch.setattr(GeneratorSpec, "chunk", chunk)
+
+
+def test_covariance_needs_two_samples(no_draws):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            empirical_covariance(IID_GAUSSIAN, TorusGeometry(1, 16), n, 0, [(0,)])
+
+
+def test_covariance_rejects_wrong_lag_width(no_draws):
+    with pytest.raises(ValueError, match="coordinates"):
+        empirical_covariance(IID_GAUSSIAN, TorusGeometry(1, 16), 2, 0, [(0, 0)])
+    with pytest.raises(ValueError, match="coordinates"):
+        empirical_covariance(IID_GAUSSIAN, TorusGeometry(2, 8), 2, 0, [(0,)])
+
+
+def test_covariance_rejects_empty_lags_before_drawing(no_draws):
     with pytest.raises(ValueError, match="at least one lag"):
-        empirical_covariance(no_samples(), [])
-
-
-def streamed(samples):
-    """The samples as a one-pass generator."""
-    yield from samples
-
-
-def test_covariance_over_generator_equals_list_bitwise():
-    spec, geom = GeneratorSpec("decay_alpha", 1, alpha=3.0), TorusGeometry(2, 8)
-    samples = [spec.realize(geom, 2, i) for i in range(5)]
-    lags = [(0, 0), (1, 0), (0, 2), (-1, 3)]
-    a = empirical_covariance(samples, lags)
-    b = empirical_covariance(streamed(samples), lags)
-    for name in ("cov", "stderr", "lags"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    assert (a.axis, a.n_samples, a.alpha_hat, a.alpha_halfwidth, a.n_fit_entries) == (
-        b.axis, b.n_samples, b.alpha_hat, b.alpha_halfwidth, b.n_fit_entries
-    )
+        empirical_covariance(IID_GAUSSIAN, TorusGeometry(1, 16), 2, 0, [])
 
 
 @pytest.mark.parametrize(
@@ -666,70 +630,48 @@ def test_covariance_over_generator_equals_list_bitwise():
     ],
 )
 def test_covariance_bitwise_equals_roll_tensordot_oracle(d, L, lags):
-    # lag 0, negative, multi-axis and components >= L, read from a one-pass generator
-    spec, geom = GeneratorSpec("decay_alpha", 0, alpha=2.0), TorusGeometry(d, L)
+    # lag 0, negative, multi-axis and components >= L; at these sides a task
+    # takes many rows
+    spec, geom = GeneratorSpec("decay_alpha", d - 1, alpha=2.0), TorusGeometry(d, L)
+    est = empirical_covariance(spec, geom, 12, 4, lags)
     samples = [spec.realize(geom, 4, i) for i in range(12)]
-    est = empirical_covariance(streamed(samples), lags)
     cov, stderr, alpha_hat = roll_covariance_reference(samples, lags)
     assert est.cov.tobytes() == cov.tobytes()
     assert est.stderr.tobytes() == stderr.tobytes()
     assert est.alpha_hat == alpha_hat
+    assert (est.axis, est.n_samples) == (d - 1, 12)
 
 
-def covariance_error_cases():
-    """(message, samples, lags) of each case the existing list tests raise on."""
-    geom1, geom2 = TorusGeometry(1, 16), TorusGeometry(2, 8)
-    g1, g2 = IncrementLaw("gaussian", 1.0), IncrementLaw("gaussian", 2.0)
-    x1, x2 = GeneratorSpec("iid", 0, g1), GeneratorSpec("iid", 0, g2)
-    mixed_law = [x1.realize(geom1, 0, 0), x2.realize(geom1, 0, 1)]
-    mixed_axis = [x1.realize(geom2, 0, 0), GeneratorSpec("iid", 1, g1).realize(geom2, 0, 1)]
-    return [
-        ("at least 2", [], [(0,)]),
-        ("at least 2", _iid_batch(1), [(0,)]),
-        ("geometries", _iid_batch(1, geom1) + _iid_batch(1, TorusGeometry(1, 32)), [(0,)]),
-        ("generators", mixed_law, [(0,)]),
-        ("axes", mixed_axis, [(0, 0)]),
-        ("coordinates", _iid_batch(2), [(0, 0)]),
-    ]
-
-
-@pytest.mark.parametrize("case", range(len(covariance_error_cases())))
-def test_covariance_errors_raise_on_a_generator(case):
-    match, samples, lags = covariance_error_cases()[case]
-    with pytest.raises(ValueError, match=match):
-        empirical_covariance(streamed(samples), lags)
-
-
-def test_covariance_drops_each_sample_before_the_next():
-    geom = TorusGeometry(2, 8)
-    spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
-    seen = []
-
-    def tracked():
-        for i in range(4):
-            assert all(ref() is None for ref in seen), "an earlier sample is still held"
-            s = spec.realize(geom, 0, i)
-            seen.append(weakref.ref(s))
-            yield s
-            del s
-
-    assert empirical_covariance(tracked(), [(0, 0), (1, 0)]).n_samples == 4
+def test_covariance_threads_keep_their_own_shift_buffers():
+    # one sample per task at L = 32, d = 3; more threads than cores, switching
+    # often, so threads sharing a buffer would overwrite each other's shifts
+    spec, geom = GeneratorSpec("decay_alpha", 0, alpha=3.0), TorusGeometry(3, 32)
+    lags = [(0, 0, 0), (1, 0, 0), (0, 3, -2), (5, 5, 5), (-1, 0, 7)]
+    serial = empirical_covariance(spec, geom, 48, 2, lags)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as ex:
+            pooled = empirical_covariance(spec, geom, 48, 2, lags, map_fn=ex.map)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.cov.tobytes() == serial.cov.tobytes()
+    assert pooled.stderr.tobytes() == serial.stderr.tobytes()
 
 
 def test_lag_index_lookup():
-    est = empirical_covariance(_iid_batch(4), [(0,), (2,)])
+    est = empirical_covariance(IID_GAUSSIAN, TorusGeometry(1, 16), 4, 0, [(0,), (2,)])
     assert est.lag_index((2,)) == 1
     with pytest.raises(KeyError):
         est.lag_index((3,))
 
 
 def test_covariance_lag_negation_symmetry():
-    geom = TorusGeometry(2, 32)
-    samples = [GeneratorSpec("decay_alpha", 0, alpha=3.0).realize(geom, 0, i) for i in range(100)]
+    spec = GeneratorSpec("decay_alpha", 0, alpha=3.0)
     lags = []
     for m in (1, 2, 3, 5):
         lags += [(m, 0), (-m, 0), (0, m), (0, -m), (m, m), (-m, -m)]
-    est = empirical_covariance(samples, lags)
+    est = empirical_covariance(spec, TorusGeometry(2, 32), 100, 0, lags)
     for m in (1, 2, 3, 5):
         for pos, neg in (((m, 0), (-m, 0)), ((0, m), (0, -m)), ((m, m), (-m, -m))):
             jp, jn = est.lag_index(pos), est.lag_index(neg)
@@ -744,18 +686,17 @@ def test_covariance_lag_negation_symmetry():
 
 
 def test_covariance_lag0_is_variance():
-    samples = _iid_batch(50, TorusGeometry(1, 64))
-    est = empirical_covariance(samples, [(0,)])
+    geom = TorusGeometry(1, 64)
+    est = empirical_covariance(IID_GAUSSIAN, geom, 50, 0, [(0,)])
     assert est.cov[0, 0, 0] >= 0.0
+    samples = [IID_GAUSSIAN.realize(geom, 0, i) for i in range(50)]
     direct = float(np.mean([np.mean(s.values[0] ** 2) for s in samples]))
     assert est.cov[0, 0, 0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_zero_samples_indeterminate():
-    geom = TorusGeometry(1, 16)
-    law = IncrementLaw("constant", 2.0)
-    samples = [GeneratorSpec("iid", 0, law).realize(geom, 0, i) for i in range(3)]
-    est = empirical_covariance(samples, [(0,), (1,), (2,)])
+    spec = GeneratorSpec("iid", 0, IncrementLaw("constant", 2.0))
+    est = empirical_covariance(spec, TorusGeometry(1, 16), 3, 0, [(0,), (1,), (2,)])
     assert np.all(est.cov == 0.0)
     assert np.all(est.stderr == 0.0)
     assert est.alpha_hat is None
@@ -849,14 +790,6 @@ def test_generator_spec_wraps_failures_with_index():
     spec = GeneratorSpec(kind="iid", axis=5, law=IncrementLaw("gaussian", 1.0))
     with pytest.raises(GeneratorError, match="failed at realization 7"):
         spec.realize(TorusGeometry(1, 8), 0, 7)
-
-
-def test_generator_spec_gff_error_not_rewrapped():
-    spec = GeneratorSpec(kind="gff")
-    with pytest.raises(GeneratorError) as exc:
-        spec.realize(TorusGeometry(1, 8), 0, 3)
-    assert "realization" not in str(exc.value)
-    assert "d = 2" in str(exc.value)
 
 
 def test_generator_spec_describe():

@@ -3,8 +3,8 @@
 Each script runs in a fresh interpreter with the package source on
 PYTHONPATH, so a public name a script imports cannot vanish unnoticed.
 The verdict rule of scripts/bench_record.py is checked in process, on
-synthetic parent/change pairs, and its refusal of unlike benchmarks on two
-temporary checkouts.
+synthetic parent/change pairs, and its refusals of unlike benchmarks and
+of a checkout without a git revision on two temporary checkouts.
 """
 
 import importlib.util
@@ -71,25 +71,52 @@ def test_bench_record_verdicts(better, parent, change, verdict):
     assert bench_record.summarize(pairs, metrics)["m"]["verdict"] == verdict
 
 
-def test_bench_record_refuses_checkouts_with_unlike_benchmarks(tmp_path):
-    # two checkouts that differ in one perfbench file: exit 2 before any run, nothing written
+def bench_record_refusal(tmp_path, env=None):
+    """Run bench_record.py on the two checkouts under tmp_path; check it refused.
+
+    Returns its stderr line, after checking that it exited 2 before any
+    run and wrote nothing.
+    """
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "change" / "scripts" / "bench_record.py"),
+         "--parent", str(tmp_path / "parent"), "--out", str(out), "--pairs", "2"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "BENCH.json.tmp").exists()
+    assert not (tmp_path / "parent" / ".perfbench_runs").exists()
+    assert not (tmp_path / "change" / ".perfbench_runs").exists()
+    return proc.stderr
+
+
+def make_checkouts(tmp_path):
+    """Parent and change checkouts under tmp_path with this repo's perfbench/ and BENCHMARK.json."""
     for side in ("parent", "change"):
         shutil.copytree(REPO / "perfbench", tmp_path / side / "perfbench",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(REPO / "BENCHMARK.json", tmp_path / side)
     (tmp_path / "change" / "scripts").mkdir()
     shutil.copy(REPO / "scripts" / "bench_record.py", tmp_path / "change" / "scripts")
+
+
+def test_bench_record_refuses_checkouts_with_unlike_benchmarks(tmp_path):
+    # two checkouts that differ in one perfbench file
+    make_checkouts(tmp_path)
     with open(tmp_path / "parent" / "perfbench" / "workloads.py", "a", encoding="utf-8") as fh:
         fh.write("\n# one more line\n")
-    out = tmp_path / "BENCH.json"
-    proc = subprocess.run(
-        [sys.executable, str(tmp_path / "change" / "scripts" / "bench_record.py"),
-         "--parent", str(tmp_path / "parent"), "--out", str(out), "--pairs", "2"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert "not comparable" in proc.stderr
-    assert not out.exists() and not (tmp_path / "BENCH.json.tmp").exists()
-    assert not (tmp_path / "parent" / ".perfbench_runs").exists()
-    assert not (tmp_path / "change" / ".perfbench_runs").exists()
+    assert "not comparable" in bench_record_refusal(tmp_path)
+
+
+def test_bench_record_refuses_a_checkout_without_a_revision(tmp_path):
+    # like checkouts, the change a git repository, the parent a plain copy
+    make_checkouts(tmp_path)
+    change = tmp_path / "change"
+    git = ["git", "-C", str(change), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "change"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    # no repository around tmp_path can lend the parent a revision
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tmp_path))
+    stderr = bench_record_refusal(tmp_path, env)
+    assert "parent checkout" in stderr and "no git revision" in stderr

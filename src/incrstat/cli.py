@@ -1,11 +1,15 @@
 """Experiment orchestration: config in, deterministic CSV/JSON artifacts out.
 
-Subcommands: green, covariance, corrector-scaling, energy, report. Each
-Monte Carlo subcommand is one library study, given the pool's map as
-map_fn, and its artifact writes. Artifacts embed the canonical config;
-identical configs produce byte-identical outputs regardless of worker
-count, because every realization draws from a seed stream addressed by
-its own index and all reductions run in index order.
+Subcommands: report, and the four runs of the _COMMANDS table (green,
+covariance, corrector-scaling, energy). A run's runner computes and
+writes nothing: it calls its library study, given the pool's map as
+map_fn, and returns its CSVs as (file name, header, rows) and its summary
+dict. _write_artifacts then writes the CSVs in order and `<kind>.json`
+last, each embedding the canonical config, so a run that fails before
+writing leaves no artifact. Identical configs produce byte-identical
+outputs regardless of worker count, because every realization draws
+from a seed stream addressed by its own index and all reductions run in
+index order.
 
 Exit codes: 0 success, 2 config/usage, 3 budget, 4 generator,
 5 diagnostic, 6 I/O, 130 interrupted.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import ctypes
 import dataclasses
 import functools
 import itertools
@@ -22,6 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,10 +78,6 @@ def _write_csv(path: str, config_text: str, header, rows) -> None:
     _write_lines(path, comments, [",".join(header) + "\n"], body)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
-
-
 def _built(keys: str, cls, *args):
     """cls(*args), with a ValueError from its checks reported as a ConfigError on `keys`."""
     try:
@@ -94,14 +96,12 @@ def _generator_spec(values: dict) -> GeneratorSpec:
     return _built("alpha", GeneratorSpec, kind, values["axis"], law, values["alpha"])
 
 
-def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
+def _run_green(values: dict, map_fn) -> tuple[list, dict]:
     geom = TorusGeometry(values["d"], values["L"])
     table = green_torus(values["mu"], geom)
     # residual of mu*G - laplacian(G) = delta, with -laplacian(G) = D*.(D G) = D*.grad
     resid = values["mu"] * table.values + backward_divergence(table.grad)
     resid[(0,) * geom.d] -= 1.0
-    residual_max = float(np.max(np.abs(resid)))
-    config_text = cfg.canonical_text("green", values)
     rows = []
     slopes = {}
     for p in values["p"]:
@@ -112,28 +112,19 @@ def _run_green(values: dict, out_dir: str, map_fn) -> list[str]:
             "r2": dn.r2,
             "expected_slope": dn.expected_slope,
         }
-    csv_path = os.path.join(out_dir, "green_dyadic.csv")
-    json_path = os.path.join(out_dir, "green_summary.json")
-    _write_csv(csv_path, config_text, ("p", "annulus", "sum"), rows)
-    _write_json(
-        json_path,
-        {
-            "artifact": "green_summary",
-            "d": geom.d,
-            "L": geom.L,
-            "mu": values["mu"],
-            "site_sum": table.site_sum,
-            "wrap_estimate": table.wrap_estimate,
-            "residual_max": residual_max,
-            "sup_grad_abs": float(np.max(np.abs(table.grad))),
-            "slopes": slopes,
-            "config_text": config_text,
-        },
-    )
-    return [csv_path, json_path]
+    return [("green_dyadic.csv", ("p", "annulus", "sum"), rows)], {
+        "d": geom.d,
+        "L": geom.L,
+        "mu": values["mu"],
+        "site_sum": table.site_sum,
+        "wrap_estimate": table.wrap_estimate,
+        "residual_max": float(np.max(np.abs(resid))),
+        "sup_grad_abs": float(np.max(np.abs(table.grad))),
+        "slopes": slopes,
+    }
 
 
-def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
+def _run_covariance(values: dict, map_fn) -> tuple[list, dict]:
     spec = _generator_spec(values)
     geom = TorusGeometry(values["d"], values["L"])
     d = geom.d
@@ -141,39 +132,28 @@ def _run_covariance(values: dict, out_dir: str, map_fn) -> list[str]:
     axes = np.eye(d, dtype=int)
     lags = [m * e for m in sorted(set(values["lag_list"])) for e in axes[: d if m else 1]]
     est = empirical_covariance(spec, geom, values["n_samples"], values["seed"], lags, map_fn)
-    config_text = cfg.canonical_text("covariance", values)
     rows = [
-        (";".join(str(int(c)) for c in lag), l, lp, est.axis, float(est.cov[j, l, lp]),
+        (";".join(str(int(c)) for c in lag), l, lp, est.n_samples, float(est.cov[j, l, lp]),
          float(est.stderr[j, l, lp]))
         for j, lag in enumerate(est.lags)
         for l, lp in itertools.product(range(d), repeat=2)
     ]
-    csv_path = os.path.join(out_dir, "covariance.csv")
-    json_path = os.path.join(out_dir, "covariance_summary.json")
-    _write_csv(csv_path, config_text, ("lag", "l", "lp", "n", "cov", "stderr"), rows)
-    _write_json(
-        json_path,
-        {
-            "artifact": "covariance_summary",
-            "generator": spec.describe(),
-            "d": d,
-            "L": geom.L,
-            "n_samples": est.n_samples,
-            "alpha_hat": "indeterminate" if est.alpha_hat is None else est.alpha_hat,
-            "alpha_halfwidth": est.alpha_halfwidth,
-            "n_fit_entries": est.n_fit_entries,
-            "clamped_mass_fraction": est.clamped_mass_fraction,
-            "warnings": sorted(est.warnings),
-            "config_text": config_text,
-        },
-    )
-    return [csv_path, json_path]
+    return [("covariance.csv", ("lag", "l", "lp", "n", "cov", "stderr"), rows)], {
+        "generator": spec.describe(),
+        "d": d,
+        "L": geom.L,
+        "n_samples": est.n_samples,
+        "alpha_hat": "indeterminate" if est.alpha_hat is None else est.alpha_hat,
+        "alpha_halfwidth": est.alpha_halfwidth,
+        "n_fit_entries": est.n_fit_entries,
+        "clamped_mass_fraction": est.clamped_mass_fraction,
+        "warnings": sorted(est.warnings),
+    }
 
 
-def _run_scaling(values: dict, out_dir: str, map_fn) -> list[str]:
-    spec = _generator_spec(values)
+def _run_scaling(values: dict, map_fn) -> tuple[list, dict]:
     report = scaling_study(
-        spec,
+        _generator_spec(values),
         values["d"],
         mu_grid=values["mu_grid"],
         n_per_mu=values["n"],
@@ -183,17 +163,10 @@ def _run_scaling(values: dict, out_dir: str, map_fn) -> list[str]:
         memory_budget_mb=values["memory_budget_mb"],
         map_fn=map_fn,
     )
-    config_text = cfg.canonical_text("corrector-scaling", values)
-    csv_path = os.path.join(out_dir, "scaling.csv")
-    json_path = os.path.join(out_dir, "scaling_report.json")
-    _write_csv(csv_path, config_text, report.CSV_HEADER, report.csv_rows())
-    payload = {"artifact": "scaling_report", "config_text": config_text}
-    payload.update(report.to_dict())
-    _write_json(json_path, payload)
-    return [csv_path, json_path]
+    return [("scaling.csv", report.CSV_HEADER, report.csv_rows())], report.to_dict()
 
 
-def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
+def _run_energy(values: dict, map_fn) -> tuple[list, dict]:
     law = _built("law_a/law_b", IntervalLaw, values["law"], values["law_a"], values["law_b"])
     V = _built(
         "potential", PairPotential, values["potential"], values["cutoff"], values["exponent"]
@@ -207,28 +180,7 @@ def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
         shift=values["shift"],
         map_fn=map_fn,
     )
-    config_text = cfg.canonical_text("energy", values)
-    csv_path = os.path.join(out_dir, "energy.csv")
-    json_path = os.path.join(out_dir, "energy_summary.json")
-    _write_csv(csv_path, config_text, ("N", "seed", "energy", "density"), study.records())
-    _write_json(
-        json_path,
-        {
-            "artifact": "energy_summary",
-            "potential": {"kind": V.kind, "cutoff": V.cutoff, "exponent": V.exponent},
-            "law": {"kind": law.kind, "a": law.a, "b": law.b},
-            "sizes": list(study.sizes),
-            "n_seeds": study.n_seeds,
-            "rows": [
-                {"N": N, "density_mean": m, "spread": s} for N, m, s in study.rows()
-            ],
-            "spread_decreases": study.spread_decreases,
-            "shift": study.shift,
-            "shift_agrees": study.shift_agrees,
-            "config_text": config_text,
-        },
-    )
-    paths = [csv_path, json_path]
+    csvs = [("energy.csv", ("N", "seed", "energy", "density"), study.records())]
     if values["export_points"]:
         # the first study seed's positions at each size, cut from its window at
         # the largest size, which holds each smaller window's points bit for bit
@@ -236,18 +188,39 @@ def _run_energy(values: dict, out_dir: str, map_fn) -> list[str]:
         k, x = win.labels[:, 0], win.points[:, 0]
         for N in study.sizes:
             keep = (x >= -V.cutoff) & (x <= N + V.cutoff)
-            ppath = os.path.join(out_dir, f"points_N{N}_s0.csv")
-            _write_csv(ppath, config_text, ("k", "x"), zip(k[keep].tolist(), x[keep].tolist()))
-            paths.append(ppath)
+            rows = zip(k[keep].tolist(), x[keep].tolist())
+            csvs.append((f"points_N{N}_s0.csv", ("k", "x"), rows))
+    return csvs, {
+        "potential": {"kind": V.kind, "cutoff": V.cutoff, "exponent": V.exponent},
+        "law": {"kind": law.kind, "a": law.a, "b": law.b},
+        "sizes": list(study.sizes),
+        "n_seeds": study.n_seeds,
+        "rows": [{"N": N, "density_mean": m, "spread": s} for N, m, s in study.rows()],
+        "spread_decreases": study.spread_decreases,
+        "shift": study.shift,
+        "shift_agrees": study.shift_agrees,
+    }
+
+
+def _write_artifacts(
+    out_dir: str, subcommand: str, values: dict, csvs: list, summary: dict
+) -> list[str]:
+    """Write a run's CSVs in order, then its summary JSON; return the paths written.
+
+    Every artifact embeds the run's canonical config text, and the summary
+    names its kind. A runner computes everything before this writes
+    anything, so a run that fails before writing leaves no artifact.
+    """
+    config_text = cfg.canonical_text(subcommand, values)
+    paths = []
+    for name, header, rows in csvs:
+        paths.append(os.path.join(out_dir, name))
+        _write_csv(paths[-1], config_text, header, rows)
+    kind = _COMMANDS[subcommand].kind
+    paths.append(os.path.join(out_dir, kind + ".json"))
+    summary = {**summary, "artifact": kind, "config_text": config_text}
+    _write_lines(paths[-1], [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     return paths
-
-
-_RUNNERS = {
-    "green": _run_green,
-    "covariance": _run_covariance,
-    "corrector-scaling": _run_scaling,
-    "energy": _run_energy,
-}
 
 
 def _field(obj, key: str, *types):
@@ -261,8 +234,8 @@ def _field(obj, key: str, *types):
     return value
 
 
-def _render_scaling(payload: dict, lines: list[str]) -> None:
-    _field(payload, "d", int)  # not shown here; _cmd_report groups by it
+def _render_scaling(payload: dict, lines: list[str]) -> int:
+    d = _field(payload, "d", int)  # not shown here: _cmd_report groups by it
     gen = _field(payload, "generator", dict)
     gen_txt = " ".join(f"{k}={v}" for k, v in sorted(gen.items()))
     lines.append(f"  generator: {gen_txt}; seed {_field(payload, 'master_seed', int)}")
@@ -294,6 +267,7 @@ def _render_scaling(payload: dict, lines: list[str]) -> None:
             f"  note: L-rule capped at L={_field(payload, 'l_cap', int, type(None))} for "
             f"{len(capped)} of {len(points)} grid points"
         )
+    return d
 
 
 def _render_green(payload: dict, lines: list[str]) -> None:
@@ -343,14 +317,34 @@ def _render_energy(payload: dict, lines: list[str]) -> None:
     lines.append(f"  shifted densities within 2x spread: {'pass' if agrees else 'fail'}")
 
 
-def _rendered(path: str, payload: dict, renderer) -> list[str]:
-    """One artifact's report lines; a malformed payload raises DiagnosticError naming it."""
-    lines = [f"  [{path}]"]
-    try:
-        renderer(payload, lines)
-    except DiagnosticError as exc:
-        raise DiagnosticError(f"malformed artifact {path}: {exc}") from None
-    return lines
+class _Command(NamedTuple):
+    """A run subcommand: help line, runner, and its summary's kind, report title and renderer."""
+
+    help: str
+    run: Callable
+    kind: str
+    title: str
+    render: Callable
+
+
+_COMMANDS = {
+    "green": _Command(
+        "Green table diagnostics: dyadic gradient norms, wrap, residual",
+        _run_green, "green_summary", "green diagnostics", _render_green,
+    ),
+    "covariance": _Command(
+        "empirical increment covariance and decay exponent",
+        _run_covariance, "covariance_summary", "covariance estimates", _render_covariance,
+    ),
+    "corrector-scaling": _Command(
+        "Monte Carlo E[phi_mu^2] across a mu-grid with verdict",
+        _run_scaling, "scaling_report", "scaling studies", _render_scaling,
+    ),
+    "energy": _Command(
+        "thermodynamic energy density of renewal point sets",
+        _run_energy, "energy_summary", "energy densities", _render_energy,
+    ),
+}
 
 
 def _cmd_report(paths: list[str]) -> int:
@@ -371,30 +365,26 @@ def _cmd_report(paths: list[str]) -> int:
             raise DiagnosticError(f"corrupt artifact {path}: missing 'artifact' field")
         loaded.append((path, payload))
     lines: list[str] = []
-    scaling = [(p, d) for p, d in loaded if d["artifact"] == "scaling_report"]
-    if scaling:
-        lines.append("scaling studies")
-        by_d: dict[int, list] = {}
-        for p, d in scaling:
-            block = _rendered(p, d, _render_scaling)  # validates d["d"]
-            by_d.setdefault(d["d"], []).extend(block)
-        for dim in sorted(by_d):
-            lines.append(f" d={dim}")
-            lines.extend(by_d[dim])
-    for kind, title, renderer in (
-        ("green_summary", "green diagnostics", _render_green),
-        ("covariance_summary", "covariance estimates", _render_covariance),
-        ("energy_summary", "energy densities", _render_energy),
-    ):
-        matching = [(p, d) for p, d in loaded if d["artifact"] == kind]
-        if matching:
-            lines.append(title)
-            for p, payload in matching:
-                lines.extend(_rendered(p, payload, renderer))
-    unknown = [p for p, d in loaded if d["artifact"] not in
-               ("scaling_report", "green_summary", "covariance_summary", "energy_summary")]
-    for p in unknown:
-        lines.append(f"unrecognized artifact kind in {p}")
+    for command in _COMMANDS.values():
+        by_dim: dict = {}
+        for path, payload in loaded:
+            if payload["artifact"] == command.kind:
+                block = [f"  [{path}]"]
+                try:  # a renderer returns the dimension its block is grouped under, or None
+                    dim = command.render(payload, block)
+                except DiagnosticError as exc:
+                    raise DiagnosticError(f"malformed artifact {path}: {exc}") from None
+                by_dim.setdefault(dim, []).extend(block)
+        if by_dim:
+            lines.append(command.title)
+        for dim in sorted(by_dim):  # one kind's keys are all None or all dimensions
+            if dim is not None:
+                lines.append(f" d={dim}")
+            lines.extend(by_dim[dim])
+    kinds = [command.kind for command in _COMMANDS.values()]
+    for path, payload in loaded:
+        if payload["artifact"] not in kinds:
+            lines.append(f"unrecognized artifact kind in {path}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -405,13 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lattice correctors, Green functions and point-set energies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_txt in (
-        ("green", "Green table diagnostics: dyadic gradient norms, wrap, residual"),
-        ("covariance", "empirical increment covariance and decay exponent"),
-        ("corrector-scaling", "Monte Carlo E[phi_mu^2] across a mu-grid with verdict"),
-        ("energy", "thermodynamic energy density of renewal point sets"),
-    ):
-        p = sub.add_parser(name, help=help_txt)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -436,13 +421,22 @@ def _windowed_map(ex: ThreadPoolExecutor, depth: int, fn, items):
         yield pending.popleft().result()
 
 
-def _emit_error(exc: Exception, code: int) -> None:
-    sys.stderr.write(
-        json.dumps(
-            {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-        )
-        + "\n"
-    )
+def _fix_heap_thresholds() -> None:
+    """On glibc, pin malloc's mmap and trim thresholds at 32 and 64 MiB, where glibc stops them.
+
+    Left to glibc, a d = 1 scaling run's page faults (5.7k or 13.4k) turned on its checkout path.
+    """
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):  # built against glibc
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD in glibc's malloc.h
+        mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
+
+
+def _emit_error(exc: Exception, code: int) -> int:
+    """Write exc as one JSON line on stderr; return the exit code."""
+    error = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    sys.stderr.write(json.dumps(error) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
@@ -457,7 +451,8 @@ def main(argv=None) -> int:
         values = cfg.load(args.command, args.config, seed=args.seed)
         if args.threads < 1:
             raise ConfigError(f"threads: must be at least 1, got {args.threads}")
-        runner = _RUNNERS[args.command]
+        run = _COMMANDS[args.command].run
+        _fix_heap_thresholds()
         # artifacts do not depend on the worker count, and more workers than
         # cores buy nothing, so an outsized --threads starts no more threads
         workers = min(args.threads, os.cpu_count() or 1)
@@ -466,28 +461,24 @@ def main(argv=None) -> int:
             # only contend for it, and the pool ran slower than serial
             workers = 1
         if workers == 1:
-            paths = runner(values, args.out, map)
+            csvs, summary = run(values, map)
         else:
             ex = ThreadPoolExecutor(max_workers=workers)
             try:
                 # a bounded window keeps a run's memory flat in its task count
-                map_fn = functools.partial(_windowed_map, ex, 2 * workers)
-                paths = runner(values, args.out, map_fn)
+                csvs, summary = run(values, functools.partial(_windowed_map, ex, 2 * workers))
             finally:
                 # on failure or interrupt, drop the queued tasks instead of running them
                 ex.shutdown(cancel_futures=True)
-        for p in paths:
+        for p in _write_artifacts(args.out, args.command, values, csvs, summary):
             sys.stdout.write(p + "\n")
         return 0
     except (ConfigError, GeneratorError, DiagnosticError) as exc:  # BudgetError is a ConfigError
-        _emit_error(exc, exc.exit_code)
-        return exc.exit_code
+        return _emit_error(exc, exc.exit_code)
     except OSError as exc:
-        _emit_error(exc, IO_EXIT_CODE)
-        return IO_EXIT_CODE
+        return _emit_error(exc, IO_EXIT_CODE)
     except KeyboardInterrupt as exc:
-        _emit_error(exc, INTERRUPT_EXIT_CODE)
-        return INTERRUPT_EXIT_CODE
+        return _emit_error(exc, INTERRUPT_EXIT_CODE)
 
 
 if __name__ == "__main__":

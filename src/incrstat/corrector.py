@@ -28,7 +28,9 @@ from .lattice import (
     backward_divergence,
     forward_gradient,
 )
-from .randfields import CHUNK_SITES, GeneratorSpec, IncrementSample, _sample_id, _second_moments
+from .randfields import (
+    CHUNK_SITES, GeneratorSpec, IncrementSample, _rows_per_task, _sample_id, _second_moments,
+)
 
 __all__ = [
     "CorrectorSolution",
@@ -282,7 +284,7 @@ class MCResult:
 
 
 def _chunk_rows(geometry: TorusGeometry, memory_budget_mb: float | None = None) -> int:
-    """Realizations per Monte Carlo chunk on this torus: max(1, CHUNK_SITES // L^d).
+    """Realizations per Monte Carlo chunk on this torus: _rows_per_task(geometry).
 
     A memory budget lowers the chunk's sites to what it holds at
     _bytes_per_site(d); scaling_study's side cap keeps one row within it.
@@ -290,7 +292,7 @@ def _chunk_rows(geometry: TorusGeometry, memory_budget_mb: float | None = None) 
     sites = CHUNK_SITES
     if memory_budget_mb is not None:
         sites = min(sites, int(memory_budget_mb * 2**20 / _bytes_per_site(geometry.d)))
-    return max(1, sites // geometry.n_sites)
+    return _rows_per_task(geometry, sites)
 
 
 def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:

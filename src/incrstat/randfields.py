@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 CLAMP_WARN_FRACTION = 0.10
-# Sites per Monte Carlo chunk: a study task draws k = max(1, CHUNK_SITES // L^d)
+# Sites per Monte Carlo chunk: a study task draws k = _rows_per_task(geometry)
 # realizations of one torus side together, so small tori pay Python dispatch
 # once per chunk rather than once per realization; large tori keep k = 1.
 # At most 2^14: a chunk of two or more rows then has rows of at most 2^13
@@ -57,6 +57,11 @@ CHUNK_SITES = 2**14
 _worker = threading.local()
 GENERATOR_KINDS = ("iid", "gradient", "decay_alpha", "gff", "zero")
 INCREMENT_LAWS = ("uniform_centered", "gaussian", "bernoulli_pm", "constant")
+
+
+def _rows_per_task(geometry: TorusGeometry, sites: int = CHUNK_SITES) -> int:
+    """Realizations per study task on this torus: max(1, sites // L^d), sites <= CHUNK_SITES."""
+    return max(1, sites // geometry.n_sites)
 
 
 @dataclass(frozen=True)
@@ -462,7 +467,7 @@ def empirical_covariance(
     """Unbiased covariance over realizations 0 .. n_samples - 1 of spec, averaged over sites.
 
     Lags and n_samples >= 2 are checked before any draw. map_fn runs
-    _covariance_rows over consecutive ranges of max(1, CHUNK_SITES // L^d)
+    _covariance_rows over consecutive ranges of _rows_per_task(geometry)
     indices, and their statistics, never the samples, are kept in index order.
     """
     if problem := lags_error(lags):
@@ -473,7 +478,7 @@ def empirical_covariance(
         raise ValueError(f"lags must have {d} coordinates")
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a covariance estimate")
-    R, k = n_samples, max(1, CHUNK_SITES // geometry.n_sites)
+    R, k = n_samples, _rows_per_task(geometry)
     ranges = (range(i, min(i + k, R)) for i in range(0, R, k))
     tasks = ((spec, geometry, master_seed, lag_arr, indices) for indices in ranges)
     per_real = np.empty((R, len(lag_arr), d, d))

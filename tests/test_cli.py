@@ -23,7 +23,7 @@ import pytest
 import incrstat.config as cfg
 from incrstat import cli, randfields
 from incrstat.corrector import solve_corrector
-from incrstat.errors import ConfigError, DiagnosticError
+from incrstat.errors import ConfigError, DiagnosticError, GeneratorError
 from incrstat.green import green_torus
 from incrstat.lattice import TorusGeometry
 from incrstat.pointsets import (
@@ -282,27 +282,38 @@ def test_covariance_artifacts(artifacts):
     assert payload["warnings"] == []
 
 
-def covariance_peak_bytes(out_dir, n_samples):
+def test_covariance_n_column_is_the_sample_count(tmp_path):
+    text = "d = 2\nL = 8\ngenerator = iid\naxis = 1\nn_samples = 150\nlag_list = 0,1\n"
+    out = tmp_path / "o"
+    assert cli.main(["covariance", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "covariance.csv").read_text().splitlines()
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    n = header.index("n")
+    assert len(rows) == 3 * 4  # lag 0 and one lag along each axis, 2 x 2 components
+    assert {row[n] for row in rows} == {"150"}
+
+
+def covariance_peak_bytes(n_samples):
     """tracemalloc peak of one serial decay_alpha covariance run at d=3, L=16."""
     text = f"generator = decay_alpha\nalpha = 3.0\nd = 3\nL = 16\nn_samples = {n_samples}\n"
     values = cfg.validate("covariance", cfg.parse_config_text(text))
     tracemalloc.start()
     try:
-        cli._run_covariance(values, str(out_dir), map)
+        cli._run_covariance(values, map)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak
 
 
-def test_covariance_memory_does_not_grow_with_n_samples(tmp_path):
+def test_covariance_memory_does_not_grow_with_n_samples():
     # no sample outlives its task, so only the per-sample statistics of
     # (13 lags, 3, 3) floats accumulate; the 1 kB slack covers allocator
     # noise (the growth read 168 bytes under the statistics' own), while one
     # sample is 3 * 16^3 floats
-    covariance_peak_bytes(tmp_path / "warm", 2)  # numpy's lazy set-up, the amplitude cache
-    small = covariance_peak_bytes(tmp_path / "small", 8)
-    large = covariance_peak_bytes(tmp_path / "large", 32)
+    covariance_peak_bytes(2)  # numpy's lazy set-up, the amplitude cache
+    small = covariance_peak_bytes(8)
+    large = covariance_peak_bytes(32)
     assert large - small < (32 - 8) * 13 * 9 * 8 + 1024
 
 
@@ -357,6 +368,29 @@ def test_point_export_is_the_studied_window(artifacts):
         assert np.array_equal(k, win.labels[:, 0]) and np.array_equal(x, win.points[:, 0])
         assert x[0] < 0.0 and x[-1] > N  # the margin reaches past both ends of the box
         assert energy(win, V, ((0.0, float(N)),)) == study.energies[i, 0]
+
+
+def test_run_prints_its_paths_with_the_summary_last(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, ENERGY_CFG + "export_points = true\n")
+    out = tmp_path / "o"
+    assert cli.main(["energy", "--config", cfg_path, "--out", str(out)]) == 0
+    names = ["energy.csv"] + [f"points_N{N}_s0.csv" for N in (64, 128, 256)]
+    names.append("energy_summary.json")
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    assert sorted(os.listdir(out)) == sorted(names)
+
+
+def test_failed_point_export_leaves_no_artifacts(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise GeneratorError("injected export failure")
+
+    monkeypatch.setattr(cli, "study_window", fail)
+    cfg_path = write_cfg(tmp_path, ENERGY_CFG + "export_points = true\n")
+    out = tmp_path / "o"
+    assert cli.main(["energy", "--config", cfg_path, "--out", str(out)]) == 4
+    err = stderr_error(capsys)
+    assert (err["error"], err["message"]) == ("GeneratorError", "injected export failure")
+    assert not out.exists()
 
 
 def test_json_artifacts_sorted_and_newline_terminated(artifacts):
@@ -441,14 +475,15 @@ def run_threaded_tasks(tmp_path, monkeypatch, task, n_tasks, consumed, consume_s
     runner then sleeps `consume_s`.
     """
 
-    def runner(values, out_dir, map_fn):
+    def runner(values, map_fn):
         for r in map_fn(task, range(n_tasks)):
             consumed.append(r)
             time.sleep(consume_s)
-        return []
+        return [], {}
 
-    monkeypatch.setitem(cli._RUNNERS, "green", runner)
-    return cli.main(["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--threads", "2"])
+    monkeypatch.setitem(cli._COMMANDS, "green", cli._COMMANDS["green"]._replace(run=runner))
+    argv = ["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--out", str(tmp_path)]
+    return cli.main(argv + ["--threads", "2"])
 
 
 def test_threads_keep_at_most_twice_their_count_in_flight(tmp_path, monkeypatch):
@@ -500,22 +535,50 @@ def test_threads_capped_at_cpu_count(tmp_path, monkeypatch, cpus, workers):
         def shutdown(self, cancel_futures=False):
             pass
 
-    def runner(values, out_dir, map_fn):
+    def runner(values, map_fn):
         calls = []
         results = map_fn(lambda i: calls.append(i) or i, range(50))
         assert next(results) == 0
         submitted_before_first.append(len(calls))
         assert list(results) == list(range(1, 50))
-        return []
+        return [], {}
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setitem(cli._RUNNERS, "green", runner)
-    argv = ["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--threads", "100000"]
+    monkeypatch.setitem(cli._COMMANDS, "green", cli._COMMANDS["green"]._replace(run=runner))
+    argv = ["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--out", str(tmp_path),
+            "--threads", "100000"]
     assert cli.main(argv) == 0
     assert requested == workers
     # the window is twice the capped worker count; one worker maps serially
     assert submitted_before_first == [2 * workers[0] if workers else 1]
+
+
+@pytest.mark.parametrize("confstr_names, pinned", [
+    ({"CS_GNU_LIBC_VERSION": 2}, [(-3, 32 * 2**20), (-1, 64 * 2**20)]),
+    ({}, []),
+])
+def test_run_pins_heap_thresholds_on_glibc_before_its_runner(
+    tmp_path, monkeypatch, confstr_names, pinned
+):
+    # a fixed mmap and trim threshold keep a run's page faults from turning
+    # on what the process freed before it; other C libraries are left alone
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    def runner(values, map_fn):
+        calls.append("run")
+        return [], {}
+
+    monkeypatch.setattr(cli.os, "confstr_names", confstr_names, raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc())
+    monkeypatch.setitem(cli._COMMANDS, "green", cli._COMMANDS["green"]._replace(run=runner))
+    argv = ["green", "--config", write_cfg(tmp_path, GREEN_CFG), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == pinned + ["run"]
 
 
 def test_out_defaults_to_working_directory(tmp_path, monkeypatch, capsys):

@@ -689,6 +689,16 @@ def test_scaling_gradient_bounded_on_small_mu_grid():
         assert p.mean <= p.psi_mean + 1e-12
 
 
+@pytest.mark.parametrize("d, n, l_max, verdict", [
+    (1, 200, None, "diverging-powerlaw"),  # Var[psi] grows like L
+    (2, 100, 256, "diverging-log"),  # like log L
+    (3, 40, 64, "bounded"),  # stays bounded
+])
+def test_scaling_gff_verdict_in_every_dimension(d, n, l_max, verdict):
+    rep = scaling_study(GeneratorSpec(kind="gff"), d, n_per_mu=n, master_seed=0, l_max=l_max)
+    assert rep.verdict == verdict, rep.verdict_reason
+
+
 def test_scaling_report_serializable_and_csv():
     grid = tuple(2.0 ** (-1 - i) for i in range(5))
     rep = scaling_study(IID_SPEC, 1, mu_grid=grid, n_per_mu=5, master_seed=0)

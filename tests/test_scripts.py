@@ -4,7 +4,9 @@ Each script runs in a fresh interpreter with the package source on
 PYTHONPATH, so a public name a script imports cannot vanish unnoticed.
 The verdict rule of scripts/bench_record.py is checked in process, on
 synthetic parent/change pairs, and its refusals of unlike benchmarks and
-of a checkout without a git revision on two temporary checkouts.
+of a checkout without a git revision on two temporary checkouts. The
+benchmark's tracer (perfbench/spans.py, loaded as it is) must find every
+library name it hooks and put each one back.
 """
 
 import importlib.util
@@ -43,11 +45,30 @@ def test_script_runs_and_writes_its_artifacts(tmp_path, script, args, artifacts)
         assert (out / name).is_file(), name
 
 
-def load_bench_record():
-    spec = importlib.util.spec_from_file_location("bench_record", REPO / "scripts" / "bench_record.py")
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_record():
+    return load_module(REPO / "scripts" / "bench_record.py")
+
+
+def test_tracer_hooks_every_name_and_uninstall_restores_it():
+    # the tracer patches library names from outside: a renamed one makes
+    # install() raise, and every traced run with it; a lost or added binding
+    # of a hooked function changes the count, and what the spans measure
+    tracer = load_module(REPO / "perfbench" / "spans.py").Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patched)
+        assert len(patched) == 23
+        assert all(vars(owner)[attr] is not orig for owner, attr, orig in patched)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is orig for owner, attr, orig in patched)
 
 
 TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]

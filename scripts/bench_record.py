@@ -17,7 +17,8 @@ checkout has no git revision (`git rev-parse HEAD` fails, as in a
 `git archive` copy): a series must name both sides.
 
 The file keeps one series per (workload, seed, seconds): every run's
-end-to-end metrics; per metric, each side's median and quartiles, the
+end-to-end metrics; each side's failed share of invocations and whether
+every run's checks held; per metric, each side's median and quartiles, the
 number of pairs the change won, by the direction BENCHMARK.json declares
 (ties count for neither side), and a verdict (gain, regression,
 unresolved or unchanged; see summarize), judged against the bounds
@@ -76,6 +77,16 @@ def run_workload(checkout: str, name: str, seed: int, seconds: float) -> dict:
     return out
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Per side: failed invocations over attempted ones, summed over pairs, and whether every run was correct."""
+    out = {}
+    for side in SIDES:
+        runs = [p[side] for p in pairs]
+        out[side] = {"failed_share": sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs),
+                     "all_correct": all(r["correct"] for r in runs)}
+    return out
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change won, and a verdict.
 
@@ -83,14 +94,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     a bound is a fraction of the parent's median. The verdict is the first
     that holds of:
       gain        the change won at least 9 in 10 pairs (ties count for
-                  neither side) and its median is better than the
-                  parent's by more than the parent's interquartile range
+                  neither side), its median is better than the parent's
+                  by more than the parent's interquartile range, and its
+                  failed share (see failures) is no larger than the parent's
       regression  the change's median is worse than the parent's by more
                   than the bound
       unresolved  the parent's interquartile range exceeds the bound, and
                   some change run is not better than every parent run
       unchanged   otherwise
     """
+    shares = failures(pairs)
+    fails_more = shares["change"]["failed_share"] > shares["parent"]["failed_share"]
     summary = {}
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
@@ -108,7 +122,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         better_by = sign * (entry["change"]["median"] - parent["median"])
         beats_every_run = (min(runs["change"]) > max(runs["parent"]) if direction == "higher"
                            else max(runs["change"]) < min(runs["parent"]))
-        if 10 * entry["change_wins"] >= 9 * len(pairs) and better_by > iqr:
+        if 10 * entry["change_wins"] >= 9 * len(pairs) and better_by > iqr and not fails_more:
             entry["verdict"] = "gain"
         elif -better_by > allowed:
             entry["verdict"] = "regression"
@@ -169,6 +183,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)),
+            "failures": failures(pairs),
             "summary": summarize(pairs, spec["end_to_end"]),
             "pairs": pairs,
         }

@@ -22,6 +22,8 @@ from .lattice import (
     TorusGeometry,
     _add_backward_diff,
     _divergence_rows,
+    _half_spectrum,
+    _half_symbol,
     _inverse_symbol,
     _neighbour_diff,
     _spectral_quotient,
@@ -105,11 +107,6 @@ def _row_square_sums(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _row_spectra(rhs: np.ndarray) -> np.ndarray:
-    """rfftn of each row of a (k,) + shape chunk over its spatial (trailing) axes."""
-    return np.fft.rfftn(rhs, axes=tuple(range(1, rhs.ndim)))
-
-
 def _chunk_divergence(
     spec: GeneratorSpec, geometry: TorusGeometry, master_seed: int, indices: range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -117,18 +114,19 @@ def _chunk_divergence(
 
     One spec.chunk draw, then one stencil pass over the whole chunk per
     component in the generator's support. Returns the divergence chunk,
-    its row spectra, which every mu on this torus shares, and per row the
-    zeta and the psi second moment (None when the generator has no
-    potential). The drawn fields are released before the rfftn, so they
-    are never held together with the spectra.
+    its row spectra (rfftn over the spatial axes), which every mu on this
+    torus shares, and per row the zeta and the psi second moment (None
+    when the generator has no potential). The zeta moments are taken
+    before the divergence chunk is allocated, and the drawn fields are
+    released before the rfftn, so neither temporary adds to the other.
     """
     fields = spec.chunk(geometry, master_seed, indices)
     support = spec.support(geometry.d)
+    zeta2, psi2 = _second_moments(fields.values, support), fields.psi_second_moment
     rhs = np.empty((len(indices),) + geometry.shape)
     _divergence_rows(fields.values, support, rhs)
-    zeta2, psi2 = _second_moments(fields.values, support), fields.psi_second_moment
     del fields
-    return rhs, _row_spectra(rhs), zeta2, psi2
+    return rhs, _half_spectrum(rhs, geometry.d), zeta2, psi2
 
 
 def _certified_solve(
@@ -142,11 +140,11 @@ def _certified_solve(
     """Solve mu*phi - laplacian(phi) = rhs[i] for each row i of a (k,) + shape chunk, and certify it.
 
     rhs_hat is rfftn(rhs) over the spatial (trailing) axes, inverse_symbol
-    is lattice._inverse_symbol(mu, shape), and zeta_second_moment and
-    labels, the arguments of randfields._sample_id (formatted only for a
-    failing row), hold one entry per row. Returns (phi,
-    second moments, Dirichlet energies, residual maxima, energy margins),
-    the last four of shape (k,). Every row passes three checks in real
+    is 1 / (mu + symbol) on its half spectrum (lattice._inverse_symbol),
+    and zeta_second_moment and labels, the arguments of
+    randfields._sample_id (formatted only for a failing row), hold one
+    entry per row. Returns (phi, second moments, Dirichlet energies,
+    residual maxima, energy margins), the last four of shape (k,). Every row passes three checks in real
     space: the residual mu*phi - rhs + D*.(D phi), the pinned mean, and the
     energy estimate.
     The first failing row in index order raises DiagnosticError naming
@@ -156,7 +154,7 @@ def _certified_solve(
     (-laplacian = D*.D).
     """
     k = rhs.shape[0]
-    phi = _spectral_quotient(inverse_symbol, rhs_hat, rhs.shape[1:])
+    phi = _spectral_quotient(inverse_symbol, rhs_hat, np.empty_like(rhs))
     _pin_mean(phi)
     rows = phi.reshape(k, -1)
     n_sites = rows.shape[1]
@@ -200,12 +198,13 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     the result and violations raise DiagnosticError. This is the one-row
     chunk of the Monte Carlo kernel.
     """
-    inverse = _inverse_symbol(mu, zeta.geometry.shape)
+    geom = zeta.geometry
+    inverse = _inverse_symbol(mu, _half_symbol(geom.d, geom.L))
     rhs = backward_divergence(zeta.values, zeta.support)[np.newaxis]
     label = (zeta.generator_id, zeta.parameters, zeta.seed, zeta.realization)
     zeta2 = np.array([zeta.second_moment()])
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, inverse, rhs, _row_spectra(rhs), zeta2, [label]
+        mu, inverse, rhs, _half_spectrum(rhs, geom.d), zeta2, [label]
     )
     return CorrectorSolution(
         mu=float(mu),
@@ -298,23 +297,26 @@ def _chunk_rows(geometry: TorusGeometry, memory_budget_mb: float | None = None) 
 def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
     """Worker: one chunk of realizations, each solved at every mu of one torus side.
 
-    task is (spec, geometry, steps, master_seed, indices). Realization
-    indices[i] is drawn from its own seed stream into row i of one chunk
-    (_chunk_divergence); one rfftn over the spatial axes serves every mu,
-    and each mu takes one irfftn for the whole chunk. steps pairs each mu
-    with its inverse symbol, built once per torus side. Returns indices,
-    per mu the rows' second moments and energy margins, and the rows' psi
-    second moments (None when the generator has none). Module-level so
-    that any map_fn can run it, a caller's process pool included.
+    task is (spec, geometry, mus, symbol, master_seed, indices), symbol
+    the torus side's lattice._half_symbol, built once per side.
+    Realization indices[i] is drawn from its own seed stream into row i of
+    one chunk (_chunk_divergence); one rfftn over the spatial axes serves
+    every mu, and each mu takes one irfftn for the whole chunk. Each mu's
+    inverse symbol is written over the last one's, so the task holds one.
+    Returns indices, per mu the rows' second moments and energy margins,
+    and the rows' psi second moments (None when the generator has none).
+    Module-level so that any map_fn can run it, a caller's process pool
+    included.
     """
-    spec, geometry, steps, master_seed, indices = task
+    spec, geometry, mus, symbol, master_seed, indices = task
     rhs, rhs_hat, zeta2, psi2 = _chunk_divergence(spec, geometry, master_seed, indices)
     generator_id, parameters = spec.generator_id, spec.parameters
     labels = [(generator_id, parameters, master_seed, i) for i in indices]
+    inverse = np.empty_like(symbol)
     stats = []
-    for mu, inverse in steps:
+    for mu in mus:
         _, second_moment, _, _, margin = _certified_solve(
-            mu, inverse, rhs, rhs_hat, zeta2, labels
+            mu, _inverse_symbol(mu, symbol, inverse), rhs, rhs_hat, zeta2, labels
         )
         stats.append((second_moment, margin))
     return indices, stats, psi2
@@ -340,10 +342,15 @@ def _second_moments_mc(
         raise ValueError("need at least 2 realizations")
     if map_fn is None:
         map_fn = map
-    steps = tuple((mu, _inverse_symbol(mu, geometry.shape)) for mu in mus)
+    mus = tuple(mus)
+    for mu in mus:  # before any draw
+        if not mu > 0:
+            raise ValueError(f"mu must be positive, got {mu}")
+    symbol = _half_symbol(geometry.d, geometry.L)
+    symbol.setflags(write=False)  # every task of the group reads it
     k = _chunk_rows(geometry, memory_budget_mb)
     tasks = [
-        (spec, geometry, steps, master_seed, range(start, min(start + k, n_realizations)))
+        (spec, geometry, mus, symbol, master_seed, range(start, min(start + k, n_realizations)))
         for start in range(0, n_realizations, k)
     ]
     phi2 = np.empty((len(mus), n_realizations))
@@ -450,14 +457,14 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 
 def _bytes_per_site(d: int) -> float:
     # peak working set of one _chunk_stats task per chunk site, measured
-    # with tracemalloc at 3 mus with a cold symbol cache, counting the
-    # symbol and the per-mu inverse symbols the task shares, over every
-    # generator kind: 41-52 bytes per site in d=1 chunks of 4 to 1024
-    # rows, 46-56 in d=2 chunks of 4 to 256 rows and 55-60 in d=3 chunks
-    # of 4 to 32 rows; one-row chunks take 60-68 at d=1 and d=2 and 62-84
-    # at d=3, decay_alpha the most (it builds its amplitude). A two-row
-    # chunk of a few dozen sites reads up to 257, a fixed few kilobytes.
-    # 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
+    # with tracemalloc at 3 mus with a cold amplitude cache, counting the
+    # half-spectrum symbol the task shares and its one inverse symbol,
+    # over every generator kind: 41-50 bytes per site in d=1 chunks of 4
+    # to 1024 rows, 43-56 in d=2 chunks of 4 to 256 rows and 55-57 in d=3
+    # chunks of 4 to 32 rows; one-row chunks take 48-53 at d=1 and d=2 and
+    # 49-68 at d=3, decay_alpha the most (it builds its amplitude). A
+    # two-row chunk of a few dozen sites reads up to 144, a fixed few
+    # kilobytes. 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 
 

@@ -22,6 +22,14 @@ also serve a (k,) + shape batch of fields: `_gradient_rows` and
 forward_gradient and backward_divergence are their one-row calls.
 Translations have one kernel, `_shift_into`, which `shift` wraps. The
 FFT solve supports arbitrary L >= 2, not only powers of two.
+
+Every real field goes through Fourier space by one in-place pair:
+`_half_spectrum` is rfftn over the trailing d axes into one complex
+array, and `_from_half_spectrum` is irfftn, run in that array's place and
+ending in a real array the caller passes in. Both take the passes of
+numpy's rfftn/irfftn in their axis order, so their values are numpy's
+bit for bit. The symbol of -laplacian on that half spectrum is
+`_half_symbol`.
 """
 
 from __future__ import annotations
@@ -291,33 +299,74 @@ def laplace_symbol(d: int, L: int) -> np.ndarray:
     return s
 
 
-def _inverse_symbol(mu: float, shape: tuple[int, ...]) -> np.ndarray:
-    """1 / (mu + symbol) on the rfftn half spectrum of shape, read-only.
+def _half_symbol(d: int, L: int) -> np.ndarray:
+    """laplace_symbol(d, L) on the rfftn half spectrum, shape (L,)*(d-1) + (L//2+1,).
 
-    Since the symbol vanishes only at the zero mode and mu > 0, the
-    reciprocal is always finite. Build it once per mu and torus, and hand
-    it to every _spectral_quotient at that mu.
+    The per-axis lines are summed in laplace_symbol's order, so the values
+    are its sliced values bit for bit; the full spectrum is never built.
+    """
+    line = 4.0 * np.sin(np.pi * np.arange(L) / L) ** 2
+    s = np.zeros((L,) * (d - 1) + (L // 2 + 1,))
+    for l in range(d):
+        view = [1] * d
+        view[l] = s.shape[l]
+        s += line[: s.shape[l]].reshape(view)
+    return s
+
+
+def _inverse_symbol(mu: float, symbol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (mu + symbol), written to out (a new array by default) and returned.
+
+    symbol is _half_symbol(d, L). Since it vanishes only at the zero mode
+    and mu > 0, the reciprocal is always finite. One array serves every
+    mu in turn.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    d, L = len(shape), shape[0]
-    # rfft along the last axis halves the work on real data
-    inverse = 1.0 / (mu + laplace_symbol(d, L)[..., : L // 2 + 1])
-    inverse.setflags(write=False)
-    return inverse
+    out = np.add(symbol, mu, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _half_spectrum(x: np.ndarray, d: int) -> np.ndarray:
+    """rfftn of x over its trailing d axes, in one new complex array.
+
+    The rfft along the last axis writes the half spectrum, and each fft
+    pass after it runs in place, in rfftn's axis order: the passes numpy's
+    rfftn takes with out=, without the complex temporary of one without it.
+    """
+    axes = range(x.ndim - d, x.ndim)
+    spectrum = np.fft.rfft(x, axis=axes[-1])
+    for axis in reversed(axes[:-1]):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
+
+
+def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, d: int) -> np.ndarray:
+    """irfftn of spectrum over its trailing d axes, written to the real array out.
+
+    The ifft passes run in spectrum's place, in irfftn's axis order, and
+    the last irfft writes out, of the real shape; out equals irfftn(spectrum,
+    s=out.shape[-d:]) bit for bit, and spectrum is overwritten.
+    """
+    axes = range(out.ndim - d, out.ndim)
+    for axis in axes[:-1]:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=axes[-1], out=out)
 
 
 def _spectral_quotient(
-    inverse_symbol: np.ndarray, f_hat: np.ndarray, shape: tuple[int, ...]
+    inverse_symbol: np.ndarray, f_hat: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Solution u of mu*u - laplacian(u) = f on the torus, from f_hat = rfftn(f).
+    """Solution u of mu*u - laplacian(u) = f on the torus into out, from f_hat = _half_spectrum(f).
 
     Diagonal in the Fourier basis: u_hat = f_hat * inverse_symbol, with
-    inverse_symbol = _inverse_symbol(mu, shape), a real multiply instead
-    of a complex division. The transform runs over the trailing len(shape)
-    axes; any leading axes index independent fields solved together.
+    inverse_symbol = _inverse_symbol(mu, _half_symbol(d, L)), a real
+    multiply instead of a complex division. u_hat is the one half spectrum
+    the solve allocates; f_hat is left alone. The transform runs over the
+    trailing inverse_symbol.ndim axes; any leading axes index independent
+    fields solved together.
     """
-    return np.fft.irfftn(f_hat * inverse_symbol, s=shape, axes=tuple(range(-len(shape), 0)))
+    return _from_half_spectrum(f_hat * inverse_symbol, out, inverse_symbol.ndim)
 
 
 def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
@@ -328,4 +377,5 @@ def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
     geom = TorusGeometry(f.ndim, min(f.shape, default=0))
     if f.shape != geom.shape:
         raise ValueError(f"field shape {f.shape} is not a cubic torus")
-    return _spectral_quotient(_inverse_symbol(mu, geom.shape), np.fft.rfftn(f), geom.shape)
+    inverse = _inverse_symbol(mu, _half_symbol(geom.d, geom.L))
+    return _spectral_quotient(inverse, _half_spectrum(f, geom.d), np.empty(geom.shape))

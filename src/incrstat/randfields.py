@@ -32,7 +32,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import GeneratorError
-from .lattice import TorusGeometry, _gradient_rows, _shift_into, laplace_symbol
+from .lattice import (
+    TorusGeometry, _from_half_spectrum, _gradient_rows, _half_spectrum, _half_symbol, _shift_into,
+)
 from .seeding import DOMAIN_FIELD, derive_rngs
 
 __all__ = [
@@ -53,7 +55,8 @@ CLAMP_WARN_FRACTION = 0.10
 # squares in the corrector is bitwise the sum over that row alone.
 CHUNK_SITES = 2**14
 # each thread's covariance shift buffer, kept across its tasks: one freed per
-# sample can tip glibc's heap into trimming, which costs time and resident memory
+# sample can tip glibc's heap into trimming, which costs time and resident memory.
+# empirical_covariance drops the calling thread's when it returns.
 _worker = threading.local()
 GENERATOR_KINDS = ("iid", "gradient", "decay_alpha", "gff", "zero")
 INCREMENT_LAWS = ("uniform_centered", "gaussian", "bernoulli_pm", "constant")
@@ -204,22 +207,15 @@ def _spectral_gaussian(
 
     Their spectral density is amplitude**2 (rfftn half spectrum). One
     white-noise draw into out, the stream of count draws of shape in
-    turn, is filtered over the trailing axes by the passes of one
-    rfftn/irfftn pair, in their axis order: everything after the first
-    rfft runs in place on its half spectrum, and the last irfft writes
-    back into out, so out ends up equal to irfftn(rfftn(noise) *
-    amplitude) bit for bit and only one half spectrum is allocated. The
-    fields are not centred.
+    turn, is filtered over the trailing axes by lattice's in-place
+    transform pair, whose inverse writes back into out, so out ends up
+    equal to irfftn(rfftn(noise) * amplitude) bit for bit and only one
+    half spectrum is allocated. The fields are not centred.
     """
-    axes = tuple(range(1, out.ndim))
     rng.standard_normal(out=out)
-    spectrum = np.fft.rfft(out, axis=axes[-1])
-    for axis in reversed(axes[:-1]):
-        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    spectrum = _half_spectrum(out, out.ndim - 1)
     spectrum *= amplitude
-    for axis in axes[:-1]:
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=out.shape[-1], axis=axes[-1], out=out)
+    return _from_half_spectrum(spectrum, out, out.ndim - 1)
 
 
 def _clamp_warnings(frac: float | None) -> tuple[str, ...]:
@@ -350,9 +346,9 @@ class GeneratorSpec:
                 if self.kind == "gradient":
                     self.law.fill(streams, psi)
                 else:
-                    sym = laplace_symbol(d, L)[..., : L // 2 + 1]
-                    amplitude = np.sqrt(sym)  # 0 at the zero mode, which stays 0
-                    np.divide(1.0, amplitude, out=amplitude, where=sym > 0)
+                    amplitude = _half_symbol(d, L)
+                    np.sqrt(amplitude, out=amplitude)  # 0 at the zero mode, which stays 0
+                    np.divide(1.0, amplitude, out=amplitude, where=amplitude > 0)
                     for rng, row in zip(streams, psi):
                         _spectral_gaussian(amplitude, rng, row[np.newaxis])
                 _centre(psi, d)
@@ -482,8 +478,12 @@ def empirical_covariance(
     ranges = (range(i, min(i + k, R)) for i in range(0, R, k))
     tasks = ((spec, geometry, master_seed, lag_arr, indices) for indices in ranges)
     per_real = np.empty((R, len(lag_arr), d, d))
-    for indices, stats, frac in (map_fn or map)(_covariance_rows, tasks):
-        per_real[indices.start : indices.stop] = stats
+    try:
+        for indices, stats, frac in (map_fn or map)(_covariance_rows, tasks):
+            per_real[indices.start : indices.stop] = stats
+    finally:
+        # tasks run on this thread (a serial study) leave it their buffer
+        _worker.__dict__.pop("shifted", None)
     mean = per_real.mean(axis=0)
     # jackknife over realizations; for this linear statistic it matches
     # the classical stderr of the mean but keeps the estimator uniform.

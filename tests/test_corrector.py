@@ -165,7 +165,7 @@ SIDES = {1: 64, 2: 16, 3: 8}
 
 @pytest.mark.parametrize("spec, d", ALL_SPECS)
 def test_solve_matches_roll_pipeline_within_1e12(spec, d):
-    # the kernel sums squares with einsum and scales by a cached reciprocal
+    # the kernel sums squares with einsum and scales by a reciprocal
     # symbol, so it agrees with the roll pipeline to rounding, not bit for bit
     geom = TorusGeometry(d, SIDES[d])
     for mu in (1.0, 0.05, 2.0**-12):
@@ -233,6 +233,23 @@ def shrink_zeta_moment(monkeypatch, row=None):
     monkeypatch.setattr(corrector, "_second_moments", shrunk)
 
 
+def perturb_symbol(monkeypatch):
+    """Add 1e-6 to the half-spectrum symbol every corrector solve divides by.
+
+    Patched in lattice and in the corrector module, which imports it by
+    name; the real-space residual check knows nothing of the symbol.
+    """
+    exact = lattice._half_symbol
+    perturbed = lambda d, L: exact(d, L) + 1e-6  # noqa: E731
+    monkeypatch.setattr(lattice, "_half_symbol", perturbed)
+    monkeypatch.setattr(corrector, "_half_symbol", perturbed)
+
+
+def chunk_task(spec, geom, mus, indices):
+    """A _chunk_stats task for realizations indices of spec at seed 0, solved at each of mus."""
+    return (spec, geom, mus, lattice._half_symbol(geom.d, geom.L), 0, indices)
+
+
 def names_sample(info, geom, index):
     """Whether a certification failure names realization index of IID_SPEC_2D at seed 0."""
     return str(info.value).endswith(f"(sample {IID_SPEC_2D.realize(geom, 0, index).sample_id})")
@@ -240,8 +257,7 @@ def names_sample(info, geom, index):
 
 @CERTIFIED_PATHS
 def test_residual_check_fires_on_perturbed_symbol(monkeypatch, run):
-    exact = lattice.laplace_symbol
-    monkeypatch.setattr(lattice, "laplace_symbol", lambda d, L: exact(d, L) + 1e-6)
+    perturb_symbol(monkeypatch)
     geom = TorusGeometry(2, 16)
     with pytest.raises(DiagnosticError, match="residual") as info:
         run(0.5, IID_SPEC_2D, geom)
@@ -316,8 +332,7 @@ def test_only_a_failing_row_formats_its_sample_id(monkeypatch):
     monkeypatch.setattr(corrector, "_sample_id", counted)
     monkeypatch.setattr(IncrementSample, "sample_id", property(lambda self: pytest.fail("id read")))
     geom = TorusGeometry(2, 16)
-    steps = ((0.5, lattice._inverse_symbol(0.5, geom.shape)),)
-    task = (IID_SPEC_2D, geom, steps, 0, range(corrector._chunk_rows(geom)))
+    task = chunk_task(IID_SPEC_2D, geom, (0.5,), range(corrector._chunk_rows(geom)))
     corrector._chunk_stats(task)
     assert formatted == []
 
@@ -334,8 +349,7 @@ def test_chunk_stats_builds_no_increment_sample(monkeypatch):
     monkeypatch.setattr(IncrementSample, "__post_init__", refuse)
     for spec, d in ALL_SPECS:
         geom = TorusGeometry(d, SIDES[d])
-        steps = ((0.5, lattice._inverse_symbol(0.5, geom.shape)),)
-        corrector._chunk_stats((spec, geom, steps, 0, range(3)))
+        corrector._chunk_stats(chunk_task(spec, geom, (0.5,), range(3)))
 
 
 def test_unperturbed_paths_pass_the_checks():
@@ -347,8 +361,7 @@ def test_residual_check_fires_after_an_unperturbed_solve(monkeypatch):
     # an inverse symbol kept from the first solve would hide the perturbed one
     geom = TorusGeometry(2, 16)
     run_solve(0.5, IID_SPEC_2D, geom)
-    exact = lattice.laplace_symbol
-    monkeypatch.setattr(lattice, "laplace_symbol", lambda d, L: exact(d, L) + 1e-6)
+    perturb_symbol(monkeypatch)
     for run in (run_solve, run_mc, run_study):
         with pytest.raises(DiagnosticError, match="residual"):
             run(0.5, IID_SPEC_2D, geom)
@@ -372,15 +385,12 @@ def test_one_component_divergence_and_moment_are_exact(d):
 
 
 def chunk_peak_bytes(spec, geom, k):
-    """tracemalloc peak of one k-row chunk task with a cold symbol cache, its inverse symbols included."""
-    corrector._chunk_stats((spec, geom, (), 0, range(k)))  # numpy's lazy one-time set-up
-    lattice.laplace_symbol.cache_clear()
+    """tracemalloc peak of one k-row chunk task at 3 mus with a cold amplitude cache, its symbol included."""
+    corrector._chunk_stats(chunk_task(spec, geom, (), range(k)))  # numpy's lazy one-time set-up
     _decay_amplitude.cache_clear()
     tracemalloc.start()
     try:
-        mus = (0.25, 0.0625, 0.015625)
-        steps = tuple((mu, lattice._inverse_symbol(mu, geom.shape)) for mu in mus)
-        corrector._chunk_stats((spec, geom, steps, 0, range(k)))
+        corrector._chunk_stats(chunk_task(spec, geom, (0.25, 0.0625, 0.015625), range(k)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,6 +423,37 @@ def test_chunk_peak_memory_within_budget_formula(spec, d, budget_mb):
         assert 1 < k < corrector.CHUNK_SITES // geom.n_sites
         assert k * geom.n_sites * corrector._bytes_per_site(d) <= budget_mb * 2**20
     assert chunk_peak_bytes(spec, geom, k) < corrector._bytes_per_site(d) * k * geom.n_sites
+
+
+@pytest.mark.parametrize(
+    "spec, bytes_per_site",
+    [
+        (IID_SPEC, 54.0),
+        (GeneratorSpec(kind="gradient", law=UNIT_LAW), 54.0),
+        (GeneratorSpec(kind="gff"), 54.0),
+        (GeneratorSpec(kind="decay_alpha", alpha=3.0), 63.0),
+    ],
+    ids=["iid", "gradient", "gff", "decay_alpha"],
+)
+def test_d3_group_peak_memory_per_site(spec, bytes_per_site):
+    # one-row chunks at three mus: the symbol, one inverse symbol, the
+    # divergence and its spectrum, one solve's spectrum, phi, residual and
+    # difference; keeping a full-spectrum symbol, an inverse symbol per mu,
+    # numpy's transform temporaries or a squared-zeta temporary beside the
+    # divergence costs 62 to 75 bytes per site
+    geom = TorusGeometry(3, 48)
+    mus = (0.25, 0.0625, 0.015625)
+    corrector._second_moments_mc(mus, spec, TorusGeometry(3, 8), 2, 0)  # numpy's one-time set-up
+    lattice.laplace_symbol.cache_clear()
+    _decay_amplitude.cache_clear()
+    tracemalloc.start()
+    try:
+        corrector._second_moments_mc(mus, spec, geom, 2, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corrector._chunk_rows(geom) == 1
+    assert peak < bytes_per_site * geom.n_sites
 
 
 @pytest.mark.parametrize("spec, d", ALL_SPECS)

@@ -8,6 +8,10 @@ from incrstat.lattice import (
     TorusField,
     TorusGeometry,
     _add_backward_diff,
+    _from_half_spectrum,
+    _half_spectrum,
+    _half_symbol,
+    _inverse_symbol,
     _neighbour_diff,
     backward_divergence,
     forward_gradient,
@@ -296,6 +300,51 @@ def test_symbol_is_write_protected():
     sym = laplace_symbol(1, 8)
     with pytest.raises(ValueError):
         sym[0] = 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [2, 3, 5, 16, 33, 64, 96])
+def test_half_symbol_bitwise_equals_sliced_full_symbol(d, L):
+    half = _half_symbol(d, L)
+    assert half.shape == (L,) * (d - 1) + (L // 2 + 1,)
+    assert half.tobytes() == np.ascontiguousarray(laplace_symbol(d, L)[..., : L // 2 + 1]).tobytes()
+
+
+def test_inverse_symbol_writes_one_array_for_every_mu():
+    sym = _half_symbol(2, 6)
+    out = np.empty_like(sym)
+    for mu in (0.5, 2.0**-9):
+        assert _inverse_symbol(mu, sym, out) is out
+        assert out.tobytes() == (1.0 / (mu + sym)).tobytes()
+    for mu in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            _inverse_symbol(mu, sym)
+
+
+# (d, L, rows k): even and odd sides, the smallest included, one row and several
+TRANSFORM_CASES = [(d, L, k) for d, sides in ((1, (2, 9, 64)), (2, (3, 8, 15)), (3, (2, 5, 12)))
+                   for L in sides for k in (1, 3)]
+
+
+@pytest.mark.parametrize("d, L, k", TRANSFORM_CASES)
+def test_transform_pair_bitwise_equals_rfftn_pair(d, L, k):
+    shape = (k,) + (L,) * d
+    axes = tuple(range(1, d + 1))
+    x = np.random.default_rng(L + 10 * d + k).standard_normal(shape)
+    before = x.copy()
+    spectrum = _half_spectrum(x, d)
+    assert spectrum.tobytes() == np.fft.rfftn(x, axes=axes).tobytes()
+    assert x.tobytes() == before.tobytes()
+    out = np.empty(shape)
+    assert _from_half_spectrum(spectrum.copy(), out, d) is out
+    assert out.tobytes() == np.fft.irfftn(spectrum, s=shape[1:], axes=axes).tobytes()
+    # and on a single field, whose leading axis is spatial
+    field = x[0]
+    assert _half_spectrum(field, d).tobytes() == np.fft.rfftn(field).tobytes()
+    one = np.empty(field.shape)
+    _from_half_spectrum(np.fft.rfftn(field), one, d)
+    expected = np.fft.irfftn(np.fft.rfftn(field), s=field.shape, axes=tuple(range(d)))
+    assert one.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- solver

@@ -1,10 +1,13 @@
 """The package's public namespace is the union of its submodules' public names,
-and importing it leaves numpy.random unloaded."""
+importing it leaves numpy.random unloaded, and its numpy floor has the FFTs it uses."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import incrstat
 from incrstat import corrector, errors, green, lattice, pointsets, randfields, seeding
@@ -33,3 +36,15 @@ def test_import_does_not_load_numpy_random():
     code = "import sys, incrstat.cli; assert 'numpy.random' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_declared_numpy_floor_has_fft_out():
+    # the in-place transform passes give numpy.fft's functions out=, new in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floors = [re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)?", dep.replace(" ", "")) for dep in deps]
+    floors = [tuple(int(g) for g in m.groups()) for m in floors if m]
+    assert len(floors) == 1, deps
+    assert floors[0] >= (2, 0)

@@ -659,6 +659,28 @@ def test_covariance_threads_keep_their_own_shift_buffers():
     assert pooled.stderr.tobytes() == serial.stderr.tobytes()
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_serial_covariance_drops_the_calling_threads_shift_buffer(monkeypatch, fail):
+    # the serial study's tasks run on this thread; their buffer must not outlive it
+    spec, geom = GeneratorSpec("decay_alpha", 0, alpha=3.0), TorusGeometry(3, 16)
+    if fail:
+        real = randfields._covariance_rows
+
+        def stats(task):
+            if task[-1].start > 0:
+                raise GeneratorError("injected failure after the first task")
+            return real(task)
+
+        monkeypatch.setattr(randfields, "_covariance_rows", stats)
+    randfields._worker.__dict__.pop("shifted", None)
+    if fail:
+        with pytest.raises(GeneratorError, match="injected"):
+            empirical_covariance(spec, geom, 8, 0, [(1, 0, 0)])  # two tasks of 4 rows
+    else:
+        empirical_covariance(spec, geom, 8, 0, [(1, 0, 0)])
+    assert getattr(randfields._worker, "shifted", None) is None
+
+
 def test_lag_index_lookup():
     est = empirical_covariance(IID_GAUSSIAN, TorusGeometry(1, 16), 4, 0, [(0,), (2,)])
     assert est.lag_index((2,)) == 1

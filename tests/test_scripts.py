@@ -87,9 +87,29 @@ WIDE = [0.60, 1.40, 0.70, 1.30, 0.80, 1.20, 0.90, 1.10, 1.00, 1.00]  # IQR 0.45
 ])
 def test_bench_record_verdicts(better, parent, change, verdict):
     bench_record = load_bench_record()
-    pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+    pairs = [{"parent": bench_run(p), "change": bench_run(c)} for p, c in zip(parent, change)]
     metrics = [{"name": "m", "better": better, "bound": 0.25}]
     assert bench_record.summarize(pairs, metrics)["m"]["verdict"] == verdict
+
+
+def bench_run(m, failed=0, correct=True):
+    """One perfbench run as bench_record records it: metric m of 10 invocations, failed of them failing."""
+    return {"m": m, "attempted": 10, "failed": failed, "correct": correct}
+
+
+def test_bench_record_withholds_gain_from_a_change_that_fails_more():
+    # 20 % better in every pair, but one change invocation in 100 failed
+    bench_record = load_bench_record()
+    pairs = [{"parent": bench_run(p), "change": bench_run(0.8 * p, failed=int(i == 3), correct=i != 3)}
+             for i, p in enumerate(TIGHT)]
+    metrics = [{"name": "m", "better": "lower", "bound": 0.25}]
+    assert bench_record.failures(pairs) == {
+        "parent": {"failed_share": 0.0, "all_correct": True},
+        "change": {"failed_share": 0.01, "all_correct": False},
+    }
+    assert bench_record.summarize(pairs, metrics)["m"]["verdict"] == "unchanged"
+    pairs[0]["parent"]["failed"] = 1  # as many failures a side: the gain stands
+    assert bench_record.summarize(pairs, metrics)["m"]["verdict"] == "gain"
 
 
 def bench_record_refusal(tmp_path, env=None):

@@ -18,22 +18,25 @@ amplification of the regularized solve.
 GeneratorSpec is the one way to draw a field, and chunk its one kernel:
 realization i is drawn from its own seed stream into row i of a
 (k, d) + shape array, and the rows are centred, and psi's second moments
-taken, all at once. realize is its one-row call; empirical_covariance is
-a study whose workers draw chunks and reduce them to per-lag statistics.
+taken, all at once. realize is its one-row call. empirical_covariance is
+a study whose workers reduce each realization to its per-lag statistics
+from its rfftn half spectrum (Wiener-Khinchin): a decay_alpha worker
+takes the spectrum its synthesis filters and never transforms it back,
+and any other kind's worker transforms the rows of a chunk.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GeneratorError
 from .lattice import (
-    TorusGeometry, _from_half_spectrum, _gradient_rows, _half_spectrum, _half_symbol, _shift_into,
+    TorusGeometry, _from_half_spectrum, _gradient_rows, _half_spectrum, _half_symbol,
 )
 from .seeding import DOMAIN_FIELD, derive_rngs
 
@@ -54,10 +57,12 @@ CLAMP_WARN_FRACTION = 0.10
 # sites, which fit einsum's 8192-element buffer, so each row's sum of
 # squares in the corrector is bitwise the sum over that row alone.
 CHUNK_SITES = 2**14
-# each thread's covariance shift buffer, kept across its tasks: one freed per
-# sample can tip glibc's heap into trimming, which costs time and resident memory.
-# empirical_covariance drops the calling thread's when it returns.
-_worker = threading.local()
+# Real multiply-adds per block of a matrix product in the covariance
+# statistic. OpenBLAS splits a larger product over its own threads, and two
+# covariance workers doing that at once gained nothing from the second: a
+# d=3, L=64 study of 24 samples took 0.91 s on two threads with whole
+# products and 0.51 s in these blocks, 0.96 s on one.
+_PRODUCT_MACS = 2**17
 GENERATOR_KINDS = ("iid", "gradient", "decay_alpha", "gff", "zero")
 INCREMENT_LAWS = ("uniform_centered", "gaussian", "bernoulli_pm", "constant")
 
@@ -200,22 +205,33 @@ def _sample_id(generator_id: str, parameters: tuple, seed: int, realization: int
     return f"{generator_id}({par})@{seed}/{realization}"
 
 
+def _filtered_noise(
+    amplitude: np.ndarray, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
+    """rfftn(noise) * amplitude over the trailing axes, noise one draw into out; out keeps the noise.
+
+    out is a C-contiguous (count,) + shape array, and the draw the stream
+    of count standard normal fields of shape in turn. The returned half
+    spectrum, the one array allocated, is that of count real Gaussian
+    fields of spectral density amplitude**2, before they are centred.
+    """
+    rng.standard_normal(out=out)
+    spectrum = _half_spectrum(out, out.ndim - 1)
+    spectrum *= amplitude
+    return spectrum
+
+
 def _spectral_gaussian(
     amplitude: np.ndarray, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
     """Fill out, a C-contiguous (count,) + shape array, with count real Gaussian fields.
 
-    Their spectral density is amplitude**2 (rfftn half spectrum). One
-    white-noise draw into out, the stream of count draws of shape in
-    turn, is filtered over the trailing axes by lattice's in-place
-    transform pair, whose inverse writes back into out, so out ends up
-    equal to irfftn(rfftn(noise) * amplitude) bit for bit and only one
-    half spectrum is allocated. The fields are not centred.
+    _filtered_noise's half spectrum, transformed back into out by lattice's
+    in-place inverse, so out ends up equal to irfftn(rfftn(noise) *
+    amplitude) bit for bit and only one half spectrum is allocated. The
+    fields are not centred.
     """
-    rng.standard_normal(out=out)
-    spectrum = _half_spectrum(out, out.ndim - 1)
-    spectrum *= amplitude
-    return _from_half_spectrum(spectrum, out, out.ndim - 1)
+    return _from_half_spectrum(_filtered_noise(amplitude, rng, out), out, out.ndim - 1)
 
 
 def _clamp_warnings(frac: float | None) -> tuple[str, ...]:
@@ -245,6 +261,18 @@ def _decay_amplitude(d: int, L: int, alpha: float) -> tuple[np.ndarray, float]:
     amplitude = np.sqrt(spectrum[..., : L // 2 + 1])
     amplitude.setflags(write=False)
     return amplitude, frac
+
+
+@contextmanager
+def _drawing(spec: GeneratorSpec, geometry: TorusGeometry, indices: range) -> Iterator[None]:
+    """Check spec's axis on geometry, then draw: any failure becomes a GeneratorError naming indices."""
+    try:
+        if not 0 <= spec.axis < geometry.d:
+            raise ValueError(f"axis {spec.axis} out of range for d={geometry.d}")
+        yield
+    except Exception as exc:  # attach the realization indices for MC debugging
+        where = f"{indices[0]}..{indices[-1]}" if len(indices) > 1 else f"{indices[0]}"
+        raise GeneratorError(f"generator {spec.kind} failed at realization {where}: {exc}") from exc
 
 
 class FieldChunk(NamedTuple):
@@ -320,10 +348,8 @@ class GeneratorSpec:
 
         Each row is drawn from its own stream, then all rows are reduced at once.
         """
-        try:
+        with _drawing(self, geometry, indices):
             d, L, k = geometry.d, geometry.L, len(indices)
-            if not 0 <= self.axis < d:
-                raise ValueError(f"axis {self.axis} out of range for d={d}")
             shape = (k, d) + geometry.shape
             streams = derive_rngs(seed, DOMAIN_FIELD, indices)
             psi2 = frac = None
@@ -355,11 +381,6 @@ class GeneratorSpec:
                 psi2 = np.square(psi).mean(axis=tuple(range(1, d + 1)))
                 values = _gradient_rows(psi, np.empty(shape))
                 _centre(values, d)
-        except Exception as exc:  # attach the realization indices for MC debugging
-            where = f"{indices[0]}..{indices[-1]}" if len(indices) > 1 else f"{indices[0]}"
-            raise GeneratorError(
-                f"generator {self.kind} failed at realization {where}: {exc}"
-            ) from exc
         return FieldChunk(values, psi2, frac)
 
     def realize(
@@ -430,26 +451,126 @@ def lags_error(lags: Sequence) -> str | None:
     return None if len(lags) else "need at least one lag"
 
 
+def _lag_phases(lags: np.ndarray, L: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The phases of the lags on the rfftn half spectrum, axis by axis, and where each lag sits.
+
+    Axis a's phases are e_a(q, c) = e^{2 pi i q c / L} for the q of its
+    spectrum (0 .. L - 1, or 0 .. L // 2 on the last axis) and the distinct
+    residues c mod L of the lags' axis-a components, and, on every axis but
+    the first, of their negatives. phases[a][q, j] holds them for a > 0;
+    phases[0] holds axis 0's as one real matrix, the real parts in rows j
+    and the imaginary parts in rows m + j, for m residues. The last axis's
+    also carry the half spectrum's multiplicity over N^2, N = L^d: 1 on the
+    q_last = 0 plane and, at even L, on the Nyquist plane, 2 elsewhere,
+    where each q stands for itself and -q. picks[0, j] and picks[1, j] are
+    where the residues of lag j, and of lag j with every component but the
+    first negated, sit in the flat grid of _pair_sums.
+    """
+    d = lags.shape[1]
+    signs = np.ones(d, dtype=int)
+    signs[1:] = -1
+    phases, positions = [], []
+    for a in range(d):
+        residues = np.unique(np.concatenate([lags[:, a], signs[a] * lags[:, a]]) % L)
+        q = np.arange(L // 2 + 1 if a == d - 1 else L)
+        phases.append(np.exp(2j * np.pi * (np.outer(q, residues) % L) / L))
+        positions.append([np.searchsorted(residues, sign * lags[:, a] % L) for sign in (1, signs[a])])
+    weight = np.full(L // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if L % 2 == 0:
+        weight[-1] = 1.0
+    phases[-1] *= (weight / float(L**d) ** 2)[:, np.newaxis]
+    grid = [phase.shape[1] for phase in phases]
+    picks = np.stack([np.ravel_multi_index([p[s] for p in positions], grid) for s in (0, 1)])
+    phases[0] = np.concatenate([phases[0].real.T, phases[0].imag.T])
+    return tuple(phases), picks
+
+
+def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, over b's columns in blocks of at most _PRODUCT_MACS real multiply-adds per matrix."""
+    out = np.empty(b.shape[:-2] + (len(a), b.shape[-1]), np.result_type(a, b))
+    macs = a.size * (4 if out.dtype.kind == "c" else 1)  # four real ones to a complex one
+    step = max(1, _PRODUCT_MACS // macs)
+    for i in range(0, b.shape[-1], step):
+        np.matmul(a, b[..., i : i + step], out=out[..., i : i + step])
+    return out
+
+
+def _pair_sums(cross: np.ndarray, phases: Sequence[np.ndarray]) -> np.ndarray:
+    """The sums that give the statistic of a cross spectrum C and of conj(C), as a (2, grid) array.
+
+    With e_a and the residues j_a of _lag_phases, row 0 is A and row 1 is
+    B, flat in (j_0, ..., j_{d-1}) order:
+
+      A(j) = sum_q Re e_0(q_0, j_0) C(q) prod_{a > 0} e_a(q_a, j_a),
+
+    and B the same with Im e_0. The sum of C against the lag's phase is
+    then A + iB, so the statistic of C at lag k is Re A(k) - Im B(k); and
+    that of conj(C) is Re A(k') + Im B(k'), k' being k with every component
+    but the first negated. The phase factorizes per axis, so the axes are
+    contracted one at a time, each by _blocked_matmul: axis 0, which holds
+    most of the work, first, as one real product of the real and imaginary
+    parts of C; the last axis last.
+    """
+    first, *rest = phases
+    flat = cross.view(float).reshape(len(cross), -1)  # real, imaginary parts interleaved
+    # rows: A then B, each summed over axis 0 alone
+    sums = _blocked_matmul(first, flat).view(complex).reshape((len(first),) + cross.shape[1:])
+    if rest:
+        *middle, last = rest
+        for phase in middle:  # at most one, as d <= 3: the second-to-last axis
+            sums = _blocked_matmul(phase.T, sums)
+        sums = _blocked_matmul(last.T, sums.reshape(-1, len(last)).T).T
+    return sums.reshape(2, -1)
+
+
+def _row_spectra(
+    spec: GeneratorSpec, geometry: TorusGeometry, seed: int, indices: range
+) -> tuple[Sequence[np.ndarray], float | None]:
+    """Each realization's half spectrum (rfftn over the spatial axes), and the clamped mass fraction.
+
+    decay_alpha's come straight from its synthesis, _filtered_noise: it
+    never transforms them back, nor centres them, so their zero mode is
+    not 0. Any other kind's are the transforms of its chunk's rows.
+    """
+    d = geometry.d
+    if spec.kind != "decay_alpha":
+        chunk = spec.chunk(geometry, seed, indices)
+        return _half_spectrum(chunk.values, d), chunk.clamped_mass_fraction
+    with _drawing(spec, geometry, indices):
+        amplitude, frac = _decay_amplitude(d, geometry.L, float(spec.alpha))
+        streams = derive_rngs(seed, DOMAIN_FIELD, indices)
+        shape = (d,) + geometry.shape
+        return [_filtered_noise(amplitude, rng, np.empty(shape)) for rng in streams], frac
+
+
 def _covariance_rows(task) -> tuple[range, np.ndarray, float | None]:
     """Worker: indices, statistics and clamped mass fraction of one chunk, for any map_fn.
 
-    task is (spec, geometry, master_seed, lags, indices); statistic [i, j]
-    is the site average of zeta(x + lag_j) zeta(x)^T for realization indices[i].
+    task is (spec, geometry, master_seed, phases, picks, indices), with
+    phases and picks the lags' _lag_phases. Statistic [i, j] is the site
+    average of zeta(x + lag_j) zeta(x)^T for realization indices[i], its
+    fields centred. From the row's half spectrum V it is, by
+    Wiener-Khinchin, N^-2 sum_q w(q) Re(V_l(q) conj(V_m(q))
+    e^{2 pi i q.lag_j / L}), w the half spectrum's multiplicity; V(0) is
+    set to 0 first, which is what centring does.
     """
-    spec, geometry, master_seed, lags, indices = task
-    chunk = spec.chunk(geometry, master_seed, indices)
-    d, space_axes = geometry.d, tuple(range(1, geometry.d + 1))
-    shifted = getattr(_worker, "shifted", None)
-    if shifted is None or shifted.shape != chunk.values.shape[1:]:
-        shifted = _worker.shifted = np.empty(chunk.values.shape[1:])
-    stats = np.empty((len(indices), len(lags), d, d))
-    for v, stat in zip(chunk.values, stats):  # v is (d,) + shape, exactly centred
-        flat = v.reshape(d, -1)
-        for j, k in enumerate(lags):
-            # sum over x of v(x + k) v(x)^T, the BLAS call tensordot makes
-            np.dot(_shift_into(v, k, space_axes, shifted).reshape(d, -1), flat.T, out=stat[j])
-    stats /= geometry.n_sites
-    return indices, stats, chunk.clamped_mass_fraction
+    spec, geometry, master_seed, phases, picks, indices = task
+    d = geometry.d
+    spectra, frac = _row_spectra(spec, geometry, master_seed, indices)
+    stats = np.empty((len(indices), picks.shape[1], d, d))
+    conj = cross = None
+    for spectrum, stat in zip(spectra, stats):
+        spectrum[(slice(None),) + (0,) * d] = 0.0
+        for m in range(d):
+            conj = np.conjugate(spectrum[m], out=conj)
+            for l in range(m + 1):
+                # V_l conj(V_m), whose conjugate is the (m, l) pair's
+                cross = np.multiply(spectrum[l], conj, out=cross)
+                a, b = _pair_sums(cross, phases)[:, picks]
+                stat[:, m, l] = a[1].real + b[1].imag
+                stat[:, l, m] = a[0].real - b[0].imag
+    return indices, stats, frac
 
 
 def empirical_covariance(
@@ -465,6 +586,11 @@ def empirical_covariance(
     Lags and n_samples >= 2 are checked before any draw. map_fn runs
     _covariance_rows over consecutive ranges of _rows_per_task(geometry)
     indices, and their statistics, never the samples, are kept in index order.
+    Each statistic is a sum over the realization's half spectrum, with the
+    lags' phases built here once for every task; a decay_alpha realization
+    is never transformed back to real space. No reduction is a BLAS dot
+    product that splits its sum, so the values do not depend on the BLAS
+    thread count.
     """
     if problem := lags_error(lags):
         raise ValueError(problem)
@@ -476,14 +602,11 @@ def empirical_covariance(
         raise ValueError("need at least 2 samples for a covariance estimate")
     R, k = n_samples, _rows_per_task(geometry)
     ranges = (range(i, min(i + k, R)) for i in range(0, R, k))
-    tasks = ((spec, geometry, master_seed, lag_arr, indices) for indices in ranges)
+    phases, picks = _lag_phases(lag_arr, geometry.L)
+    tasks = ((spec, geometry, master_seed, phases, picks, indices) for indices in ranges)
     per_real = np.empty((R, len(lag_arr), d, d))
-    try:
-        for indices, stats, frac in (map_fn or map)(_covariance_rows, tasks):
-            per_real[indices.start : indices.stop] = stats
-    finally:
-        # tasks run on this thread (a serial study) leave it their buffer
-        _worker.__dict__.pop("shifted", None)
+    for indices, stats, frac in (map_fn or map)(_covariance_rows, tasks):
+        per_real[indices.start : indices.stop] = stats
     mean = per_real.mean(axis=0)
     # jackknife over realizations; for this linear statistic it matches
     # the classical stderr of the mean but keeps the estimator uniform.

@@ -199,7 +199,7 @@ def rfftn_pair_synthesis_reference(amplitude, rng, out):
 
 
 def roll_covariance_reference(samples, lags):
-    """(cov, stderr, alpha_hat) of the covariance estimator built on np.roll and np.tensordot.
+    """(cov, stderr, alpha_hat, n_fit) of the covariance estimator built on np.roll and np.tensordot.
 
     Each sample's statistic at lag k is tensordot(np.roll(v, -k), v) over
     the spatial axes divided by the site count; the jackknife and the
@@ -227,4 +227,4 @@ def roll_covariance_reference(samples, lags):
     alpha_hat = None
     if len(x) >= 2 and len(np.unique(x)) >= 2:
         alpha_hat = float(-np.polyfit(x, y, 1)[0])
-    return mean, stderr, alpha_hat
+    return mean, stderr, alpha_hat, len(x)

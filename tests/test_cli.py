@@ -7,6 +7,7 @@ script to cover the entry point itself; it runs only where the
 `incrstat` executable is installed on PATH and is skipped elsewhere.
 """
 
+import itertools
 import json
 import os
 import shutil
@@ -437,27 +438,47 @@ def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
                 tmp_path / f"{name}-t2" / file).read_bytes()
 
 
-def test_blas_thread_count_does_not_change_bytes(tmp_path):
-    # each run is a fresh process, since OpenBLAS reads its thread count at
-    # load; at L=32 a BLAS dot product would split its sum across threads
-    cfg_path = write_cfg(tmp_path, "d = 3\ngenerator = iid\n"
-                         "mu_grid = 0.5,0.25,0.125,0.0625,0.03125\nn = 3\nl_max = 32\n")
+def assert_blas_thread_count_keeps_bytes(tmp_path, command, text, files, threads=("1",)):
+    """Run command with OpenBLAS pinned to one thread and at its default, at each --threads.
+
+    Each run is a fresh process, since OpenBLAS reads its thread count at
+    load; every run must write the same bytes.
+    """
+    cfg_path = write_cfg(tmp_path, text)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    for sub, pinned in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
-        argv = ["corrector-scaling", "--config", cfg_path, "--out", str(tmp_path / sub),
-                "--threads", "1"]
+    runs = []
+    for (sub, pinned), t in itertools.product(
+            (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})), threads):
+        out = tmp_path / f"{sub}-t{t}"
+        argv = [command, "--config", cfg_path, "--out", str(out), "--threads", t]
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from incrstat.cli import main; "
              "sys.exit(main(sys.argv[1:]))", *argv],
             capture_output=True, text=True, timeout=300, env={**base, **pinned},
         )
         assert proc.returncode == 0, proc.stderr
-    for name in ("scaling.csv", "scaling_report.json"):
-        assert (tmp_path / "pinned" / name).read_bytes() == (
-            tmp_path / "default" / name).read_bytes()
+        runs.append(out)
+    for name in files:
+        first, *rest = ((out / name).read_bytes() for out in runs)
+        assert all(other == first for other in rest), name
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    # at L=32 a BLAS dot product would split its sum across threads
+    text = "d = 3\ngenerator = iid\nmu_grid = 0.5,0.25,0.125,0.0625,0.03125\nn = 3\nl_max = 32\n"
+    assert_blas_thread_count_keeps_bytes(
+        tmp_path, "corrector-scaling", text, ("scaling.csv", "scaling_report.json"))
+
+
+def test_blas_thread_count_does_not_change_covariance_bytes(tmp_path):
+    # the per-lag sums over each half spectrum, at --threads 1 and 2 as well
+    text = "d = 3\nL = 32\ngenerator = decay_alpha\nalpha = 3.0\nn_samples = 8\n"
+    assert_blas_thread_count_keeps_bytes(
+        tmp_path, "covariance", text, ("covariance.csv", "covariance_summary.json"),
+        threads=("1", "2"))
 
 
 def test_threads_below_one_rejected(tmp_path, capsys):

@@ -10,6 +10,7 @@ import itertools
 import pickle
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -621,30 +622,47 @@ def test_covariance_rejects_empty_lags_before_drawing(no_draws):
         empirical_covariance(IID_GAUSSIAN, TorusGeometry(1, 16), 2, 0, [])
 
 
-@pytest.mark.parametrize(
-    "d,L,lags",
-    [
-        (1, 17, [(0,), (1,), (-1,), (2,), (5,), (17,), (22,), (-18,)]),
-        (2, 7, [(0, 0), (1, 0), (0, -2), (-1, 3), (3, 3), (7, 0), (9, -8)]),
-        (3, 8, [(0, 0, 0), (1, 0, 0), (0, -1, 0), (2, -3, 1), (-1, -1, -1), (8, 0, 0), (-9, 17, 4)]),
-    ],
-)
-def test_covariance_bitwise_equals_roll_tensordot_oracle(d, L, lags):
-    # lag 0, negative, multi-axis and components >= L; at these sides a task
-    # takes many rows
-    spec, geom = GeneratorSpec("decay_alpha", d - 1, alpha=2.0), TorusGeometry(d, L)
+# lag 0, negative, multi-axis and components >= L, at an odd and an even
+# side per d (only an even side has a Nyquist plane); at these sides a task
+# takes many rows
+ORACLE_LAGS = {
+    1: [(0,), (1,), (-1,), (2,), (5,), (17,), (22,), (-18,)],
+    2: [(0, 0), (1, 0), (0, -2), (-1, 3), (3, 3), (7, 0), (9, -8)],
+    3: [(0, 0, 0), (1, 0, 0), (0, -1, 0), (2, -3, 1), (-1, -1, -1), (8, 0, 0), (-9, 17, 4)],
+}
+ORACLE_SPECS = {
+    "iid": lambda d: GeneratorSpec("iid", d - 1, IncrementLaw("gaussian", 1.3)),
+    "gradient": lambda d: GeneratorSpec("gradient", 0, IncrementLaw("uniform_centered", 0.7)),
+    "gff": lambda d: GeneratorSpec("gff", 0),
+    "decay_alpha": lambda d: GeneratorSpec("decay_alpha", d - 1, alpha=2.0),
+    "zero": lambda d: GeneratorSpec("zero"),
+}
+
+
+@pytest.mark.parametrize("d,L", [(1, 16), (1, 17), (2, 7), (2, 8), (3, 7), (3, 8)])
+@pytest.mark.parametrize("kind", sorted(ORACLE_SPECS))
+def test_covariance_matches_roll_tensordot_oracle(kind, d, L):
+    # the spectral statistic against the real-space one, to rounding: every
+    # entry within 1e-12 of the largest covariance, exact zeros kept
+    spec, geom, lags = ORACLE_SPECS[kind](d), TorusGeometry(d, L), ORACLE_LAGS[d]
     est = empirical_covariance(spec, geom, 12, 4, lags)
     samples = [spec.realize(geom, 4, i) for i in range(12)]
-    cov, stderr, alpha_hat = roll_covariance_reference(samples, lags)
-    assert est.cov.tobytes() == cov.tobytes()
-    assert est.stderr.tobytes() == stderr.tobytes()
-    assert est.alpha_hat == alpha_hat
-    assert (est.axis, est.n_samples) == (d - 1, 12)
+    cov, stderr, alpha_hat, n_fit = roll_covariance_reference(samples, lags)
+    tol = 1e-12 * np.max(np.abs(cov))
+    for value, ref in ((est.cov, cov), (est.stderr, stderr)):
+        assert value.shape == ref.shape
+        assert np.max(np.abs(value - ref)) <= tol
+        assert value[ref == 0.0].tobytes() == ref[ref == 0.0].tobytes()
+    assert (est.alpha_hat is None) == (alpha_hat is None)
+    if alpha_hat is not None:
+        assert est.alpha_hat == pytest.approx(alpha_hat, abs=1e-9)
+        assert est.n_fit_entries == n_fit
+    assert (est.axis, est.n_samples) == (spec.axis, 12)
 
 
-def test_covariance_threads_keep_their_own_shift_buffers():
+def test_pooled_covariance_bitwise_equals_serial():
     # one sample per task at L = 32, d = 3; more threads than cores, switching
-    # often, so threads sharing a buffer would overwrite each other's shifts
+    # often, so threads that shared any state would overwrite each other's
     spec, geom = GeneratorSpec("decay_alpha", 0, alpha=3.0), TorusGeometry(3, 32)
     lags = [(0, 0, 0), (1, 0, 0), (0, 3, -2), (5, 5, 5), (-1, 0, 7)]
     serial = empirical_covariance(spec, geom, 48, 2, lags)
@@ -659,26 +677,35 @@ def test_covariance_threads_keep_their_own_shift_buffers():
     assert pooled.stderr.tobytes() == serial.stderr.tobytes()
 
 
-@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-def test_serial_covariance_drops_the_calling_threads_shift_buffer(monkeypatch, fail):
-    # the serial study's tasks run on this thread; their buffer must not outlive it
+def test_covariance_task_peak_memory_within_two_and_a_half_samples():
+    # one d=3, L=32 decay_alpha task: the noise and its half spectrum at the
+    # draw, then the spectrum and one cross spectrum at a time; all d^2 cross
+    # spectra at once would read about 4.5 samples
+    spec, geom = GeneratorSpec("decay_alpha", 0, alpha=3.0), TorusGeometry(3, 32)
+    lags = np.array([m * e for m in (0, 1, 2, 4, 8) for e in np.eye(3, dtype=int)[: 3 if m else 1]])
+    task = (spec, geom, 0, *randfields._lag_phases(lags, 32), range(5, 6))
+    randfields._covariance_rows(task)  # the amplitude cache, numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        randfields._covariance_rows(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 3 * 32**3 * 8
+
+
+def test_decay_covariance_failure_names_its_realizations(monkeypatch):
+    # decay_alpha tasks draw their spectra without chunk, and name their rows as it does
+    def fail(*args):
+        raise FloatingPointError("injected synthesis failure")
+
+    monkeypatch.setattr(randfields, "_filtered_noise", fail)
     spec, geom = GeneratorSpec("decay_alpha", 0, alpha=3.0), TorusGeometry(3, 16)
-    if fail:
-        real = randfields._covariance_rows
-
-        def stats(task):
-            if task[-1].start > 0:
-                raise GeneratorError("injected failure after the first task")
-            return real(task)
-
-        monkeypatch.setattr(randfields, "_covariance_rows", stats)
-    randfields._worker.__dict__.pop("shifted", None)
-    if fail:
-        with pytest.raises(GeneratorError, match="injected"):
-            empirical_covariance(spec, geom, 8, 0, [(1, 0, 0)])  # two tasks of 4 rows
-    else:
-        empirical_covariance(spec, geom, 8, 0, [(1, 0, 0)])
-    assert getattr(randfields._worker, "shifted", None) is None
+    with pytest.raises(GeneratorError, match=r"realization 0\.\.3: injected synthesis failure"):
+        empirical_covariance(spec, geom, 8, 0, [(1, 0, 0)])  # two tasks of 4 rows
+    bad_axis = GeneratorSpec("decay_alpha", 3, alpha=3.0)
+    with pytest.raises(GeneratorError, match=r"realization 0\.\.3: axis 3 out of range"):
+        empirical_covariance(bad_axis, geom, 8, 0, [(1, 0, 0)])
 
 
 def test_lag_index_lookup():

@@ -22,11 +22,11 @@ from .lattice import (
     TorusGeometry,
     _add_backward_diff,
     _divergence_rows,
+    _from_half_spectrum,
     _half_spectrum,
     _half_symbol,
     _inverse_symbol,
     _neighbour_diff,
-    _spectral_quotient,
     backward_divergence,
     forward_gradient,
 )
@@ -139,7 +139,8 @@ def _certified_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve mu*phi - laplacian(phi) = rhs[i] for each row i of a (k,) + shape chunk, and certify it.
 
-    rhs_hat is rfftn(rhs) over the spatial (trailing) axes, inverse_symbol
+    rhs_hat is rfftn(rhs) over the spatial (trailing) axes, left alone
+    so that one serves every mu of a group, inverse_symbol
     is 1 / (mu + symbol) on its half spectrum (lattice._inverse_symbol),
     and zeta_second_moment and labels, the arguments of
     randfields._sample_id (formatted only for a failing row), hold one
@@ -154,7 +155,8 @@ def _certified_solve(
     (-laplacian = D*.D).
     """
     k = rhs.shape[0]
-    phi = _spectral_quotient(inverse_symbol, rhs_hat, np.empty_like(rhs))
+    phi = np.empty_like(rhs)
+    _from_half_spectrum(rhs_hat * inverse_symbol, phi, inverse_symbol.ndim)
     _pin_mean(phi)
     rows = phi.reshape(k, -1)
     n_sites = rows.shape[1]

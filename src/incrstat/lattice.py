@@ -13,15 +13,14 @@ Conventions, fixed once for the whole package:
 
 Fields are plain float64 arrays: a scalar field has one axis per spatial
 dimension, a vector field (d,) + shape. Every operator leaves its input
-alone and returns a new array (backward_divergence can write into a given
-one instead). All three operators are built from one slice stencil,
-`_neighbour_diff`; `_add_backward_diff` adds one term of D*.z to an
-accumulator in place, for residuals. Both take an explicit axis, so they
-also serve a (k,) + shape batch of fields: `_gradient_rows` and
-`_divergence_rows` apply D and D* to every row of a batch, and
+alone and returns a new array. All three operators are built from one
+slice stencil, `_neighbour_diff`; `_add_backward_diff` adds one term of
+D*.z to an accumulator in place, for residuals. Both take an explicit
+axis, so they also serve a (k,) + shape batch of fields: `_gradient_rows`
+and `_divergence_rows` apply D and D* to every row of a batch, and
 forward_gradient and backward_divergence are their one-row calls.
-Translations have one kernel, `_shift_into`, which `shift` wraps. The
-FFT solve supports arbitrary L >= 2, not only powers of two.
+`shift` is np.roll with the group action's sign. The FFT solve supports
+arbitrary L >= 2, not only powers of two.
 
 Every real field goes through Fourier space by one in-place pair:
 `_half_spectrum` is rfftn over the trailing d axes into one complex
@@ -34,9 +33,7 @@ bit for bit. The symbol of -laplacian on that half spectrum is
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -158,32 +155,7 @@ def shift(f: np.ndarray, k) -> np.ndarray:
     k = np.asarray(k, dtype=int).ravel()
     if k.size != f.ndim:
         raise ValueError(f"shift vector has {k.size} entries, field is {f.ndim}d")
-    return _shift_into(f, k, tuple(range(f.ndim)), np.empty_like(f))
-
-
-def _shift_into(f: np.ndarray, k, axes: tuple[int, ...], out: np.ndarray) -> np.ndarray:
-    """out[x] = f[x + k] on the torus, k_l acting along axes[l]; returns out.
-
-    The values of np.roll(f, -k, axes), written into a caller's array (which
-    must not overlap f) by the same 2^m slice copies, m the number of axes
-    with k_l != 0 mod the side, and no temporary.
-    """
-    pieces = []
-    for axis, kl in zip(axes, k):
-        n = f.shape[axis]
-        s = int(kl) % n
-        # (source, destination) slice pairs along this axis
-        pieces.append(
-            [(slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))]
-            if s
-            else [(slice(None), slice(None))]
-        )
-    for pairs in itertools.product(*pieces):
-        src, dst = [slice(None)] * f.ndim, [slice(None)] * f.ndim
-        for axis, (a, b) in zip(axes, pairs):
-            src[axis], dst[axis] = a, b
-        out[tuple(dst)] = f[tuple(src)]
-    return out
+    return np.roll(f, tuple(-k), tuple(range(f.ndim)))
 
 
 def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -229,21 +201,17 @@ def _gradient_rows(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward_divergence(
-    z: np.ndarray, axes: Sequence[int] | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def backward_divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
     """(D*.z)(x) = sum_l [z_l(x - e_l) - z_l(x)] of a (d,) + shape field, the adjoint of D.
 
     Only the components listed in axes (default: all) are read; the
-    others are taken to vanish, which changes no sum. The result is
-    written to out (a new array by default) and returned.
+    others are taken to vanish, which changes no sum.
     """
     if z.shape[0] != z.ndim - 1:
         raise ValueError(
             f"backward_divergence expects {z.ndim - 1} components, got {z.shape[0]}"
         )
-    if out is None:
-        out = np.empty(z.shape[1:])
+    out = np.empty(z.shape[1:])
     _divergence_rows(z[np.newaxis], range(z.shape[0]) if axes is None else axes, out[np.newaxis])
     return out
 
@@ -286,7 +254,6 @@ def laplacian(u: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-@lru_cache(maxsize=16)
 def laplace_symbol(d: int, L: int) -> np.ndarray:
     """Fourier symbol of -laplacian: sum_l 4 sin^2(pi m_l / L), shape (L,)*d."""
     s = np.zeros((L,) * d)
@@ -295,7 +262,6 @@ def laplace_symbol(d: int, L: int) -> np.ndarray:
         view = [1] * d
         view[l] = L
         s = s + line.reshape(view)
-    s.setflags(write=False)
     return s
 
 
@@ -354,28 +320,17 @@ def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, d: int) -> np.nda
     return np.fft.irfft(spectrum, n=out.shape[-1], axis=axes[-1], out=out)
 
 
-def _spectral_quotient(
-    inverse_symbol: np.ndarray, f_hat: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Solution u of mu*u - laplacian(u) = f on the torus into out, from f_hat = _half_spectrum(f).
-
-    Diagonal in the Fourier basis: u_hat = f_hat * inverse_symbol, with
-    inverse_symbol = _inverse_symbol(mu, _half_symbol(d, L)), a real
-    multiply instead of a complex division. u_hat is the one half spectrum
-    the solve allocates; f_hat is left alone. The transform runs over the
-    trailing inverse_symbol.ndim axes; any leading axes index independent
-    fields solved together.
-    """
-    return _from_half_spectrum(f_hat * inverse_symbol, out, inverse_symbol.ndim)
-
-
 def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
     """Solve mu*u - laplacian(u) = f exactly for a scalar field f on the torus.
 
-    Works for any cubic torus with L >= 2 and any mu > 0.
+    Works for any cubic torus with L >= 2 and any mu > 0. Diagonal in the
+    Fourier basis: the half spectrum of f is multiplied in place by
+    1 / (mu + symbol), a real multiply instead of a complex division.
     """
     geom = TorusGeometry(f.ndim, min(f.shape, default=0))
     if f.shape != geom.shape:
         raise ValueError(f"field shape {f.shape} is not a cubic torus")
     inverse = _inverse_symbol(mu, _half_symbol(geom.d, geom.L))
-    return _spectral_quotient(inverse, _half_spectrum(f, geom.d), np.empty(geom.shape))
+    spectrum = _half_spectrum(f, geom.d)
+    spectrum *= inverse
+    return _from_half_spectrum(spectrum, np.empty(geom.shape), geom.d)

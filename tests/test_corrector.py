@@ -444,7 +444,6 @@ def test_d3_group_peak_memory_per_site(spec, bytes_per_site):
     geom = TorusGeometry(3, 48)
     mus = (0.25, 0.0625, 0.015625)
     corrector._second_moments_mc(mus, spec, TorusGeometry(3, 8), 2, 0)  # numpy's one-time set-up
-    lattice.laplace_symbol.cache_clear()
     _decay_amplitude.cache_clear()
     tracemalloc.start()
     try:

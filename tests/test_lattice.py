@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,7 +144,9 @@ def test_shift_equals_np_roll(seed, dl):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(geom.shape)
     k = rng.integers(-2 * geom.L, 2 * geom.L + 1, size=geom.d)
-    assert shift(f, k).tobytes() == np.roll(f, tuple(-k), tuple(range(geom.d))).tobytes()
+    # an index gather, independent of np.roll, which shift calls
+    gathered = f[np.ix_(*[(np.arange(n) + kl) % n for n, kl in zip(f.shape, k)])]
+    assert shift(f, k).tobytes() == gathered.tobytes()
 
 
 @settings(max_examples=15, deadline=None)
@@ -241,13 +244,6 @@ def test_stencils_equal_roll_on_batches_and_strided_arrays(shape):
                 assert np.array_equal(out, expected)
 
 
-def test_divergence_writes_into_out():
-    z = np.random.default_rng(3).standard_normal((2, 5, 6))
-    out = np.empty((5, 6))
-    assert backward_divergence(z, out=out) is out
-    assert np.array_equal(out, backward_divergence(z))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31))
 def test_adjointness(seed):
@@ -294,12 +290,6 @@ def test_symbol_matches_dense_spectrum():
         eigs = np.sort(np.linalg.eigvalsh(-dense_laplacian(d, L)))
         sym = np.sort(laplace_symbol(d, L).ravel())
         assert np.allclose(eigs, sym, atol=1e-9)
-
-
-def test_symbol_is_write_protected():
-    sym = laplace_symbol(1, 8)
-    with pytest.raises(ValueError):
-        sym[0] = 1.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -400,6 +390,21 @@ def test_solver_linearity():
     left = solve_helmholtz(0.3, 2.0 * f - 0.5 * g)
     right = 2.0 * solve_helmholtz(0.3, f) - 0.5 * solve_helmholtz(0.3, g)
     assert np.allclose(left, right, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, L", [(1, 4096), (2, 128), (3, 32)])
+def test_solver_peak_memory_within_three_and_a_quarter_fields(d, L):
+    # f, its half spectrum multiplied in place, and the solution; a product
+    # out of place holds a second half spectrum and exceeds the bound
+    f = rand_field(TorusGeometry(d, L), 0)
+    solve_helmholtz(0.5, f)  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        solve_helmholtz(0.5, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * f.nbytes
 
 
 def test_solver_rejects_nonpositive_mu():

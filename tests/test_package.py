@@ -1,10 +1,13 @@
 """The package's public namespace is the union of its submodules' public names,
-importing it leaves numpy.random unloaded, and its numpy floor has the FFTs it uses."""
+importing it leaves numpy.random unloaded, its numpy floor has the FFTs it uses,
+and every private helper in it has a caller."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,41 @@ def test_declared_numpy_floor_has_fft_out():
     floors = [tuple(int(g) for g in m.groups()) for m in floors if m]
     assert len(floors) == 1, deps
     assert floors[0] >= (2, 0)
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _references(node):
+    """Names read, attributes taken and names imported anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_private_helper_is_referenced():
+    # a private name only its own definition mentions is code that nothing needs
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(incrstat.__file__).parent.glob("*.py")}
+    used = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and used[name] == Counter(_references(node))[name]
+    ]
+    assert not dead, dead

@@ -20,13 +20,13 @@ from .errors import BudgetError, ConfigError, DiagnosticError
 from .green import GreenTable, _linfit, grad_green_l2, green_torus
 from .lattice import (
     TorusGeometry,
-    _add_backward_diff,
     _divergence_rows,
     _from_half_spectrum,
     _half_spectrum,
     _half_symbol,
     _inverse_symbol,
     _neighbour_diff,
+    _subtract_neighbour,
     backward_divergence,
     forward_gradient,
 )
@@ -112,26 +112,27 @@ def _chunk_divergence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """div*(zeta) of realization indices[i] of spec in row i of a (k,) + shape chunk.
 
-    One spec.chunk draw, then one stencil pass over the whole chunk per
-    component in the generator's support. Returns the divergence chunk,
-    its row spectra (rfftn over the spatial axes), which every mu on this
-    torus shares, and per row the zeta and the psi second moment (None
-    when the generator has no potential). The zeta moments are taken
-    before the divergence chunk is allocated, and the drawn fields are
-    released before the rfftn, so neither temporary adds to the other.
+    One spec.chunk draw of the generator's support alone (an iid or zero
+    chunk allocates one component, not d), then one stencil pass over the
+    whole chunk per component. Returns the divergence chunk, its row
+    spectra (rfftn over the spatial axes), which every mu on this torus
+    shares, and per row the zeta and the psi second moment (None when the
+    generator has no potential). The zeta moments are taken before the
+    divergence chunk is allocated, and the drawn fields are released
+    before the rfftn, so neither temporary adds to the other.
     """
-    fields = spec.chunk(geometry, master_seed, indices)
+    fields = spec.chunk(geometry, master_seed, indices, support_only=True)
     support = spec.support(geometry.d)
-    zeta2, psi2 = _second_moments(fields.values, support), fields.psi_second_moment
+    zeta2, psi2 = _second_moments(fields.values, range(len(support))), fields.psi_second_moment
     rhs = np.empty((len(indices),) + geometry.shape)
-    _divergence_rows(fields.values, support, rhs)
+    _divergence_rows(fields.values.swapaxes(0, 1), support, rhs)  # component by component
     del fields
     return rhs, _half_spectrum(rhs, geometry.d), zeta2, psi2
 
 
 def _certified_solve(
     mu: float,
-    inverse_symbol: np.ndarray,
+    symbol: np.ndarray,
     rhs: np.ndarray,
     rhs_hat: np.ndarray,
     zeta_second_moment: np.ndarray,
@@ -139,37 +140,45 @@ def _certified_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve mu*phi - laplacian(phi) = rhs[i] for each row i of a (k,) + shape chunk, and certify it.
 
-    rhs_hat is rfftn(rhs) over the spatial (trailing) axes, left alone
-    so that one serves every mu of a group, inverse_symbol
-    is 1 / (mu + symbol) on its half spectrum (lattice._inverse_symbol),
-    and zeta_second_moment and labels, the arguments of
-    randfields._sample_id (formatted only for a failing row), hold one
-    entry per row. Returns (phi, second moments, Dirichlet energies,
-    residual maxima, energy margins), the last four of shape (k,). Every row passes three checks in real
-    space: the residual mu*phi - rhs + D*.(D phi), the pinned mean, and the
-    energy estimate.
-    The first failing row in index order raises DiagnosticError naming
-    its sample id. One buffer holds each forward difference D_l phi in
-    turn: its row sums of squares add to the Dirichlet energies, and it is
-    folded into the residual, which is accumulated in place
-    (-laplacian = D*.D).
+    symbol is lattice._half_symbol of the torus, rhs_hat rfftn(rhs) over
+    the spatial (trailing) axes; both are left alone, so that one of each
+    serves every mu of a group. zeta_second_moment and labels, the
+    arguments of randfields._sample_id (formatted only for a failing row),
+    hold one entry per row. Returns (phi, second moments, Dirichlet
+    energies, residual maxima, energy margins), the last four of shape
+    (k,). Every row passes three checks in real space: the residual
+    mu*phi - laplacian(phi) - rhs, the pinned mean, and the energy
+    estimate. The first failing row in index order raises DiagnosticError
+    naming its sample id.
+
+    The task holds four field-sized arrays here besides the symbol: rhs,
+    rhs_hat, phi and one more. 1 / (mu + symbol) is written into phi's
+    first bytes, which the irfftn then writes over; the one more is the
+    spectrum of the solve, then the difference buffer. That buffer holds
+    each forward difference D_l phi in turn, whose row sums of squares add
+    to the Dirichlet energies, and then the residual, built in place as
+    (mu + 2d) phi - rhs - sum_l [phi(x + e_l) + phi(x - e_l)].
     """
     k = rhs.shape[0]
+    d = symbol.ndim
     phi = np.empty_like(rhs)
-    _from_half_spectrum(rhs_hat * inverse_symbol, phi, inverse_symbol.ndim)
+    inverse = _inverse_symbol(mu, symbol, phi.reshape(-1)[: symbol.size].reshape(symbol.shape))
+    _from_half_spectrum(rhs_hat * inverse, phi, d)
     _pin_mean(phi)
     rows = phi.reshape(k, -1)
     n_sites = rows.shape[1]
     second_moment = _row_square_sums(phi) / n_sites
-    residual = np.multiply(phi, mu)
-    residual -= rhs
     diff = np.empty_like(phi)
     dirichlet = np.zeros(k)
     for l in range(1, phi.ndim):
         _neighbour_diff(phi, l, 1, diff)
         dirichlet += _row_square_sums(diff)
-        _add_backward_diff(residual, diff, l)
     dirichlet /= n_sites
+    residual = np.multiply(phi, mu + 2 * d, out=diff)
+    residual -= rhs
+    for l in range(1, phi.ndim):
+        _subtract_neighbour(phi, l, 1, residual)
+        _subtract_neighbour(phi, l, -1, residual)
     residual_rows = residual.reshape(k, -1)
     residual_max = np.maximum(residual_rows.max(axis=1), -residual_rows.min(axis=1))
     margin = zeta_second_moment - (mu * second_moment + dirichlet)
@@ -201,12 +210,11 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     chunk of the Monte Carlo kernel.
     """
     geom = zeta.geometry
-    inverse = _inverse_symbol(mu, _half_symbol(geom.d, geom.L))
     rhs = backward_divergence(zeta.values, zeta.support)[np.newaxis]
     label = (zeta.generator_id, zeta.parameters, zeta.seed, zeta.realization)
     zeta2 = np.array([zeta.second_moment()])
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, inverse, rhs, _half_spectrum(rhs, geom.d), zeta2, [label]
+        mu, _half_symbol(geom.d, geom.L), rhs, _half_spectrum(rhs, geom.d), zeta2, [label]
     )
     return CorrectorSolution(
         mu=float(mu),
@@ -303,8 +311,9 @@ def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.n
     the torus side's lattice._half_symbol, built once per side.
     Realization indices[i] is drawn from its own seed stream into row i of
     one chunk (_chunk_divergence); one rfftn over the spatial axes serves
-    every mu, and each mu takes one irfftn for the whole chunk. Each mu's
-    inverse symbol is written over the last one's, so the task holds one.
+    every mu, and each mu takes one irfftn for the whole chunk
+    (_certified_solve, which holds its inverse symbol in phi's memory and
+    its residual in its difference buffer).
     Returns indices, per mu the rows' second moments and energy margins,
     and the rows' psi second moments (None when the generator has none).
     Module-level so that any map_fn can run it, a caller's process pool
@@ -314,11 +323,10 @@ def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.n
     rhs, rhs_hat, zeta2, psi2 = _chunk_divergence(spec, geometry, master_seed, indices)
     generator_id, parameters = spec.generator_id, spec.parameters
     labels = [(generator_id, parameters, master_seed, i) for i in indices]
-    inverse = np.empty_like(symbol)
     stats = []
     for mu in mus:
         _, second_moment, _, _, margin = _certified_solve(
-            mu, _inverse_symbol(mu, symbol, inverse), rhs, rhs_hat, zeta2, labels
+            mu, symbol, rhs, rhs_hat, zeta2, labels
         )
         stats.append((second_moment, margin))
     return indices, stats, psi2
@@ -460,13 +468,13 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 def _bytes_per_site(d: int) -> float:
     # peak working set of one _chunk_stats task per chunk site, measured
     # with tracemalloc at 3 mus with a cold amplitude cache, counting the
-    # half-spectrum symbol the task shares and its one inverse symbol,
-    # over every generator kind: 41-50 bytes per site in d=1 chunks of 4
-    # to 1024 rows, 43-56 in d=2 chunks of 4 to 256 rows and 55-57 in d=3
-    # chunks of 4 to 32 rows; one-row chunks take 48-53 at d=1 and d=2 and
-    # 49-68 at d=3, decay_alpha the most (it builds its amplitude). A
-    # two-row chunk of a few dozen sites reads up to 144, a fixed few
-    # kilobytes. 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
+    # half-spectrum symbol the task shares, over every generator kind:
+    # 41-48 bytes per site in d=1 chunks of 4 to 1024 rows, 40-48 in d=2
+    # chunks of 4 to 256 rows and 46-54 in d=3 chunks of 4 to 32 rows;
+    # one-row chunks take 38-45 at d=1 and d=2 and 38-50 at d=3, except
+    # decay_alpha, which builds its amplitude: 52-54. A two-row chunk of
+    # 32 to 128 sites reads 85 to 181, a fixed few kilobytes.
+    # 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 
 

@@ -149,19 +149,28 @@ def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
     if problem := p_error(p):
         raise ValueError(problem)
     geom = table.geometry
-    mag = np.sqrt(np.sum(table.grad**2, axis=0))
-    dist = geom.site_distances()
-    annuli = []
-    i = 0
-    while 2 ** (i + 1) <= geom.L // 2:
-        mask = (dist > 2**i) & (dist <= 2 ** (i + 1))
-        annuli.append((i, float(np.sum(mag[mask] ** p))))
-        i += 1
-    if len(annuli) < 3:
+    n_annuli = (geom.L // 2).bit_length() - 1  # every i with 2^{i+1} <= L/2
+    if n_annuli < 3:
         raise DiagnosticError(
-            f"only {len(annuli)} dyadic annuli fit inside the table; need >= 3 "
+            f"only {n_annuli} dyadic annuli fit inside the table; need >= 3 "
             "(increase L)"
         )
+    # each site's annulus i as i + 1 (0 outside every annulus), built before
+    # |grad G| so that the distances and the norm are never held together
+    dist = geom.site_distances()
+    ring = np.zeros(geom.shape, np.int8)
+    for i in range(n_annuli):
+        ring[(dist > 2**i) & (dist <= 2 ** (i + 1))] = i + 1
+    del dist
+    # |grad G|^p: the squares are added one component at a time, a slab of
+    # axis 0 at a time, so no second field is allocated beside the norm
+    mag = np.square(table.grad[0])
+    for g in table.grad[1:]:
+        for slab, g_slab in zip(mag, g):
+            slab += np.square(g_slab)
+    np.sqrt(mag, out=mag)
+    mag **= p
+    annuli = [(i, float(np.sum(mag[ring == i + 1]))) for i in range(n_annuli)]
     idx = np.array([a[0] for a in annuli], dtype=float)
     slope, r2 = _linfit(idx, np.log2([a[1] for a in annuli]))
     return DyadicGradientNorms(

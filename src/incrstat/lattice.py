@@ -8,19 +8,22 @@ Conventions, fixed once for the whole package:
 * laplacian           (Lu)(x)    = sum_l [u(x+e_l) + u(x-e_l) - 2 u(x)]
   so that L = -D*.D and -L is positive semidefinite. The Helmholtz
   solver treats mu*u - Lu = f, diagonal in the Fourier basis with symbol
-  mu + sum_l 4 sin^2(pi m_l / L), and every residual in the package is
+  mu + sum_l 4 sin^2(pi m_l / L). Every residual in the package is
+  mu*u - Lu - f: the corrector builds it as
+  (mu + 2d) u - f - sum_l [u(x+e_l) + u(x-e_l)], and `incrstat green` as
   mu*u + D*.(Du) - f.
 
 Fields are plain float64 arrays: a scalar field has one axis per spatial
 dimension, a vector field (d,) + shape. Every operator leaves its input
 alone and returns a new array. All three operators are built from one
-slice stencil, `_neighbour_diff`; `_add_backward_diff` adds one term of
-D*.z to an accumulator in place, for residuals. Both take an explicit
-axis, so they also serve a (k,) + shape batch of fields: `_gradient_rows`
-and `_divergence_rows` apply D and D* to every row of a batch, and
-forward_gradient and backward_divergence are their one-row calls.
-`shift` is np.roll with the group action's sign. The FFT solve supports
-arbitrary L >= 2, not only powers of two.
+slice stencil, `_neighbour_diff`; `_subtract_neighbour` subtracts a
+neighbour's value from an accumulator in place, for the corrector's
+residual. Both take an explicit axis, so they also serve a (k,) + shape
+batch of fields, and both take one flat pass along a C-contiguous last
+axis: `_gradient_rows` and `_divergence_rows` apply D and D* to every row
+of a batch, and forward_gradient and backward_divergence are their
+one-row calls. `shift` is np.roll with the group action's sign. The FFT
+solve supports arbitrary L >= 2, not only powers of two.
 
 Every real field goes through Fourier space by one in-place pair:
 `_half_spectrum` is rfftn over the trailing d axes into one complex
@@ -79,12 +82,12 @@ class TorusGeometry:
     def site_distances(self) -> np.ndarray:
         """Euclidean distance of every site to the origin, via centered representatives."""
         ax = np.abs(self.centered_axis())
-        sq = np.zeros(self.shape)
+        dist = np.zeros(self.shape)
         for l in range(self.d):
             view = [1] * self.d
             view[l] = self.L
-            sq = sq + ax.reshape(view) ** 2
-        return np.sqrt(sq)
+            dist += ax.reshape(view) ** 2
+        return np.sqrt(dist, out=dist)
 
 
 # No library path builds a TorusField. Its last consumer is the span
@@ -162,6 +165,18 @@ def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     return a[(slice(None),) * axis + (slice(start, stop),)]
 
 
+def _neighbour_parts(n: int, step: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(sites, their step neighbours) as index ranges along an axis of n: the bulk, then the wrap."""
+    if step == 1:
+        return (0, n - 1, 1, n), (n - 1, n, 0, 1)
+    return (1, n, 0, n - 1), (0, 1, n - 1, n)
+
+
+def _flat_along(v: np.ndarray, axis: int, out: np.ndarray) -> bool:
+    """Whether one flat pass over v and out covers the bulk along axis: its last, both C-contiguous."""
+    return axis == v.ndim - 1 and v.flags.c_contiguous and out.flags.c_contiguous
+
+
 def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.ndarray:
     """out[x] = v[x + step*e_axis] - v[x] on the torus, step = +1 or -1.
 
@@ -169,13 +184,8 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
     Along the last axis of a C-contiguous v and out, one flat subtract
     covers the whole array and the wrap column is written over afterwards.
     """
-    n = v.shape[axis]
-    # (sites, their neighbours) as index ranges along axis: the bulk, then the wrap
-    if step == 1:
-        parts = ((0, n - 1, 1, n), (n - 1, n, 0, 1))
-    else:
-        parts = ((1, n, 0, n - 1), (0, 1, n - 1, n))
-    if axis == v.ndim - 1 and v.flags.c_contiguous and out.flags.c_contiguous:
+    parts = _neighbour_parts(v.shape[axis], step)
+    if _flat_along(v, axis, out):
         # the flat bulk pairs each row's edge site with the next row's: the wrap fixes it
         flat, flat_out = v.reshape(-1), out.reshape(-1)
         if step == 1:
@@ -186,6 +196,32 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
     for lo, hi, nlo, nhi in parts:
         site = _along(v, axis, lo, hi)
         np.subtract(_along(v, axis, nlo, nhi), site, out=_along(out, axis, lo, hi))
+    return out
+
+
+def _subtract_neighbour(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.ndarray:
+    """out[x] -= v[x + step*e_axis] in place on the torus, step = +1 or -1; v and out do not overlap.
+
+    Same arithmetic as out -= np.roll(v, -step, axis), without the rolled
+    copy. Along the last axis of a C-contiguous v and out, one flat
+    subtract covers the whole array; the wrap column, computed before it
+    into a column-sized temporary, is written over it afterwards.
+    """
+    bulk, wrap = _neighbour_parts(v.shape[axis], step)
+    if _flat_along(v, axis, out):
+        lo, hi, nlo, nhi = wrap
+        edge = _along(out, axis, lo, hi)
+        fixed = edge - _along(v, axis, nlo, nhi)
+        flat, flat_out = v.reshape(-1), out.reshape(-1)
+        if step == 1:
+            flat_out[:-1] -= flat[1:]
+        else:
+            flat_out[1:] -= flat[:-1]
+        edge[...] = fixed
+        return out
+    for lo, hi, nlo, nhi in (bulk, wrap):
+        site = _along(out, axis, lo, hi)
+        np.subtract(site, _along(v, axis, nlo, nhi), out=site)
     return out
 
 
@@ -211,41 +247,28 @@ def backward_divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.
         raise ValueError(
             f"backward_divergence expects {z.ndim - 1} components, got {z.shape[0]}"
         )
+    axes = range(z.shape[0]) if axes is None else axes
     out = np.empty(z.shape[1:])
-    _divergence_rows(z[np.newaxis], range(z.shape[0]) if axes is None else axes, out[np.newaxis])
+    _divergence_rows([z[l, np.newaxis] for l in axes], axes, out[np.newaxis])
     return out
 
 
-def _divergence_rows(z: np.ndarray, axes: Sequence[int], out: np.ndarray) -> np.ndarray:
-    """out[i] = D*.z[i] for each row of a (k, d) + shape batch z, read only in components axes."""
-    first, *rest = axes
-    _neighbour_diff(z[:, first], first + 1, -1, out)
+def _divergence_rows(
+    components: Sequence[np.ndarray], axes: Sequence[int], out: np.ndarray
+) -> np.ndarray:
+    """out = sum_j of the backward difference of components[j] along spatial axis axes[j].
+
+    Each component and out is a (k,) + shape batch, so out[i] is D*.z of
+    row i with z_l = components[j] for l = axes[j], and every component not
+    in axes taken to vanish.
+    """
+    (first, z), *rest = zip(axes, components)
+    _neighbour_diff(z, first + 1, -1, out)
     if rest:
         term = np.empty_like(out)
-        for l in rest:
-            out += _neighbour_diff(z[:, l], l + 1, -1, term)
+        for l, z in rest:
+            out += _neighbour_diff(z, l + 1, -1, term)
     return out
-
-
-def _add_backward_diff(out: np.ndarray, v: np.ndarray, axis: int) -> None:
-    """out[x] += v[x - e_axis] - v[x] in place: subtract v, then add its wrapped shift.
-
-    Summed over axis l with v = z_l, this accumulates D*.z into out
-    without a temporary. Along the last axis of a C-contiguous out the
-    shift is one flat add, and the wrap column, computed before it, is
-    written over it.
-    """
-    out -= v
-    n = v.shape[axis]
-    wrap = _along(out, axis, 0, 1)
-    if axis == v.ndim - 1 and out.flags.c_contiguous:
-        fixed = wrap + _along(v, axis, n - 1, n)
-        out.reshape(-1)[1:] += v.reshape(-1)[:-1]
-        wrap[...] = fixed
-        return
-    bulk = _along(out, axis, 1, n)
-    bulk += _along(v, axis, 0, n - 1)
-    wrap += _along(v, axis, n - 1, n)
 
 
 def laplacian(u: np.ndarray) -> np.ndarray:
@@ -293,15 +316,15 @@ def _inverse_symbol(mu: float, symbol: np.ndarray, out: np.ndarray | None = None
     return np.divide(1.0, out, out=out)
 
 
-def _half_spectrum(x: np.ndarray, d: int) -> np.ndarray:
-    """rfftn of x over its trailing d axes, in one new complex array.
+def _half_spectrum(x: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """rfftn of x over its trailing d axes, in one complex array: out, or a new one.
 
     The rfft along the last axis writes the half spectrum, and each fft
     pass after it runs in place, in rfftn's axis order: the passes numpy's
     rfftn takes with out=, without the complex temporary of one without it.
     """
     axes = range(x.ndim - d, x.ndim)
-    spectrum = np.fft.rfft(x, axis=axes[-1])
+    spectrum = np.fft.rfft(x, axis=axes[-1], out=out)
     for axis in reversed(axes[:-1]):
         np.fft.fft(spectrum, axis=axis, out=spectrum)
     return spectrum

@@ -206,17 +206,16 @@ def _sample_id(generator_id: str, parameters: tuple, seed: int, realization: int
 
 
 def _filtered_noise(
-    amplitude: np.ndarray, rng: np.random.Generator, out: np.ndarray
+    amplitude: np.ndarray, rng: np.random.Generator, field: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """rfftn(noise) * amplitude over the trailing axes, noise one draw into out; out keeps the noise.
+    """rfftn(noise) * amplitude, noise one standard normal draw into the C-contiguous field.
 
-    out is a C-contiguous (count,) + shape array, and the draw the stream
-    of count standard normal fields of shape in turn. The returned half
-    spectrum, the one array allocated, is that of count real Gaussian
-    fields of spectral density amplitude**2, before they are centred.
+    The half spectrum goes to out, or a new complex array, and is that of
+    a real Gaussian field of spectral density amplitude**2, before it is
+    centred; field keeps the noise.
     """
-    rng.standard_normal(out=out)
-    spectrum = _half_spectrum(out, out.ndim - 1)
+    rng.standard_normal(out=field)
+    spectrum = _half_spectrum(field, field.ndim, out)
     spectrum *= amplitude
     return spectrum
 
@@ -226,12 +225,15 @@ def _spectral_gaussian(
 ) -> np.ndarray:
     """Fill out, a C-contiguous (count,) + shape array, with count real Gaussian fields.
 
-    _filtered_noise's half spectrum, transformed back into out by lattice's
-    in-place inverse, so out ends up equal to irfftn(rfftn(noise) *
-    amplitude) bit for bit and only one half spectrum is allocated. The
-    fields are not centred.
+    Field by field, _filtered_noise's half spectrum is transformed back
+    into the field by lattice's in-place inverse, so each field equals
+    irfftn(rfftn(noise) * amplitude) bit for bit; the stream draws the
+    fields in turn, as one draw of out would, and one field's half
+    spectrum is allocated at a time. The fields are not centred.
     """
-    return _from_half_spectrum(_filtered_noise(amplitude, rng, out), out, out.ndim - 1)
+    for field in out:
+        _from_half_spectrum(_filtered_noise(amplitude, rng, field), field, field.ndim)
+    return out
 
 
 def _clamp_warnings(frac: float | None) -> tuple[str, ...]:
@@ -282,7 +284,9 @@ class FieldChunk(NamedTuple):
     psi_second_moment holds each row's site average of psi^2 for a
     gradient-type generator (else None), and clamped_mass_fraction the
     decay_alpha spectral clamp (else None). The rows' zeta second moments
-    are _second_moments(values, spec.support(d)).
+    are _second_moments(values, spec.support(d)). A chunk drawn
+    support_only holds in values[:, j] only component spec.support(d)[j],
+    so its moments are _second_moments(values, range(len(support))).
     """
 
     values: np.ndarray
@@ -343,10 +347,15 @@ class GeneratorSpec:
         """The components a realization can make nonzero: the axis alone for iid and zero."""
         return (self.axis,) if self.kind in ("iid", "zero") else tuple(range(d))
 
-    def chunk(self, geometry: TorusGeometry, seed: int, indices: range) -> FieldChunk:
+    def chunk(
+        self, geometry: TorusGeometry, seed: int, indices: range, support_only: bool = False
+    ) -> FieldChunk:
         """Realizations indices, row i drawn from the stream (seed, field domain, indices[i]).
 
-        Each row is drawn from its own stream, then all rows are reduced at once.
+        Each row is drawn from its own stream, then all rows are reduced at
+        once. With support_only, values holds the components in
+        self.support(d) alone, in that order: an iid or zero chunk is then
+        (k, 1) + shape, with the same values as its component axis.
         """
         with _drawing(self, geometry, indices):
             d, L, k = geometry.d, geometry.L, len(indices)
@@ -355,9 +364,12 @@ class GeneratorSpec:
             psi2 = frac = None
             if self.kind in ("iid", "zero"):
                 law = self.law or IncrementLaw("constant", 0.0)
-                # zeros: the components off the support are never written, so never touched
-                values = np.zeros(shape)
-                rows = law.fill(streams, values[:, self.axis])
+                if support_only:
+                    values, column = np.empty((k, 1) + geometry.shape), 0
+                else:
+                    # zeros: the components off the support are never written, so never touched
+                    values, column = np.zeros(shape), self.axis
+                rows = law.fill(streams, values[:, column])
                 _centre(rows, d)
             elif self.kind == "decay_alpha":
                 # before the chunk is allocated: a cold build's full-spectrum fftn
@@ -531,7 +543,10 @@ def _row_spectra(
 
     decay_alpha's come straight from its synthesis, _filtered_noise: it
     never transforms them back, nor centres them, so their zero mode is
-    not 0. Any other kind's are the transforms of its chunk's rows.
+    not 0. Each component is drawn into one field-sized buffer and
+    transformed into its row of the spectrum, so a realization's noise is
+    never held whole. Any other kind's are the transforms of its chunk's
+    rows.
     """
     d = geometry.d
     if spec.kind != "decay_alpha":
@@ -539,9 +554,14 @@ def _row_spectra(
         return _half_spectrum(chunk.values, d), chunk.clamped_mass_fraction
     with _drawing(spec, geometry, indices):
         amplitude, frac = _decay_amplitude(d, geometry.L, float(spec.alpha))
-        streams = derive_rngs(seed, DOMAIN_FIELD, indices)
-        shape = (d,) + geometry.shape
-        return [_filtered_noise(amplitude, rng, np.empty(shape)) for rng in streams], frac
+        noise = np.empty(geometry.shape)
+        spectra = []
+        for rng in derive_rngs(seed, DOMAIN_FIELD, indices):
+            spectrum = np.empty((d,) + amplitude.shape, complex)
+            for row in spectrum:
+                _filtered_noise(amplitude, rng, noise, row)
+            spectra.append(spectrum)
+        return spectra, frac
 
 
 def _covariance_rows(task) -> tuple[range, np.ndarray, float | None]:

@@ -241,6 +241,26 @@ def test_green_rerun_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_green_peak_memory_within_six_fields():
+    # d=3, L=64: beside the table (G and its three-component gradient), two
+    # fields at a time: the divergence and its term, the residual and mu*G,
+    # the distances, then |grad G| (the annulus labels are bytes, the
+    # annulus sums their own share). Squaring the whole gradient, keeping
+    # the residual array or taking |grad| of all of it at once reads 7 to 9
+    # field sizes. The 256 KiB cover numpy's iterator buffer of a strided
+    # stencil, 192 KiB whatever the side
+    text = "d = 3\nL = 64\nmu = 0.01\np = 1.0, 2.0\n"
+    values = cfg.validate("green", cfg.parse_config_text(text))
+    cli._run_green(dict(values, L=16), map)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        cli._run_green(values, map)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 64**3 * 8 + 2**18
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_residual_max_matches_dense_oracle(tmp_path, d):
     """Both certified residuals against mu*u - lap u - f with the dense Laplacian matrix.

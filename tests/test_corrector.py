@@ -384,6 +384,43 @@ def test_one_component_divergence_and_moment_are_exact(d):
         assert z.second_moment() == float(np.mean(np.sum(z.values**2, axis=0)))
 
 
+@pytest.mark.parametrize("spec, d", ALL_SPECS)
+@pytest.mark.parametrize("L", [2, 3, 6])
+def test_chunk_residual_max_matches_divergence_of_gradient(spec, d, L):
+    # the residual is built in the difference buffer from phi's neighbours;
+    # each row's maximum agrees with that of mu phi + D*.(D phi) - rhs to
+    # rounding, on sides where every site is next to the wrap
+    geom = TorusGeometry(d, L)
+    indices = range(min(corrector._chunk_rows(geom), 4))
+    rhs, rhs_hat, zeta2, _ = corrector._chunk_divergence(spec, geom, 4, indices)
+    mu = 0.05
+    labels = [("x", (), 4, i) for i in indices]
+    phi, _, _, residual_max, _ = corrector._certified_solve(
+        mu, lattice._half_symbol(d, L), rhs, rhs_hat, zeta2, labels
+    )
+    for row, phi_row, rhs_row in zip(residual_max, phi, rhs):
+        expected = mu * phi_row + lattice.backward_divergence(lattice.forward_gradient(phi_row))
+        expected -= rhs_row
+        assert abs(row - np.max(np.abs(expected))) <= 1e-14 * (1.0 + np.max(np.abs(phi_row)))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_iid_divergence_allocates_only_the_drawn_component(axis):
+    # a one-row d=3 draw holds its one component and the divergence, then
+    # the divergence and its half spectrum: 2.04 to 2.07 field sizes. The
+    # two zero components of a full (d,) + shape draw would add two more
+    geom = TorusGeometry(3, 48)
+    spec = GeneratorSpec(kind="iid", axis=axis, law=UNIT_LAW)
+    corrector._chunk_divergence(spec, geom, 0, range(1))  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        corrector._chunk_divergence(spec, geom, 0, range(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * geom.n_sites * 8
+
+
 def chunk_peak_bytes(spec, geom, k):
     """tracemalloc peak of one k-row chunk task at 3 mus with a cold amplitude cache, its symbol included."""
     corrector._chunk_stats(chunk_task(spec, geom, (), range(k)))  # numpy's lazy one-time set-up
@@ -428,19 +465,22 @@ def test_chunk_peak_memory_within_budget_formula(spec, d, budget_mb):
 @pytest.mark.parametrize(
     "spec, bytes_per_site",
     [
-        (IID_SPEC, 54.0),
-        (GeneratorSpec(kind="gradient", law=UNIT_LAW), 54.0),
-        (GeneratorSpec(kind="gff"), 54.0),
+        (IID_SPEC, 42.0),
+        (GeneratorSpec(kind="gradient", law=UNIT_LAW), 48.0),
+        (GeneratorSpec(kind="gff"), 48.0),
         (GeneratorSpec(kind="decay_alpha", alpha=3.0), 63.0),
     ],
     ids=["iid", "gradient", "gff", "decay_alpha"],
 )
 def test_d3_group_peak_memory_per_site(spec, bytes_per_site):
-    # one-row chunks at three mus: the symbol, one inverse symbol, the
-    # divergence and its spectrum, one solve's spectrum, phi, residual and
-    # difference; keeping a full-spectrum symbol, an inverse symbol per mu,
-    # numpy's transform temporaries or a squared-zeta temporary beside the
-    # divergence costs 62 to 75 bytes per site
+    # one-row chunks at three mus: the symbol, the divergence and its
+    # spectrum, then phi (its first bytes holding the inverse symbol) and
+    # one solve's spectrum, then phi and the difference buffer, which ends
+    # as the residual: 38.1 bytes per site for iid. gradient and gff (44.7)
+    # peak at the draw, where the three components, the divergence and its
+    # term coexist; decay_alpha (52.2) at its cold amplitude build. An
+    # inverse symbol or residual array of its own, or an iid draw of all d
+    # components, costs 4 to 16 bytes per site more
     geom = TorusGeometry(3, 48)
     mus = (0.25, 0.0625, 0.015625)
     corrector._second_moments_mc(mus, spec, TorusGeometry(3, 8), 2, 0)  # numpy's one-time set-up

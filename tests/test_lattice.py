@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from incrstat.lattice import (
     TorusField,
     TorusGeometry,
-    _add_backward_diff,
     _from_half_spectrum,
     _half_spectrum,
     _half_symbol,
     _inverse_symbol,
     _neighbour_diff,
+    _subtract_neighbour,
     backward_divergence,
     forward_gradient,
     laplace_symbol,
@@ -218,30 +218,67 @@ def test_operators_match_dense_matrices(d, L):
     assert np.allclose(lap, dense_laplacian(d, L) @ flat, atol=1e-12)
 
 
+def strided_copy(a):
+    """A copy of a whose flat view cannot exist: every other entry of a longer first axis."""
+    b = np.empty((2 * a.shape[0],) + a.shape[1:])[::2]
+    b[...] = a
+    return b
+
+
 @pytest.mark.parametrize("shape", [(9,), (5, 7), (3, 4, 6), (4, 3, 5, 6)])
 def test_stencils_equal_roll_on_batches_and_strided_arrays(shape):
     # along the last axis a C-contiguous out takes one flat pass, a strided
     # one the slice stencil; (4, 3, 5, 6) is a batch of four 3-D fields
     rng = np.random.default_rng(len(shape))
-
-    def strided(a):
-        """A copy of a whose flat view cannot exist: every other entry of a longer first axis."""
-        b = np.empty((2 * a.shape[0],) + a.shape[1:])[::2]
-        b[...] = a
-        return b
-
     v = rng.standard_normal(shape)
-    for src in (v, strided(v)):
+    for src in (v, strided_copy(v)):
         for axis in range(len(shape)):
             for step in (1, -1):
                 expected = np.roll(src, -step, axis) - src
-                for out in (np.empty(shape), strided(np.empty(shape))):
+                for out in (np.empty(shape), strided_copy(np.empty(shape))):
                     assert np.array_equal(_neighbour_diff(src, axis, step, out), expected)
-            acc = rng.standard_normal(shape)
-            expected = (acc - src) + np.roll(src, 1, axis)
-            for out in (acc.copy(), strided(acc)):
-                _add_backward_diff(out, src, axis)
-                assert np.array_equal(out, expected)
+
+
+# sides 2 and 3 put every site next to the wrap; (4, 3, 5, 6) is a batch of four 3-D fields
+SUBTRACT_SHAPES = [(2,), (3,), (9,), (2, 3), (3, 2), (2, 2, 3), (3, 3, 2), (5, 7), (3, 4, 6), (4, 3, 5, 6)]
+
+
+@pytest.mark.parametrize("shape", SUBTRACT_SHAPES)
+def test_subtract_neighbour_equals_roll_on_batches_and_strided_arrays(shape):
+    # along the last axis a C-contiguous v and out take one flat pass and a
+    # wrap column fixed afterwards, anything else the slice stencil
+    rng = np.random.default_rng(sum(shape))
+    v = rng.standard_normal(shape)
+    acc = rng.standard_normal(shape)
+    for src in (v, strided_copy(v)):
+        for axis in range(len(shape)):
+            for step in (1, -1):
+                expected = acc - np.roll(src, -step, axis)
+                for out in (acc.copy(), strided_copy(acc)):
+                    assert _subtract_neighbour(src, axis, step, out) is out
+                    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("d, L, k", [(1, 2, 3), (1, 3, 1), (1, 17, 4), (2, 2, 2), (2, 3, 3),
+                                     (2, 8, 1), (3, 2, 2), (3, 3, 1), (3, 6, 2)])
+def test_neighbour_residual_matches_divergence_of_gradient(d, L, k):
+    # (mu + 2d) phi - rhs - sum_l [phi(x + e_l) + phi(x - e_l)] is the
+    # corrector's residual mu phi + D*.(D phi) - rhs in another order of
+    # rounding: for each row of a (k,) + shape batch, within 1e-14 of the
+    # largest term
+    rng = np.random.default_rng(100 * d + L)
+    mu = 0.3
+    phi = rng.standard_normal((k,) + (L,) * d)
+    rhs = rng.standard_normal(phi.shape)
+    residual = np.multiply(phi, mu + 2 * d)
+    residual -= rhs
+    for l in range(1, d + 1):
+        _subtract_neighbour(phi, l, 1, residual)
+        _subtract_neighbour(phi, l, -1, residual)
+    for row, phi_row, rhs_row in zip(residual, phi, rhs):
+        expected = mu * phi_row + backward_divergence(forward_gradient(phi_row)) - rhs_row
+        scale = (mu + 4 * d) * np.max(np.abs(phi_row)) + np.max(np.abs(rhs_row))
+        assert np.max(np.abs(row - expected)) <= 1e-14 * scale
 
 
 @settings(max_examples=25, deadline=None)

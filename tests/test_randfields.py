@@ -677,10 +677,11 @@ def test_pooled_covariance_bitwise_equals_serial():
     assert pooled.stderr.tobytes() == serial.stderr.tobytes()
 
 
-def test_covariance_task_peak_memory_within_two_and_a_half_samples():
-    # one d=3, L=32 decay_alpha task: the noise and its half spectrum at the
-    # draw, then the spectrum and one cross spectrum at a time; all d^2 cross
-    # spectra at once would read about 4.5 samples
+def test_covariance_task_peak_memory_within_two_samples():
+    # one d=3, L=32 decay_alpha task: one component's noise and the half
+    # spectrum at the draw (1.57 samples), then the spectrum, one conjugate
+    # and one cross spectrum at a time (1.92); the whole noise beside the
+    # spectrum would read 2.23 samples, all d^2 cross spectra at once about 4.5
     spec, geom = GeneratorSpec("decay_alpha", 0, alpha=3.0), TorusGeometry(3, 32)
     lags = np.array([m * e for m in (0, 1, 2, 4, 8) for e in np.eye(3, dtype=int)[: 3 if m else 1]])
     task = (spec, geom, 0, *randfields._lag_phases(lags, 32), range(5, 6))
@@ -691,7 +692,7 @@ def test_covariance_task_peak_memory_within_two_and_a_half_samples():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 3 * 32**3 * 8
+    assert peak <= 2.0 * 3 * 32**3 * 8
 
 
 def test_decay_covariance_failure_names_its_realizations(monkeypatch):

@@ -23,8 +23,9 @@ number of pairs the change won, by the direction BENCHMARK.json declares
 (ties count for neither side), and a verdict (gain, regression,
 unresolved or unchanged; see summarize), judged against the bounds
 BENCHMARK.json declares; each side's git revision and whether its
-src/ differs from it; and the Python and numpy versions and the CPU
-count. Series already in --out under other keys are kept.
+src/ differs from it; and the Python and numpy versions, the CPU count
+and PYTHONDONTWRITEBYTECODE (see environment). Series already in --out
+under other keys are kept.
 """
 
 import argparse
@@ -65,6 +66,19 @@ def benchmark_digest(checkout: str) -> str:
         with open(os.path.join(checkout, path), "rb") as fh:
             digest.update(hashlib.sha256(fh.read()).digest())
     return digest.hexdigest()
+
+
+def environment() -> dict:
+    """What every run of a series shares: Python and numpy versions, CPU count, bytecode setting.
+
+    perfbench's children inherit PYTHONDONTWRITEBYTECODE (None when unset).
+    With it set, a fresh checkout has no bytecode cache, and every
+    invocation compiles the package again, which setup_s counts.
+    """
+    return {"python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def run_workload(checkout: str, name: str, seed: int, seconds: float) -> dict:
@@ -180,9 +194,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "seconds": args.seconds,
             "sides": sides,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "nproc": len(os.sched_getaffinity(0)),
+            **environment(),
             "failures": failures(pairs),
             "summary": summarize(pairs, spec["end_to_end"]),
             "pairs": pairs,

@@ -23,7 +23,6 @@ from .lattice import (
     _divergence_rows,
     _from_half_spectrum,
     _half_spectrum,
-    _half_symbol,
     _inverse_symbol,
     _neighbour_diff,
     _subtract_neighbour,
@@ -132,7 +131,6 @@ def _chunk_divergence(
 
 def _certified_solve(
     mu: float,
-    symbol: np.ndarray,
     rhs: np.ndarray,
     rhs_hat: np.ndarray,
     zeta_second_moment: np.ndarray,
@@ -140,29 +138,29 @@ def _certified_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve mu*phi - laplacian(phi) = rhs[i] for each row i of a (k,) + shape chunk, and certify it.
 
-    symbol is lattice._half_symbol of the torus, rhs_hat rfftn(rhs) over
-    the spatial (trailing) axes; both are left alone, so that one of each
-    serves every mu of a group. zeta_second_moment and labels, the
-    arguments of randfields._sample_id (formatted only for a failing row),
-    hold one entry per row. Returns (phi, second moments, Dirichlet
-    energies, residual maxima, energy margins), the last four of shape
-    (k,). Every row passes three checks in real space: the residual
+    rhs and its spectrum rhs_hat (rfftn over the spatial, trailing, axes)
+    are left alone, so that one of each serves every mu of a group.
+    zeta_second_moment and labels, the arguments of randfields._sample_id
+    (formatted only for a failing row), hold one entry per row. Returns
+    (phi, second moments, Dirichlet energies, residual maxima, energy
+    margins), the last four of shape (k,). Every row passes three checks in real space: the residual
     mu*phi - laplacian(phi) - rhs, the pinned mean, and the energy
     estimate. The first failing row in index order raises DiagnosticError
     naming its sample id.
 
-    The task holds four field-sized arrays here besides the symbol: rhs,
-    rhs_hat, phi and one more. 1 / (mu + symbol) is written into phi's
-    first bytes, which the irfftn then writes over; the one more is the
-    spectrum of the solve, then the difference buffer. That buffer holds
-    each forward difference D_l phi in turn, whose row sums of squares add
-    to the Dirichlet energies, and then the residual, built in place as
+    The task holds four field-sized arrays here and no symbol: rhs,
+    rhs_hat, phi and one more. 1 / (mu + symbol) is built from the
+    per-axis lines in phi's first bytes (lattice._inverse_symbol), which
+    the irfftn then writes over; the one more is the spectrum of the
+    solve, then the difference buffer. That buffer holds each forward
+    difference D_l phi in turn, whose row sums of squares add to the
+    Dirichlet energies, and then the residual, built in place as
     (mu + 2d) phi - rhs - sum_l [phi(x + e_l) + phi(x - e_l)].
     """
-    k = rhs.shape[0]
-    d = symbol.ndim
+    k, d, L = rhs.shape[0], rhs.ndim - 1, rhs.shape[-1]
+    half = rhs_hat.shape[1:]
     phi = np.empty_like(rhs)
-    inverse = _inverse_symbol(mu, symbol, phi.reshape(-1)[: symbol.size].reshape(symbol.shape))
+    inverse = _inverse_symbol(mu, d, L, phi.reshape(-1)[: math.prod(half)].reshape(half))
     _from_half_spectrum(rhs_hat * inverse, phi, d)
     _pin_mean(phi)
     rows = phi.reshape(k, -1)
@@ -214,7 +212,7 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     label = (zeta.generator_id, zeta.parameters, zeta.seed, zeta.realization)
     zeta2 = np.array([zeta.second_moment()])
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(
-        mu, _half_symbol(geom.d, geom.L), rhs, _half_spectrum(rhs, geom.d), zeta2, [label]
+        mu, rhs, _half_spectrum(rhs, geom.d), zeta2, [label]
     )
     return CorrectorSolution(
         mu=float(mu),
@@ -307,27 +305,24 @@ def _chunk_rows(geometry: TorusGeometry, memory_budget_mb: float | None = None) 
 def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
     """Worker: one chunk of realizations, each solved at every mu of one torus side.
 
-    task is (spec, geometry, mus, symbol, master_seed, indices), symbol
-    the torus side's lattice._half_symbol, built once per side.
-    Realization indices[i] is drawn from its own seed stream into row i of
-    one chunk (_chunk_divergence); one rfftn over the spatial axes serves
-    every mu, and each mu takes one irfftn for the whole chunk
-    (_certified_solve, which holds its inverse symbol in phi's memory and
-    its residual in its difference buffer).
+    task is (spec, geometry, mus, master_seed, indices) and holds no
+    array. Realization indices[i] is drawn from its own seed stream into
+    row i of one chunk (_chunk_divergence); one rfftn over the spatial
+    axes serves every mu, and each mu takes one irfftn for the whole chunk
+    (_certified_solve, which builds its inverse symbol in phi's memory
+    and its residual in its difference buffer).
     Returns indices, per mu the rows' second moments and energy margins,
     and the rows' psi second moments (None when the generator has none).
     Module-level so that any map_fn can run it, a caller's process pool
     included.
     """
-    spec, geometry, mus, symbol, master_seed, indices = task
+    spec, geometry, mus, master_seed, indices = task
     rhs, rhs_hat, zeta2, psi2 = _chunk_divergence(spec, geometry, master_seed, indices)
     generator_id, parameters = spec.generator_id, spec.parameters
     labels = [(generator_id, parameters, master_seed, i) for i in indices]
     stats = []
     for mu in mus:
-        _, second_moment, _, _, margin = _certified_solve(
-            mu, symbol, rhs, rhs_hat, zeta2, labels
-        )
+        _, second_moment, _, _, margin = _certified_solve(mu, rhs, rhs_hat, zeta2, labels)
         stats.append((second_moment, margin))
     return indices, stats, psi2
 
@@ -347,6 +342,7 @@ def _second_moments_mc(
     _chunk_rows(geometry, memory_budget_mb) realizations (the last one
     shorter); the ranges depend on neither map_fn nor its thread count.
     Each chunk's rows are written into index order before the reduction.
+    The tasks carry no array: each solve builds its own inverse symbol.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -356,11 +352,9 @@ def _second_moments_mc(
     for mu in mus:  # before any draw
         if not mu > 0:
             raise ValueError(f"mu must be positive, got {mu}")
-    symbol = _half_symbol(geometry.d, geometry.L)
-    symbol.setflags(write=False)  # every task of the group reads it
     k = _chunk_rows(geometry, memory_budget_mb)
     tasks = [
-        (spec, geometry, mus, symbol, master_seed, range(start, min(start + k, n_realizations)))
+        (spec, geometry, mus, master_seed, range(start, min(start + k, n_realizations)))
         for start in range(0, n_realizations, k)
     ]
     phi2 = np.empty((len(mus), n_realizations))
@@ -467,13 +461,13 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 
 def _bytes_per_site(d: int) -> float:
     # peak working set of one _chunk_stats task per chunk site, measured
-    # with tracemalloc at 3 mus with a cold amplitude cache, counting the
-    # half-spectrum symbol the task shares, over every generator kind:
-    # 41-48 bytes per site in d=1 chunks of 4 to 1024 rows, 40-48 in d=2
-    # chunks of 4 to 256 rows and 46-54 in d=3 chunks of 4 to 32 rows;
-    # one-row chunks take 38-45 at d=1 and d=2 and 38-50 at d=3, except
-    # decay_alpha, which builds its amplitude: 52-54. A two-row chunk of
-    # 32 to 128 sites reads 85 to 181, a fixed few kilobytes.
+    # with tracemalloc at 3 mus with a cold amplitude cache, over every
+    # generator kind; a task holds no symbol, each solve builds its own:
+    # 40-48 bytes per site in d=1 chunks of 4 to 1024 rows, 39-48 in d=2
+    # chunks of 4 to 256 rows and 45-53 in d=3 chunks of 4 to 32 rows;
+    # one-row chunks take 34-41 at d=1 and d=2 and 33-46 at d=3, except
+    # decay_alpha, which builds its amplitude: 48-50. Two-row chunks of
+    # 32 to 128 sites a row read 56 to 110, a fixed few kilobytes.
     # 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -148,6 +149,15 @@ def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
     """
     if problem := p_error(p):
         raise ValueError(problem)
+    return _dyadic_fit(_annulus_gradient_norms(table), p, table.geometry.d)
+
+
+def _annulus_gradient_norms(table: GreenTable) -> list[np.ndarray]:
+    """|grad G| at the sites of each usable dyadic annulus i, in site order: one array per i.
+
+    Built once per table, so that every exponent p of _dyadic_fit reads
+    the same values; the full-size norm is freed before they are returned.
+    """
     geom = table.geometry
     n_annuli = (geom.L // 2).bit_length() - 1  # every i with 2^{i+1} <= L/2
     if n_annuli < 3:
@@ -162,21 +172,25 @@ def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
     for i in range(n_annuli):
         ring[(dist > 2**i) & (dist <= 2 ** (i + 1))] = i + 1
     del dist
-    # |grad G|^p: the squares are added one component at a time, a slab of
+    # |grad G|: the squares are added one component at a time, a slab of
     # axis 0 at a time, so no second field is allocated beside the norm
     mag = np.square(table.grad[0])
     for g in table.grad[1:]:
         for slab, g_slab in zip(mag, g):
             slab += np.square(g_slab)
     np.sqrt(mag, out=mag)
-    mag **= p
-    annuli = [(i, float(np.sum(mag[ring == i + 1]))) for i in range(n_annuli)]
-    idx = np.array([a[0] for a in annuli], dtype=float)
-    slope, r2 = _linfit(idx, np.log2([a[1] for a in annuli]))
+    return [mag[ring == i + 1] for i in range(n_annuli)]
+
+
+def _dyadic_fit(annuli: Sequence[np.ndarray], p: float, d: int) -> DyadicGradientNorms:
+    """The sums of |grad G|^p over annuli (from _annulus_gradient_norms) and their fitted slope."""
+    sums = [(i, float(np.sum(vals**p))) for i, vals in enumerate(annuli)]
+    idx = np.array([i for i, _ in sums], dtype=float)
+    slope, r2 = _linfit(idx, np.log2([s for _, s in sums]))
     return DyadicGradientNorms(
         p=p,
-        annuli=tuple(annuli),
+        annuli=tuple(sums),
         slope=slope,
         r2=r2,
-        expected_slope=geom.d + p * (1 - geom.d),
+        expected_slope=d + p * (1 - d),
     )

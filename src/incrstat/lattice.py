@@ -31,7 +31,9 @@ array, and `_from_half_spectrum` is irfftn, run in that array's place and
 ending in a real array the caller passes in. Both take the passes of
 numpy's rfftn/irfftn in their axis order, so their values are numpy's
 bit for bit. The symbol of -laplacian on that half spectrum is
-`_half_symbol`.
+`_half_symbol`, and `_inverse_symbol` writes 1 / (mu + symbol) into an
+array its caller passes in. Each solve builds its inverse from the
+per-axis lines: no symbol is kept from one solve to the next.
 """
 
 from __future__ import annotations
@@ -277,10 +279,25 @@ def laplacian(u: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
+def _axis_line(L: int, n: int) -> np.ndarray:
+    """4.0 * sin(pi * m / L) ** 2 for m < n, one axis's share of the symbol.
+
+    Each operation runs in place in one array: at d = 1 the line is half
+    a field, and each solve builds one beside its field-sized arrays.
+    """
+    line = np.arange(n, dtype=np.float64)
+    line *= np.pi
+    line /= L
+    np.sin(line, out=line)
+    np.square(line, out=line)
+    line *= 4.0
+    return line
+
+
 def laplace_symbol(d: int, L: int) -> np.ndarray:
     """Fourier symbol of -laplacian: sum_l 4 sin^2(pi m_l / L), shape (L,)*d."""
     s = np.zeros((L,) * d)
-    line = 4.0 * np.sin(np.pi * np.arange(L) / L) ** 2
+    line = _axis_line(L, L)
     for l in range(d):
         view = [1] * d
         view[l] = L
@@ -288,31 +305,36 @@ def laplace_symbol(d: int, L: int) -> np.ndarray:
     return s
 
 
-def _half_symbol(d: int, L: int) -> np.ndarray:
+def _half_symbol(d: int, L: int, out: np.ndarray | None = None) -> np.ndarray:
     """laplace_symbol(d, L) on the rfftn half spectrum, shape (L,)*(d-1) + (L//2+1,).
 
-    The per-axis lines are summed in laplace_symbol's order, so the values
-    are its sliced values bit for bit; the full spectrum is never built.
+    Written to out (a new array by default) in one broadcast add: an
+    (L,)*(d-1) table of the first d-1 per-axis lines plus the last line's
+    half. The lines are summed in laplace_symbol's order, ((0 + l0) + l1)
+    + l2, so the values are its sliced values bit for bit; the full
+    spectrum is never built.
     """
-    line = 4.0 * np.sin(np.pi * np.arange(L) / L) ** 2
-    s = np.zeros((L,) * (d - 1) + (L // 2 + 1,))
-    for l in range(d):
-        view = [1] * d
-        view[l] = s.shape[l]
-        s += line[: s.shape[l]].reshape(view)
-    return s
+    half = L // 2 + 1
+    line = _axis_line(L, L if d > 1 else half)
+    table = np.zeros((L,) * (d - 1))
+    for l in range(d - 1):
+        view = [1] * (d - 1)
+        view[l] = L
+        table = table + line.reshape(view)
+    return np.add(table[..., np.newaxis], line[:half], out=out)
 
 
-def _inverse_symbol(mu: float, symbol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (mu + symbol), written to out (a new array by default) and returned.
+def _inverse_symbol(mu: float, d: int, L: int, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (mu + _half_symbol(d, L)), written to out (a new array by default) and returned.
 
-    symbol is _half_symbol(d, L). Since it vanishes only at the zero mode
-    and mu > 0, the reciprocal is always finite. One array serves every
-    mu in turn.
+    The symbol is built in out's memory from its per-axis lines, so a
+    solve holds no symbol beside its inverse. Since the symbol vanishes
+    only at the zero mode and mu > 0, the reciprocal is always finite.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    out = np.add(symbol, mu, out=out)
+    out = _half_symbol(d, L, out)
+    out += mu
     return np.divide(1.0, out, out=out)
 
 
@@ -353,7 +375,7 @@ def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
     geom = TorusGeometry(f.ndim, min(f.shape, default=0))
     if f.shape != geom.shape:
         raise ValueError(f"field shape {f.shape} is not a cubic torus")
-    inverse = _inverse_symbol(mu, _half_symbol(geom.d, geom.L))
+    inverse = _inverse_symbol(mu, geom.d, geom.L)
     spectrum = _half_spectrum(f, geom.d)
     spectrum *= inverse
     return _from_half_spectrum(spectrum, np.empty(geom.shape), geom.d)

@@ -486,6 +486,26 @@ def assert_blas_thread_count_keeps_bytes(tmp_path, command, text, files, threads
         assert all(other == first for other in rest), name
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [("covariance", COV_CFG), ("corrector-scaling", SCALING_CFG), ("green", GREEN_CFG),
+     ("energy", ENERGY_CFG)],
+    ids=["covariance", "corrector-scaling", "green", "energy"],
+)
+def test_study_does_not_import_numpy_ma(tmp_path, command, text):
+    # numpy.ma takes 8-10 ms and about 1.2 MiB of RSS to import, and the
+    # first np.unique of a process imports it
+    cfg_path = write_cfg(tmp_path, text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from incrstat.cli import main; rc = main(sys.argv[1:]); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'; sys.exit(rc)")
+    argv = [command, "--config", cfg_path, "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
     # at L=32 a BLAS dot product would split its sum across threads
     text = "d = 3\ngenerator = iid\nmu_grid = 0.5,0.25,0.125,0.0625,0.03125\nn = 3\nl_max = 32\n"

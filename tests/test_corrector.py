@@ -2,7 +2,9 @@
 Carlo estimator, and the scaling verdict machinery."""
 
 import dataclasses
+import io
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -234,20 +236,21 @@ def shrink_zeta_moment(monkeypatch, row=None):
 
 
 def perturb_symbol(monkeypatch):
-    """Add 1e-6 to the half-spectrum symbol every corrector solve divides by.
+    """Add 1e-6 to the symbol in the inverse 1 / (mu + symbol) every corrector solve multiplies by.
 
-    Patched in lattice and in the corrector module, which imports it by
-    name; the real-space residual check knows nothing of the symbol.
+    Patched in lattice and in the corrector module, which imports
+    _inverse_symbol by name; the real-space residual check knows nothing
+    of the symbol.
     """
-    exact = lattice._half_symbol
-    perturbed = lambda d, L: exact(d, L) + 1e-6  # noqa: E731
-    monkeypatch.setattr(lattice, "_half_symbol", perturbed)
-    monkeypatch.setattr(corrector, "_half_symbol", perturbed)
+    exact = lattice._inverse_symbol
+    perturbed = lambda mu, d, L, out=None: exact(mu + 1e-6, d, L, out)  # noqa: E731
+    monkeypatch.setattr(lattice, "_inverse_symbol", perturbed)
+    monkeypatch.setattr(corrector, "_inverse_symbol", perturbed)
 
 
 def chunk_task(spec, geom, mus, indices):
     """A _chunk_stats task for realizations indices of spec at seed 0, solved at each of mus."""
-    return (spec, geom, mus, lattice._half_symbol(geom.d, geom.L), 0, indices)
+    return (spec, geom, mus, 0, indices)
 
 
 def names_sample(info, geom, index):
@@ -352,6 +355,30 @@ def test_chunk_stats_builds_no_increment_sample(monkeypatch):
         corrector._chunk_stats(chunk_task(spec, geom, (0.5,), range(3)))
 
 
+class _RefuseArrays(pickle.Pickler):
+    def persistent_id(self, obj):
+        assert not isinstance(obj, np.ndarray), "a task holds an array"
+        return None
+
+
+def test_mc_tasks_hold_no_array():
+    # each solve builds its own inverse symbol, so a task carries none to
+    # its worker: pickling the whole task meets no ndarray
+    tasks = []
+
+    def recording_map(fn, batch):
+        batch = list(batch)
+        tasks.extend(batch)
+        return map(fn, batch)
+
+    for spec, d in ALL_SPECS:
+        geom = TorusGeometry(d, SIDES[d])
+        corrector._second_moments_mc((0.5, 0.125), spec, geom, 3, 0, recording_map, 0.01)
+    assert len(tasks) > len(ALL_SPECS)
+    for task in tasks:
+        _RefuseArrays(io.BytesIO()).dump(task)
+
+
 def test_unperturbed_paths_pass_the_checks():
     for run in (run_solve, run_mc, run_study):
         run(0.01, IID_SPEC_2D, TorusGeometry(2, 16))
@@ -395,9 +422,7 @@ def test_chunk_residual_max_matches_divergence_of_gradient(spec, d, L):
     rhs, rhs_hat, zeta2, _ = corrector._chunk_divergence(spec, geom, 4, indices)
     mu = 0.05
     labels = [("x", (), 4, i) for i in indices]
-    phi, _, _, residual_max, _ = corrector._certified_solve(
-        mu, lattice._half_symbol(d, L), rhs, rhs_hat, zeta2, labels
-    )
+    phi, _, _, residual_max, _ = corrector._certified_solve(mu, rhs, rhs_hat, zeta2, labels)
     for row, phi_row, rhs_row in zip(residual_max, phi, rhs):
         expected = mu * phi_row + lattice.backward_divergence(lattice.forward_gradient(phi_row))
         expected -= rhs_row
@@ -422,7 +447,7 @@ def test_iid_divergence_allocates_only_the_drawn_component(axis):
 
 
 def chunk_peak_bytes(spec, geom, k):
-    """tracemalloc peak of one k-row chunk task at 3 mus with a cold amplitude cache, its symbol included."""
+    """tracemalloc peak of one k-row chunk task at 3 mus with a cold amplitude cache."""
     corrector._chunk_stats(chunk_task(spec, geom, (), range(k)))  # numpy's lazy one-time set-up
     _decay_amplitude.cache_clear()
     tracemalloc.start()
@@ -465,22 +490,24 @@ def test_chunk_peak_memory_within_budget_formula(spec, d, budget_mb):
 @pytest.mark.parametrize(
     "spec, bytes_per_site",
     [
-        (IID_SPEC, 42.0),
-        (GeneratorSpec(kind="gradient", law=UNIT_LAW), 48.0),
-        (GeneratorSpec(kind="gff"), 48.0),
-        (GeneratorSpec(kind="decay_alpha", alpha=3.0), 63.0),
+        (IID_SPEC, 36.0),
+        (GeneratorSpec(kind="gradient", law=UNIT_LAW), 43.0),
+        (GeneratorSpec(kind="gff"), 43.0),
+        (GeneratorSpec(kind="decay_alpha", alpha=3.0), 50.0),
     ],
     ids=["iid", "gradient", "gff", "decay_alpha"],
 )
 def test_d3_group_peak_memory_per_site(spec, bytes_per_site):
-    # one-row chunks at three mus: the symbol, the divergence and its
-    # spectrum, then phi (its first bytes holding the inverse symbol) and
-    # one solve's spectrum, then phi and the difference buffer, which ends
-    # as the residual: 38.1 bytes per site for iid. gradient and gff (44.7)
-    # peak at the draw, where the three components, the divergence and its
-    # term coexist; decay_alpha (52.2) at its cold amplitude build. An
-    # inverse symbol or residual array of its own, or an iid draw of all d
-    # components, costs 4 to 16 bytes per site more
+    # one-row chunks at three mus, no symbol shared between them: the
+    # divergence and its spectrum, then phi (its first bytes holding the
+    # inverse symbol, built there from the axis lines) and one solve's
+    # spectrum, then phi and the difference buffer, which ends as the
+    # residual: 33.9 bytes per site for iid. gradient and gff (40.5) peak
+    # at the draw, where the three components, the divergence and its term
+    # coexist; decay_alpha (48.0) at its cold amplitude build. A symbol
+    # held beside the task, an inverse symbol or residual array of its
+    # own, or an iid draw of all d components, costs 4 to 16 bytes per
+    # site more
     geom = TorusGeometry(3, 48)
     mus = (0.25, 0.0625, 0.015625)
     corrector._second_moments_mc(mus, spec, TorusGeometry(3, 8), 2, 0)  # numpy's one-time set-up

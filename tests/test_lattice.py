@@ -341,11 +341,33 @@ def test_inverse_symbol_writes_one_array_for_every_mu():
     sym = _half_symbol(2, 6)
     out = np.empty_like(sym)
     for mu in (0.5, 2.0**-9):
-        assert _inverse_symbol(mu, sym, out) is out
+        assert _inverse_symbol(mu, 2, 6, out) is out
         assert out.tobytes() == (1.0 / (mu + sym)).tobytes()
     for mu in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="mu must be positive"):
-            _inverse_symbol(mu, sym)
+            _inverse_symbol(mu, 2, 6)
+
+
+def summed_half_symbol(d, L):
+    """The half-spectrum symbol as a zero array plus each axis line in turn, broadcast over all of it."""
+    line = 4.0 * np.sin(np.pi * np.arange(L) / L) ** 2
+    s = np.zeros((L,) * (d - 1) + (L // 2 + 1,))
+    for l in range(d):
+        view = [1] * d
+        view[l] = s.shape[l]
+        s += line[: s.shape[l]].reshape(view)
+    return s
+
+
+@pytest.mark.parametrize("d, L", [(d, L) for d in (1, 2, 3) for L in (2, 3, 7, 8, 96)]
+                         + [(1, 8193), (2, 129)])
+def test_inverse_symbol_bitwise_equals_inverse_of_summed_symbol(d, L):
+    # the inverse is built from a (L,)*(d-1) table of lines and the last
+    # line, with the same additions in the same order as a whole-array sum
+    symbol = summed_half_symbol(d, L)
+    assert _half_symbol(d, L).tobytes() == symbol.tobytes()
+    for mu in (0.3, 0.25, 2.0**-12):
+        assert _inverse_symbol(mu, d, L).tobytes() == (1.0 / (mu + symbol)).tobytes()
 
 
 # (d, L, rows k): even and odd sides, the smallest included, one row and several

@@ -3,13 +3,15 @@
 Each script runs in a fresh interpreter with the package source on
 PYTHONPATH, so a public name a script imports cannot vanish unnoticed.
 The verdict rule of scripts/bench_record.py is checked in process, on
-synthetic parent/change pairs, and its refusals of unlike benchmarks and
-of a checkout without a git revision on two temporary checkouts. The
+synthetic parent/change pairs, and so is the environment a series
+records; its refusals of unlike benchmarks and of a checkout without a
+git revision are checked on two temporary checkouts. The
 benchmark's tracer (perfbench/spans.py, loaded as it is) must find every
 library name it hooks and put each one back.
 """
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -161,3 +163,32 @@ def test_bench_record_refuses_a_checkout_without_a_revision(tmp_path):
     env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tmp_path))
     stderr = bench_record_refusal(tmp_path, env)
     assert "parent checkout" in stderr and "no git revision" in stderr
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_bench_record_series_records_the_bytecode_setting(tmp_path, monkeypatch, value):
+    # perfbench's children inherit PYTHONDONTWRITEBYTECODE, which moves
+    # setup_s: each series names it. The runs here are synthetic
+    bench_record = load_bench_record()
+    parent = tmp_path / "parent"
+    shutil.copytree(REPO / "perfbench", parent / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO / "BENCHMARK.json", parent)
+    git = ["git", "-C", str(parent), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    with open(REPO / "BENCHMARK.json", encoding="utf-8") as fh:
+        metrics = [m["name"] for m in json.load(fh)["end_to_end"]]
+    run = {"correct": True, "attempted": 1, "failed": 0, **dict.fromkeys(metrics, 1.0)}
+    monkeypatch.setattr(bench_record, "run_workload", lambda *args: dict(run))
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--out", str(out), "--workload", "w", "--pairs", "2"]
+    assert bench_record.main(argv) == 0
+    with open(out, encoding="utf-8") as fh:
+        series = json.load(fh)["series"]["w seed=0 seconds=10"]
+    assert series["PYTHONDONTWRITEBYTECODE"] == value
+    assert {"python", "numpy", "nproc"} <= set(series)

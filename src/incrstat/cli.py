@@ -41,7 +41,7 @@ from .errors import (
     DiagnosticError,
     GeneratorError,
 )
-from .green import SLOPE_TOLERANCE, _annulus_gradient_norms, _dyadic_fit, green_torus
+from .green import SLOPE_TOLERANCE, dyadic_gradient_norms, green_torus
 from .lattice import TorusGeometry, backward_divergence
 from .pointsets import IntervalLaw, PairPotential, study_window, thermodynamic_density
 from .randfields import GeneratorSpec, IncrementLaw, empirical_covariance
@@ -108,11 +108,9 @@ def _run_green(values: dict, map_fn) -> tuple[list, dict]:
     del resid
     rows = []
     slopes = {}
-    annuli = _annulus_gradient_norms(table)  # the labels and |grad G| once, for every p
-    for p in values["p"]:
-        dn = _dyadic_fit(annuli, p, geom.d)
-        rows.extend((p, i, s) for i, s in dn.annuli)
-        slopes[_fmt(float(p))] = {
+    for dn in dyadic_gradient_norms(table, values["p"]):
+        rows.extend((dn.p, i, s) for i, s in dn.annuli)
+        slopes[_fmt(float(dn.p))] = {
             "slope": dn.slope,
             "r2": dn.r2,
             "expected_slope": dn.expected_slope,

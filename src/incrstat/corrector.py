@@ -30,7 +30,8 @@ from .lattice import (
     forward_gradient,
 )
 from .randfields import (
-    CHUNK_SITES, GeneratorSpec, IncrementSample, _rows_per_task, _sample_id, _second_moments,
+    CHUNK_SITES, GeneratorSpec, IncrementSample, _centre, _rows_per_task, _sample_id,
+    _second_moments,
 )
 
 __all__ = [
@@ -90,12 +91,6 @@ class CorrectorSolution:
         )
 
 
-def _pin_mean(phi: np.ndarray) -> None:
-    """Remove each row's site mean in place: the finite-volume stand-in for E[phi] = 0."""
-    rows = phi.reshape(phi.shape[0], -1)
-    rows -= rows.mean(axis=1, keepdims=True)
-
-
 def _row_square_sums(x: np.ndarray) -> np.ndarray:
     """Sum of squares of each row of a contiguous (k,) + shape array, shape (k,).
 
@@ -122,7 +117,7 @@ def _chunk_divergence(
     """
     fields = spec.chunk(geometry, master_seed, indices, support_only=True)
     support = spec.support(geometry.d)
-    zeta2, psi2 = _second_moments(fields.values, range(len(support))), fields.psi_second_moment
+    zeta2, psi2 = _second_moments(fields.values), fields.psi_second_moment
     rhs = np.empty((len(indices),) + geometry.shape)
     _divergence_rows(fields.values.swapaxes(0, 1), support, rhs)  # component by component
     del fields
@@ -149,20 +144,18 @@ def _certified_solve(
     naming its sample id.
 
     The task holds four field-sized arrays here and no symbol: rhs,
-    rhs_hat, phi and one more. 1 / (mu + symbol) is built from the
-    per-axis lines in phi's first bytes (lattice._inverse_symbol), which
+    rhs_hat, phi and one more. lattice._inverse_symbol builds
+    1 / (mu + symbol) from the per-axis lines in phi's first bytes, which
     the irfftn then writes over; the one more is the spectrum of the
     solve, then the difference buffer. That buffer holds each forward
     difference D_l phi in turn, whose row sums of squares add to the
     Dirichlet energies, and then the residual, built in place as
     (mu + 2d) phi - rhs - sum_l [phi(x + e_l) + phi(x - e_l)].
     """
-    k, d, L = rhs.shape[0], rhs.ndim - 1, rhs.shape[-1]
-    half = rhs_hat.shape[1:]
+    k, d = rhs.shape[0], rhs.ndim - 1
     phi = np.empty_like(rhs)
-    inverse = _inverse_symbol(mu, d, L, phi.reshape(-1)[: math.prod(half)].reshape(half))
-    _from_half_spectrum(rhs_hat * inverse, phi, d)
-    _pin_mean(phi)
+    _from_half_spectrum(rhs_hat * _inverse_symbol(mu, d, phi), phi, d)
+    _centre(phi, d)
     rows = phi.reshape(k, -1)
     n_sites = rows.shape[1]
     second_moment = _row_square_sums(phi) / n_sites
@@ -208,7 +201,7 @@ def solve_corrector(mu: float, zeta: IncrementSample) -> CorrectorSolution:
     chunk of the Monte Carlo kernel.
     """
     geom = zeta.geometry
-    rhs = backward_divergence(zeta.values, zeta.support)[np.newaxis]
+    rhs = backward_divergence(zeta.values)[np.newaxis]
     label = (zeta.generator_id, zeta.parameters, zeta.seed, zeta.realization)
     zeta2 = np.array([zeta.second_moment()])
     phi, second_moment, dirichlet, residual_max, _ = _certified_solve(

@@ -138,25 +138,33 @@ def p_error(p: float) -> str | None:
     return None if 1.0 <= p <= 4.0 else f"p must lie in [1, 4], got {p}"
 
 
-def dyadic_gradient_norms(table: GreenTable, p: float) -> DyadicGradientNorms:
-    """Sum |grad G_mu(y)|^p over dyadic annuli 2^i < |y| <= 2^{i+1}.
+def dyadic_gradient_norms(table: GreenTable, ps: Sequence[float]) -> list[DyadicGradientNorms]:
+    """Sum |grad G_mu(y)|^p over dyadic annuli 2^i < |y| <= 2^{i+1}, one fit per p of ps, in order.
 
     |grad G| is the Euclidean norm of the d-vector of forward differences
     and |y| uses centered torus representatives. Annuli are restricted to
     2^{i+1} <= L/2 to avoid wrap contamination; fewer than 3 usable
     annuli is a diagnostic error. The slope of log2(annulus sum) against
-    i estimates d + p(1 - d).
+    i estimates d + p(1 - d). Every p is checked before any work, and the
+    annuli are built once for all of them.
     """
-    if problem := p_error(p):
-        raise ValueError(problem)
-    return _dyadic_fit(_annulus_gradient_norms(table), p, table.geometry.d)
+    for p in ps:
+        if problem := p_error(p):
+            raise ValueError(problem)
+    annuli = _annulus_gradient_norms(table)
+    d = table.geometry.d
+    fits = []
+    for p in ps:
+        sums = [(i, float(np.sum(vals**p))) for i, vals in enumerate(annuli)]
+        slope, r2 = _linfit(np.arange(len(sums), dtype=float), np.log2([s for _, s in sums]))
+        fits.append(DyadicGradientNorms(p, tuple(sums), slope, r2, d + p * (1 - d)))
+    return fits
 
 
 def _annulus_gradient_norms(table: GreenTable) -> list[np.ndarray]:
     """|grad G| at the sites of each usable dyadic annulus i, in site order: one array per i.
 
-    Built once per table, so that every exponent p of _dyadic_fit reads
-    the same values; the full-size norm is freed before they are returned.
+    The full-size norm is freed before they are returned.
     """
     geom = table.geometry
     n_annuli = (geom.L // 2).bit_length() - 1  # every i with 2^{i+1} <= L/2
@@ -180,17 +188,3 @@ def _annulus_gradient_norms(table: GreenTable) -> list[np.ndarray]:
             slab += np.square(g_slab)
     np.sqrt(mag, out=mag)
     return [mag[ring == i + 1] for i in range(n_annuli)]
-
-
-def _dyadic_fit(annuli: Sequence[np.ndarray], p: float, d: int) -> DyadicGradientNorms:
-    """The sums of |grad G|^p over annuli (from _annulus_gradient_norms) and their fitted slope."""
-    sums = [(i, float(np.sum(vals**p))) for i, vals in enumerate(annuli)]
-    idx = np.array([i for i, _ in sums], dtype=float)
-    slope, r2 = _linfit(idx, np.log2([s for _, s in sums]))
-    return DyadicGradientNorms(
-        p=p,
-        annuli=tuple(sums),
-        slope=slope,
-        r2=r2,
-        expected_slope=d + p * (1 - d),
-    )

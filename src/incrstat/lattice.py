@@ -22,8 +22,11 @@ residual. Both take an explicit axis, so they also serve a (k,) + shape
 batch of fields, and both take one flat pass along a C-contiguous last
 axis: `_gradient_rows` and `_divergence_rows` apply D and D* to every row
 of a batch, and forward_gradient and backward_divergence are their
-one-row calls. `shift` is np.roll with the group action's sign. The FFT
-solve supports arbitrary L >= 2, not only powers of two.
+one-row calls over every component. `_divergence_rows` reads only the
+components it is given, so the corrector's chunk kernel passes an iid
+field's one nonzero component alone. `shift` is np.roll with the group
+action's sign. The FFT solve supports arbitrary L >= 2, not only powers
+of two.
 
 Every real field goes through Fourier space by one in-place pair:
 `_half_spectrum` is rfftn over the trailing d axes into one complex
@@ -31,13 +34,15 @@ array, and `_from_half_spectrum` is irfftn, run in that array's place and
 ending in a real array the caller passes in. Both take the passes of
 numpy's rfftn/irfftn in their axis order, so their values are numpy's
 bit for bit. The symbol of -laplacian on that half spectrum is
-`_half_symbol`, and `_inverse_symbol` writes 1 / (mu + symbol) into an
-array its caller passes in. Each solve builds its inverse from the
-per-axis lines: no symbol is kept from one solve to the next.
+`_half_symbol`, and `_inverse_symbol` builds 1 / (mu + symbol) from the
+per-axis lines in the first bytes of the solve's real output, which the
+irfftn then writes over: no symbol is kept from one solve to the next,
+and none is held beside the output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -239,19 +244,14 @@ def _gradient_rows(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward_divergence(z: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
-    """(D*.z)(x) = sum_l [z_l(x - e_l) - z_l(x)] of a (d,) + shape field, the adjoint of D.
-
-    Only the components listed in axes (default: all) are read; the
-    others are taken to vanish, which changes no sum.
-    """
+def backward_divergence(z: np.ndarray) -> np.ndarray:
+    """(D*.z)(x) = sum_l [z_l(x - e_l) - z_l(x)] of a (d,) + shape field, the adjoint of D."""
     if z.shape[0] != z.ndim - 1:
         raise ValueError(
             f"backward_divergence expects {z.ndim - 1} components, got {z.shape[0]}"
         )
-    axes = range(z.shape[0]) if axes is None else axes
     out = np.empty(z.shape[1:])
-    _divergence_rows([z[l, np.newaxis] for l in axes], axes, out[np.newaxis])
+    _divergence_rows(z[:, np.newaxis], range(z.shape[0]), out[np.newaxis])
     return out
 
 
@@ -324,16 +324,20 @@ def _half_symbol(d: int, L: int, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(table[..., np.newaxis], line[:half], out=out)
 
 
-def _inverse_symbol(mu: float, d: int, L: int, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (mu + _half_symbol(d, L)), written to out (a new array by default) and returned.
+def _inverse_symbol(mu: float, d: int, solution: np.ndarray) -> np.ndarray:
+    """1 / (mu + _half_symbol(d, L)) in the first bytes of solution, as a half-spectrum view.
 
-    The symbol is built in out's memory from its per-axis lines, so a
-    solve holds no symbol beside its inverse. Since the symbol vanishes
-    only at the zero mode and mu > 0, the reciprocal is always finite.
+    solution is the C-contiguous float64 array, of L-sided trailing d
+    axes, that the solve's irfftn will write: the symbol is built there
+    from its per-axis lines, so a solve holds no array for its inverse.
+    Since the symbol vanishes only at the zero mode and mu > 0, the
+    reciprocal is always finite.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    out = _half_symbol(d, L, out)
+    L = solution.shape[-1]
+    half = (L,) * (d - 1) + (L // 2 + 1,)
+    out = _half_symbol(d, L, solution.reshape(-1)[: math.prod(half)].reshape(half))
     out += mu
     return np.divide(1.0, out, out=out)
 
@@ -370,12 +374,14 @@ def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
 
     Works for any cubic torus with L >= 2 and any mu > 0. Diagonal in the
     Fourier basis: the half spectrum of f is multiplied in place by
-    1 / (mu + symbol), a real multiply instead of a complex division.
+    1 / (mu + symbol), a real multiply instead of a complex division. The
+    solution is allocated after the forward transform, and the inverse is
+    built in it before the irfftn writes over it.
     """
     geom = TorusGeometry(f.ndim, min(f.shape, default=0))
     if f.shape != geom.shape:
         raise ValueError(f"field shape {f.shape} is not a cubic torus")
-    inverse = _inverse_symbol(mu, geom.d, geom.L)
     spectrum = _half_spectrum(f, geom.d)
-    spectrum *= inverse
-    return _from_half_spectrum(spectrum, np.empty(geom.shape), geom.d)
+    u = np.empty(geom.shape)
+    spectrum *= _inverse_symbol(mu, geom.d, u)
+    return _from_half_spectrum(spectrum, u, geom.d)

@@ -141,13 +141,6 @@ class IncrementSample:
     is the component zeta_l. It is adopted without a copy and made
     read-only in place, so the caller must hold no other reference through
     which it writes.
-
-    support lists the components that can be nonzero, in increasing order
-    (default: all d); every other component of values must vanish
-    identically, which the generator guarantees and the constructor does
-    not check. An iid sample carries its values in component `axis` alone,
-    so its support is (axis,), and the divergence and second moment read
-    only that component.
     """
 
     geometry: TorusGeometry
@@ -161,16 +154,10 @@ class IncrementSample:
     psi_second_moment: float | None = None
     clamped_mass_fraction: float | None = None
     warnings: tuple[str, ...] = ()
-    support: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        d = self.geometry.d
-        if self.values.shape != (d,) + self.geometry.shape:
+        if self.values.shape != (self.geometry.d,) + self.geometry.shape:
             raise ValueError("increment sample must have one component per axis")
-        support = tuple(range(d)) if self.support is None else tuple(self.support)
-        if not support or support != tuple(sorted(set(support) & set(range(d)))):
-            raise ValueError(f"support {support} must list increasing component indices below {d}")
-        object.__setattr__(self, "support", support)
         self.values.setflags(write=False)
 
     def __reduce__(self):
@@ -182,15 +169,14 @@ class IncrementSample:
         return _sample_id(self.generator_id, self.parameters, self.seed, self.realization)
 
     def second_moment(self) -> float:
-        """Site average of |zeta|^2, summed over the components in support."""
-        return float(_second_moments(self.values[np.newaxis], self.support)[0])
+        """Site average of |zeta|^2, summed over the components."""
+        return float(_second_moments(self.values[np.newaxis])[0])
 
 
-def _second_moments(values: np.ndarray, support: Sequence[int]) -> np.ndarray:
-    """Per row of a (k, d) + shape chunk, the site average of |zeta|^2 over support."""
-    first, *rest = support
-    density = np.square(values[:, first])
-    for l in rest:
+def _second_moments(values: np.ndarray) -> np.ndarray:
+    """Per row of a (k, c) + shape chunk, the site average of the sum of its c squared components."""
+    density = np.square(values[:, 0])
+    for l in range(1, values.shape[1]):
         density += np.square(values[:, l])
     return density.mean(axis=tuple(range(1, density.ndim)))
 
@@ -284,9 +270,9 @@ class FieldChunk(NamedTuple):
     psi_second_moment holds each row's site average of psi^2 for a
     gradient-type generator (else None), and clamped_mass_fraction the
     decay_alpha spectral clamp (else None). The rows' zeta second moments
-    are _second_moments(values, spec.support(d)). A chunk drawn
-    support_only holds in values[:, j] only component spec.support(d)[j],
-    so its moments are _second_moments(values, range(len(support))).
+    are _second_moments(values). A chunk drawn support_only holds in
+    values[:, j] only component spec.support(d)[j]; the components it
+    leaves out are zero, so its moments are the same.
     """
 
     values: np.ndarray
@@ -413,7 +399,6 @@ class GeneratorSpec:
             psi_second_moment=None if psi2 is None else float(psi2[0]),
             clamped_mass_fraction=chunk.clamped_mass_fraction,
             warnings=_clamp_warnings(chunk.clamped_mass_fraction),
-            support=self.support(geometry.d),
         )
 
     def describe(self) -> dict:

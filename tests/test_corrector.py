@@ -1,7 +1,6 @@
 """Tests for the regularized corrector solve, its cross-checks, the Monte
 Carlo estimator, and the scaling verdict machinery."""
 
-import dataclasses
 import io
 import json
 import pickle
@@ -203,15 +202,15 @@ BAD_ROW = 1
 
 
 def perturb_one_row(monkeypatch, perturb):
-    """Make _pin_mean apply perturb(row) to row BAD_ROW of a chunk after pinning it."""
-    exact = corrector._pin_mean
+    """Make the corrector's _centre apply perturb(row) to row BAD_ROW of a chunk after pinning it."""
+    exact = corrector._centre
 
-    def pin(phi):
-        exact(phi)
+    def pin(phi, d):
+        exact(phi, d)
         if phi.shape[0] > BAD_ROW:
             perturb(phi[BAD_ROW])
 
-    monkeypatch.setattr(corrector, "_pin_mean", pin)
+    monkeypatch.setattr(corrector, "_centre", pin)
 
 
 def shrink_zeta_moment(monkeypatch, row=None):
@@ -223,8 +222,8 @@ def shrink_zeta_moment(monkeypatch, row=None):
     """
     exact = randfields._second_moments
 
-    def shrunk(values, support):
-        moments = exact(values, support)
+    def shrunk(values):
+        moments = exact(values)
         if row is None:
             moments *= 0.1
         elif len(moments) > row:
@@ -243,7 +242,7 @@ def perturb_symbol(monkeypatch):
     of the symbol.
     """
     exact = lattice._inverse_symbol
-    perturbed = lambda mu, d, L, out=None: exact(mu + 1e-6, d, L, out)  # noqa: E731
+    perturbed = lambda mu, d, solution: exact(mu + 1e-6, d, solution)  # noqa: E731
     monkeypatch.setattr(lattice, "_inverse_symbol", perturbed)
     monkeypatch.setattr(corrector, "_inverse_symbol", perturbed)
 
@@ -283,10 +282,10 @@ def test_residual_check_fires_on_one_row_of_a_chunk(monkeypatch, run):
 
 @CERTIFIED_PATHS
 def test_mean_check_fires_when_pinning_leaves_an_offset(monkeypatch, run):
-    def pin_with_offset(phi):
+    def pin_with_offset(phi, d):
         phi -= phi.mean() - 1e-8
 
-    monkeypatch.setattr(corrector, "_pin_mean", pin_with_offset)
+    monkeypatch.setattr(corrector, "_centre", pin_with_offset)
     # mu * offset stays far below the residual tolerance, so only the mean check fires
     geom = TorusGeometry(2, 16)
     with pytest.raises(DiagnosticError, match="mean not pinned") as info:
@@ -396,18 +395,17 @@ def test_residual_check_fires_after_an_unperturbed_solve(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_one_component_divergence_and_moment_are_exact(d):
+    # the chunk kernel reads an iid or zero field's one nonzero component;
     # adding the exact zeros of the other components changes no sum
     geom = TorusGeometry(d, SIDES[d])
     specs = [GeneratorSpec(kind="iid", axis=a, law=UNIT_LAW) for a in range(d)]
     specs += [GeneratorSpec(kind="zero", axis=a) for a in range(d)]
     for spec in specs:
         z = spec.realize(geom, 3, 1)
-        assert z.support == (spec.axis,)
-        full = dataclasses.replace(z, support=None)
-        assert full.support == tuple(range(d))
-        rhs = corrector._chunk_divergence(spec, geom, 3, range(1, 2))[0][0]
-        assert rhs.tobytes() == lattice.backward_divergence(z.values).tobytes()
-        assert z.second_moment() == full.second_moment()
+        assert not np.delete(z.values, spec.axis, axis=0).any()
+        rhs, _, zeta2, _ = corrector._chunk_divergence(spec, geom, 3, range(1, 2))
+        assert rhs[0].tobytes() == lattice.backward_divergence(z.values).tobytes()
+        assert zeta2.tobytes() == np.array([z.second_moment()]).tobytes()
         assert z.second_moment() == float(np.mean(np.sum(z.values**2, axis=0)))
 
 

@@ -197,9 +197,10 @@ def test_sup_grad_uniform_over_mu():
 
 def test_dyadic_slopes_d3():
     table = green_torus(1e-4, TorusGeometry(3, 64))
-    for p, expected in ((1.0, 1.0), (2.0, -1.0)):
-        fit = dyadic_gradient_norms(table, p)
+    fits = dyadic_gradient_norms(table, (1.0, 2.0))
+    for fit, (p, expected) in zip(fits, ((1.0, 1.0), (2.0, -1.0)), strict=True):
         assert isinstance(fit, DyadicGradientNorms)
+        assert fit.p == p
         assert fit.expected_slope == expected
         assert abs(fit.slope - expected) <= 0.5
         assert len(fit.annuli) >= 4
@@ -208,11 +209,14 @@ def test_dyadic_slopes_d3():
 def test_dyadic_needs_three_annuli():
     table = green_torus(1.0, TorusGeometry(1, 8))
     with pytest.raises(DiagnosticError):
-        dyadic_gradient_norms(table, 2.0)
+        dyadic_gradient_norms(table, (2.0,))
 
 
 def test_dyadic_p_range():
     table = green_torus(1.0, TorusGeometry(1, 64))
     for p in (0.5, 4.5):
         with pytest.raises(ValueError):
-            dyadic_gradient_norms(table, p)
+            dyadic_gradient_norms(table, (2.0, p))
+    # every p is checked before the annuli are built
+    with pytest.raises(ValueError):
+        dyadic_gradient_norms(green_torus(1.0, TorusGeometry(1, 8)), (4.5,))

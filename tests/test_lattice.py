@@ -339,13 +339,15 @@ def test_half_symbol_bitwise_equals_sliced_full_symbol(d, L):
 
 def test_inverse_symbol_writes_one_array_for_every_mu():
     sym = _half_symbol(2, 6)
-    out = np.empty_like(sym)
+    solution = np.empty((6, 6))
     for mu in (0.5, 2.0**-9):
-        assert _inverse_symbol(mu, 2, 6, out) is out
-        assert out.tobytes() == (1.0 / (mu + sym)).tobytes()
+        inverse = _inverse_symbol(mu, 2, solution)
+        assert np.shares_memory(inverse, solution)
+        assert inverse.tobytes() == (1.0 / (mu + sym)).tobytes()
+        assert solution.reshape(-1)[: sym.size].tobytes() == inverse.tobytes()
     for mu in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="mu must be positive"):
-            _inverse_symbol(mu, 2, 6)
+            _inverse_symbol(mu, 2, solution)
 
 
 def summed_half_symbol(d, L):
@@ -367,7 +369,8 @@ def test_inverse_symbol_bitwise_equals_inverse_of_summed_symbol(d, L):
     symbol = summed_half_symbol(d, L)
     assert _half_symbol(d, L).tobytes() == symbol.tobytes()
     for mu in (0.3, 0.25, 2.0**-12):
-        assert _inverse_symbol(mu, d, L).tobytes() == (1.0 / (mu + symbol)).tobytes()
+        inverse = _inverse_symbol(mu, d, np.empty((L,) * d))
+        assert inverse.tobytes() == (1.0 / (mu + symbol)).tobytes()
 
 
 # (d, L, rows k): even and odd sides, the smallest included, one row and several
@@ -451,10 +454,17 @@ def test_solver_linearity():
     assert np.allclose(left, right, atol=1e-12)
 
 
-@pytest.mark.parametrize("d, L", [(1, 4096), (2, 128), (3, 32)])
+# tracemalloc peak bound of one warm solve, in field sizes. At d=1 and d=2
+# numpy's float-to-complex cast buffer of the multiply (8192 elements at
+# most) sits beside the solution; at d=3, L=64 it is a small share.
+SOLVER_PEAK_FIELDS = {(1, 4096): 3.25, (2, 128): 3.25, (3, 32): 3.25, (3, 64): 2.3}
+
+
+@pytest.mark.parametrize("d, L", list(SOLVER_PEAK_FIELDS))
 def test_solver_peak_memory_within_three_and_a_quarter_fields(d, L):
-    # f, its half spectrum multiplied in place, and the solution; a product
-    # out of place holds a second half spectrum and exceeds the bound
+    # f, its half spectrum multiplied in place, and the solution, in which
+    # the inverse symbol is built; an inverse of its own, or a product out
+    # of place, exceeds the bound
     f = rand_field(TorusGeometry(d, L), 0)
     solve_helmholtz(0.5, f)  # numpy's one-time set-up
     tracemalloc.start()
@@ -463,7 +473,7 @@ def test_solver_peak_memory_within_three_and_a_quarter_fields(d, L):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * f.nbytes
+    assert peak <= SOLVER_PEAK_FIELDS[d, L] * f.nbytes
 
 
 def test_solver_rejects_nonpositive_mu():

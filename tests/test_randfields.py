@@ -340,26 +340,6 @@ def test_sample_pickle_roundtrip():
         t.values[0, 0, 0] = 1.0
 
 
-def test_iid_sample_declares_its_axis_as_support():
-    geom = TorusGeometry(3, 4)
-    law = IncrementLaw("gaussian", 1.0)
-    for axis in range(3):
-        s = GeneratorSpec("iid", axis, law).realize(geom, 0)
-        assert s.support == (axis,)
-        assert not np.delete(s.values, axis, axis=0).any()
-        assert pickle.loads(pickle.dumps(s)).support == (axis,)
-    assert GeneratorSpec("gradient", 0, law).realize(geom, 0).support == (0, 1, 2)
-
-
-@pytest.mark.parametrize("support", [(), (1, 0), (0, 0), (3,), (-1,)])
-def test_sample_support_must_be_increasing_components(support):
-    geom = TorusGeometry(3, 4)
-    with pytest.raises(ValueError, match="support"):
-        IncrementSample(geometry=geom, axis=0, values=np.zeros((3,) + geom.shape),
-                        generator_id="x", parameters=(), seed=0, realization=0,
-                        curl_free=False, support=support)
-
-
 # ---------------------------------------------------------------- gradient
 
 
@@ -803,7 +783,7 @@ def test_chunk_rows_equal_one_row_realizations(spec, d, indices):
     chunk = spec.chunk(geom, 5, indices)
     assert chunk.values.shape == (len(indices), d) + geom.shape
     assert (chunk.psi_second_moment is None) == (spec.kind not in ("gradient", "gff"))
-    zeta2 = randfields._second_moments(chunk.values, spec.support(d))
+    zeta2 = randfields._second_moments(chunk.values)
     for row, i in enumerate(indices):
         s = spec.realize(geom, 5, i)
         assert chunk.values[row].tobytes() == s.values.tobytes()

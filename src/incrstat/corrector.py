@@ -21,10 +21,10 @@ from .green import GreenTable, _linfit, grad_green_l2, green_torus
 from .lattice import (
     TorusGeometry,
     _divergence_rows,
-    _from_half_spectrum,
     _half_spectrum,
-    _inverse_symbol,
     _neighbour_diff,
+    _slabs,
+    _solve_half_spectrum,
     _subtract_neighbour,
     backward_divergence,
     forward_gradient,
@@ -63,7 +63,9 @@ DEFAULT_MU_GRID = tuple(2.0 ** (-2 - 2 * i) for i in range(6))
 class CorrectorSolution:
     """A certified corrector phi (torus shape) and its gradient D phi ((d,) + that shape).
 
-    Both arrays are adopted without a copy and made read-only in place.
+    Both arrays are adopted without a copy and made read-only in place;
+    phi is a view of the complex buffer its solve transformed in place
+    (_certified_solve), which it keeps alive.
     """
 
     mu: float
@@ -111,14 +113,21 @@ def _chunk_divergence(
     whole chunk per component. Returns the divergence chunk, its row
     spectra (rfftn over the spatial axes), which every mu on this torus
     shares, and per row the zeta and the psi second moment (None when the
-    generator has no potential). The zeta moments are taken before the
-    divergence chunk is allocated, and the drawn fields are released
-    before the rfftn, so neither temporary adds to the other.
+    generator has no potential). The zeta moments square into the
+    divergence chunk before the divergence overwrites it, and the drawn
+    fields are released before the rfftn, so neither temporary adds to
+    the other. An iid or zero draw, one field of noise, comes after the
+    divergence chunk is allocated: freed below the divergence, its block
+    could not hold the slightly larger spectra that follow, and the heap
+    would grow past it. Other kinds draw more than one field, or build a
+    decay_alpha amplitude first, and allocate the divergence after.
     """
+    shape = (len(indices),) + geometry.shape
+    rhs = np.empty(shape) if spec.kind in ("iid", "zero") else None
     fields = spec.chunk(geometry, master_seed, indices, support_only=True)
+    rhs = np.empty(shape) if rhs is None else rhs
     support = spec.support(geometry.d)
-    zeta2, psi2 = _second_moments(fields.values), fields.psi_second_moment
-    rhs = np.empty((len(indices),) + geometry.shape)
+    zeta2, psi2 = _second_moments(fields.values, rhs), fields.psi_second_moment
     _divergence_rows(fields.values.swapaxes(0, 1), support, rhs)  # component by component
     del fields
     return rhs, _half_spectrum(rhs, geometry.d), zeta2, psi2
@@ -143,35 +152,52 @@ def _certified_solve(
     estimate. The first failing row in index order raises DiagnosticError
     naming its sample id.
 
-    The task holds four field-sized arrays here and no symbol: rhs,
-    rhs_hat, phi and one more. lattice._inverse_symbol builds
-    1 / (mu + symbol) from the per-axis lines in phi's first bytes, which
-    the irfftn then writes over; the one more is the spectrum of the
-    solve, then the difference buffer. That buffer holds each forward
-    difference D_l phi in turn, whose row sums of squares add to the
-    Dirichlet energies, and then the residual, built in place as
-    (mu + 2d) phi - rhs - sum_l [phi(x + e_l) + phi(x - e_l)].
+    The task holds three field-sized arrays here and no symbol: rhs,
+    rhs_hat and the solve's complex buffer P. lattice._solve_half_spectrum
+    multiplies rhs_hat by 1 / (mu + symbol) into P, one slab of planes
+    along the first spatial axis at a time (lattice._slabs), and
+    transforms P back in its own memory: phi is a view of P's real prefix,
+    bit for bit the irfftn of the product. Centring, the second moments,
+    the maxima of |phi| and the mean check run on the whole of phi. The
+    certification then runs slab by slab in one slab-sized difference
+    buffer, reading the neighbour planes across each slab's edges and the
+    torus wrap: the buffer holds each forward difference D_l phi in turn,
+    whose row sums of squares add to the Dirichlet energies, and then the
+    residual, built in place as
+    (mu + 2d) phi - rhs - sum_l [phi(x + e_l) + phi(x - e_l)],
+    in the same operations per site as on the whole array. Where L^d is
+    within one slab (lattice.SLAB_SITES sites), as in every chunk of two
+    or more rows, that is the whole-array arithmetic; on more slabs, the
+    Dirichlet energies sum their squares slab by slab, which moves them by
+    rounding (within 1e-14 relative), and nothing else moves.
     """
-    k, d = rhs.shape[0], rhs.ndim - 1
-    phi = np.empty_like(rhs)
-    _from_half_spectrum(rhs_hat * _inverse_symbol(mu, d, phi), phi, d)
+    k, d, L = rhs.shape[0], rhs.ndim - 1, rhs.shape[-1]
+    phi = _solve_half_spectrum(mu, rhs_hat, L, d, np.empty_like(rhs_hat))
     _centre(phi, d)
     rows = phi.reshape(k, -1)
     n_sites = rows.shape[1]
     second_moment = _row_square_sums(phi) / n_sites
-    diff = np.empty_like(phi)
+    slabs = _slabs(d, L)
+    buffer = np.empty_like(phi[:, slabs[0]])
     dirichlet = np.zeros(k)
-    for l in range(1, phi.ndim):
-        _neighbour_diff(phi, l, 1, diff)
-        dirichlet += _row_square_sums(diff)
+    residual_max = np.full(k, -np.inf)
+    for planes in slabs:
+        site = phi[:, planes]
+        diff = buffer[:, : planes.stop - planes.start]
+        # along the slab axis, the edge planes' neighbours lie outside the slab
+        neighbours = [(phi, planes.start)] + [(site, 0)] * (d - 1)
+        for l, (v, start) in enumerate(neighbours, 1):
+            _neighbour_diff(v, l, 1, diff, start)
+            dirichlet += _row_square_sums(diff)
+        residual = np.multiply(site, mu + 2 * d, out=diff)
+        residual -= rhs[:, planes]
+        for l, (v, start) in enumerate(neighbours, 1):
+            _subtract_neighbour(v, l, 1, residual, start)
+            _subtract_neighbour(v, l, -1, residual, start)
+        residual_rows = residual.reshape(k, -1)
+        slab_max = np.maximum(residual_rows.max(axis=1), -residual_rows.min(axis=1))
+        np.maximum(residual_max, slab_max, out=residual_max)
     dirichlet /= n_sites
-    residual = np.multiply(phi, mu + 2 * d, out=diff)
-    residual -= rhs
-    for l in range(1, phi.ndim):
-        _subtract_neighbour(phi, l, 1, residual)
-        _subtract_neighbour(phi, l, -1, residual)
-    residual_rows = residual.reshape(k, -1)
-    residual_max = np.maximum(residual_rows.max(axis=1), -residual_rows.min(axis=1))
     margin = zeta_second_moment - (mu * second_moment + dirichlet)
 
     phi_max = np.maximum(rows.max(axis=1), -rows.min(axis=1))
@@ -302,8 +328,8 @@ def _chunk_stats(task) -> tuple[range, list[tuple[np.ndarray, np.ndarray]], np.n
     array. Realization indices[i] is drawn from its own seed stream into
     row i of one chunk (_chunk_divergence); one rfftn over the spatial
     axes serves every mu, and each mu takes one irfftn for the whole chunk
-    (_certified_solve, which builds its inverse symbol in phi's memory
-    and its residual in its difference buffer).
+    (_certified_solve, which builds its inverse symbol and its residual
+    slab by slab, and phi in the memory of the solve's spectrum).
     Returns indices, per mu the rows' second moments and energy margins,
     and the rows' psi second moments (None when the generator has none).
     Module-level so that any map_fn can run it, a caller's process pool
@@ -455,12 +481,14 @@ def required_side(mu: float, coefficient: float = 8.0) -> int:
 def _bytes_per_site(d: int) -> float:
     # peak working set of one _chunk_stats task per chunk site, measured
     # with tracemalloc at 3 mus with a cold amplitude cache, over every
-    # generator kind; a task holds no symbol, each solve builds its own:
-    # 40-48 bytes per site in d=1 chunks of 4 to 1024 rows, 39-48 in d=2
-    # chunks of 4 to 256 rows and 45-53 in d=3 chunks of 4 to 32 rows;
-    # one-row chunks take 34-41 at d=1 and d=2 and 33-46 at d=3, except
-    # decay_alpha, which builds its amplitude: 48-50. Two-row chunks of
-    # 32 to 128 sites a row read 56 to 110, a fixed few kilobytes.
+    # generator kind; a task holds no symbol, each solve builds its own
+    # slab by slab: 33-44 bytes per site in d=1 chunks of 4 to 1024 rows,
+    # 34-50 in d=2 chunks of 4 to 256 rows and 46-53 in d=3 chunks of 4 to
+    # 32 rows, which are one slab, so their slab buffers are field-sized;
+    # one-row chunks take 30-40 at d=1 and d=2 and 26-46 at d=3 (iid 26
+    # at L=64, 25 at L=96), except decay_alpha, which builds its
+    # amplitude: 48-50. Two-row chunks of 32 to 128 sites a row read 55
+    # to 109, a fixed few kilobytes.
     # 16*(2d+6) = 128, 160 and 192 is a deliberate overestimate
     return 16.0 * (2 * d + 6)
 

@@ -34,17 +34,21 @@ array, and `_from_half_spectrum` is irfftn, run in that array's place and
 ending in a real array the caller passes in. Both take the passes of
 numpy's rfftn/irfftn in their axis order, so their values are numpy's
 bit for bit. The symbol of -laplacian on that half spectrum is
-`_half_symbol`, and `_inverse_symbol` builds 1 / (mu + symbol) from the
-per-axis lines in the first bytes of the solve's real output, which the
-irfftn then writes over: no symbol is kept from one solve to the next,
-and none is held beside the output.
+`_half_symbol`. A Helmholtz solve (`_solve_half_spectrum`, under
+`solve_helmholtz` and the corrector) never holds it whole:
+`_inverse_symbols` builds 1 / (mu + symbol) from the per-axis lines one
+slab of planes along the first spatial axis at a time (`_slabs`, about
+SLAB_SITES sites each), each slab is multiplied into the solve's complex
+buffer, and `_from_half_spectrum_in_place` transforms that buffer back in
+its own memory, so the solution is a view of its real prefix. The
+stencils take a slab of sites too, reading the neighbours across its
+edges, so the corrector certifies its solve slab by slab.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +62,14 @@ __all__ = [
     "solve_helmholtz",
     "laplace_symbol",
 ]
+
+# Sites per slab of the spectral solve and the corrector's certification:
+# the inverse symbol, the last irfft pass and the stencils run on slabs of
+# about this many sites along the first spatial axis (256 KiB of float64,
+# within a 2 MiB L2 cache where a d = 3 field is not). At least
+# randfields.CHUNK_SITES, so a chunk of two or more rows, and any torus of
+# at most this many sites, is one slab and runs whole-array arithmetic.
+SLAB_SITES = 2**15
 
 
 @dataclass(frozen=True)
@@ -172,26 +184,45 @@ def _along(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     return a[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def _neighbour_parts(n: int, step: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(sites, their step neighbours) as index ranges along an axis of n: the bulk, then the wrap."""
+def _neighbour_parts(
+    n: int, step: int, start: int = 0, stop: int | None = None
+) -> tuple[tuple[int, int, int, int], ...]:
+    """(sites, their step neighbours) as index ranges along an axis of n: the bulk, then the wrap.
+
+    The sites are start..stop-1 (every site by default), counted from
+    start; their neighbours are counted from 0. Sites whose neighbours
+    do not cross the wrap are one bulk range and no wrap.
+    """
+    stop = n if stop is None else stop
+    m = stop - start
+    if 0 <= start + step and stop + step <= n:
+        return ((0, m, start + step, stop + step),)
     if step == 1:
-        return (0, n - 1, 1, n), (n - 1, n, 0, 1)
-    return (1, n, 0, n - 1), (0, 1, n - 1, n)
+        return (0, m - 1, start + 1, n), (m - 1, m, 0, 1)
+    return (1, m, 0, m - 1), (0, 1, n - 1, n)
 
 
 def _flat_along(v: np.ndarray, axis: int, out: np.ndarray) -> bool:
-    """Whether one flat pass over v and out covers the bulk along axis: its last, both C-contiguous."""
-    return axis == v.ndim - 1 and v.flags.c_contiguous and out.flags.c_contiguous
+    """Whether one flat pass over v and out covers the bulk along axis: its last, both C-contiguous and alike."""
+    return (
+        axis == v.ndim - 1 and v.shape == out.shape
+        and v.flags.c_contiguous and out.flags.c_contiguous
+    )
 
 
-def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.ndarray:
-    """out[x] = v[x + step*e_axis] - v[x] on the torus, step = +1 or -1.
+def _neighbour_diff(
+    v: np.ndarray, axis: int, step: int, out: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """out[x] = v[x + step*e_axis] - v[x] on the torus, step = +1 or -1, for the sites out holds.
 
-    Same arithmetic as np.roll(v, -step, axis) - v, without the rolled copy.
-    Along the last axis of a C-contiguous v and out, one flat subtract
-    covers the whole array and the wrap column is written over afterwards.
+    out holds out.shape[axis] sites of v along axis from start (all of v
+    by default), so a slab of sites reads its neighbours across the slab's
+    edges. Same arithmetic as np.roll(v, -step, axis) - v on those sites,
+    without the rolled copy. Along the last axis of a C-contiguous v and
+    an out of its shape, one flat subtract covers the whole array and the
+    wrap column is written over afterwards.
     """
-    parts = _neighbour_parts(v.shape[axis], step)
+    parts = _neighbour_parts(v.shape[axis], step, start, start + out.shape[axis])
     if _flat_along(v, axis, out):
         # the flat bulk pairs each row's edge site with the next row's: the wrap fixes it
         flat, flat_out = v.reshape(-1), out.reshape(-1)
@@ -201,22 +232,25 @@ def _neighbour_diff(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.
             np.subtract(flat[:-1], flat[1:], out=flat_out[1:])
         parts = parts[1:]
     for lo, hi, nlo, nhi in parts:
-        site = _along(v, axis, lo, hi)
+        site = _along(v, axis, start + lo, start + hi)
         np.subtract(_along(v, axis, nlo, nhi), site, out=_along(out, axis, lo, hi))
     return out
 
 
-def _subtract_neighbour(v: np.ndarray, axis: int, step: int, out: np.ndarray) -> np.ndarray:
+def _subtract_neighbour(
+    v: np.ndarray, axis: int, step: int, out: np.ndarray, start: int = 0
+) -> np.ndarray:
     """out[x] -= v[x + step*e_axis] in place on the torus, step = +1 or -1; v and out do not overlap.
 
+    out holds sites of v from start along axis, as in _neighbour_diff.
     Same arithmetic as out -= np.roll(v, -step, axis), without the rolled
-    copy. Along the last axis of a C-contiguous v and out, one flat
-    subtract covers the whole array; the wrap column, computed before it
-    into a column-sized temporary, is written over it afterwards.
+    copy. Along the last axis of a C-contiguous v and an out of its shape,
+    one flat subtract covers the whole array; the wrap column, computed
+    before it into a column-sized temporary, is written over it afterwards.
     """
-    bulk, wrap = _neighbour_parts(v.shape[axis], step)
+    parts = _neighbour_parts(v.shape[axis], step, start, start + out.shape[axis])
     if _flat_along(v, axis, out):
-        lo, hi, nlo, nhi = wrap
+        lo, hi, nlo, nhi = parts[1]
         edge = _along(out, axis, lo, hi)
         fixed = edge - _along(v, axis, nlo, nhi)
         flat, flat_out = v.reshape(-1), out.reshape(-1)
@@ -226,7 +260,7 @@ def _subtract_neighbour(v: np.ndarray, axis: int, step: int, out: np.ndarray) ->
             flat_out[1:] -= flat[:-1]
         edge[...] = fixed
         return out
-    for lo, hi, nlo, nhi in (bulk, wrap):
+    for lo, hi, nlo, nhi in parts:
         site = _along(out, axis, lo, hi)
         np.subtract(site, _along(v, axis, nlo, nhi), out=site)
     return out
@@ -305,14 +339,12 @@ def laplace_symbol(d: int, L: int) -> np.ndarray:
     return s
 
 
-def _half_symbol(d: int, L: int, out: np.ndarray | None = None) -> np.ndarray:
-    """laplace_symbol(d, L) on the rfftn half spectrum, shape (L,)*(d-1) + (L//2+1,).
+def _symbol_lines(d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, line) with _half_symbol(d, L) = table[..., np.newaxis] + line.
 
-    Written to out (a new array by default) in one broadcast add: an
-    (L,)*(d-1) table of the first d-1 per-axis lines plus the last line's
-    half. The lines are summed in laplace_symbol's order, ((0 + l0) + l1)
-    + l2, so the values are its sliced values bit for bit; the full
-    spectrum is never built.
+    table is the (L,)*(d-1) sum of the first d-1 per-axis lines, in
+    laplace_symbol's order ((0 + l0) + l1), and line the last axis's half,
+    of L//2+1 entries.
     """
     half = L // 2 + 1
     line = _axis_line(L, L if d > 1 else half)
@@ -321,25 +353,47 @@ def _half_symbol(d: int, L: int, out: np.ndarray | None = None) -> np.ndarray:
         view = [1] * (d - 1)
         view[l] = L
         table = table + line.reshape(view)
-    return np.add(table[..., np.newaxis], line[:half], out=out)
+    return table, line[:half]
 
 
-def _inverse_symbol(mu: float, d: int, solution: np.ndarray) -> np.ndarray:
-    """1 / (mu + _half_symbol(d, L)) in the first bytes of solution, as a half-spectrum view.
+def _half_symbol(d: int, L: int) -> np.ndarray:
+    """laplace_symbol(d, L) on the rfftn half spectrum, shape (L,)*(d-1) + (L//2+1,).
 
-    solution is the C-contiguous float64 array, of L-sided trailing d
-    axes, that the solve's irfftn will write: the symbol is built there
-    from its per-axis lines, so a solve holds no array for its inverse.
-    Since the symbol vanishes only at the zero mode and mu > 0, the
-    reciprocal is always finite.
+    One broadcast add of _symbol_lines' table and last line, so the values
+    are laplace_symbol's sliced values bit for bit; the full spectrum is
+    never built.
+    """
+    table, line = _symbol_lines(d, L)
+    return np.add(table[..., np.newaxis], line)
+
+
+def _slabs(d: int, L: int) -> list[slice]:
+    """Slabs of whole planes along the first spatial axis, of SLAB_SITES sites or one plane each.
+
+    At d = 1 that axis is the transform axis, and the torus is one slab.
+    """
+    if d == 1:
+        return [slice(0, L)]
+    planes = max(1, SLAB_SITES // L ** (d - 1))
+    return [slice(start, min(start + planes, L)) for start in range(0, L, planes)]
+
+
+def _inverse_symbols(mu: float, d: int, L: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """(planes, 1 / (mu + _half_symbol(d, L))[planes]) for each of _slabs(d, L), in order.
+
+    Each slab is built alone from its rows of _symbol_lines' table and the
+    last line, then mu is added and the reciprocal taken, so its values
+    are those of the whole inverse bit for bit and no symbol of field size
+    is ever held. Since the symbol vanishes only at the zero mode and
+    mu > 0, the reciprocal is always finite.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    L = solution.shape[-1]
-    half = (L,) * (d - 1) + (L // 2 + 1,)
-    out = _half_symbol(d, L, solution.reshape(-1)[: math.prod(half)].reshape(half))
-    out += mu
-    return np.divide(1.0, out, out=out)
+    table, line = _symbol_lines(d, L)
+    for planes in _slabs(d, L):
+        inverse = np.add(table[planes if d > 1 else ...][..., np.newaxis], line)
+        inverse += mu
+        yield planes, np.divide(1.0, inverse, out=inverse)
 
 
 def _half_spectrum(x: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -356,6 +410,12 @@ def _half_spectrum(x: np.ndarray, d: int, out: np.ndarray | None = None) -> np.n
     return spectrum
 
 
+def _ifft_passes(spectrum: np.ndarray, d: int) -> None:
+    """The complex ifft passes of irfftn over the trailing d axes, in place, in its axis order."""
+    for axis in range(spectrum.ndim - d, spectrum.ndim - 1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+
+
 def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, d: int) -> np.ndarray:
     """irfftn of spectrum over its trailing d axes, written to the real array out.
 
@@ -363,10 +423,52 @@ def _from_half_spectrum(spectrum: np.ndarray, out: np.ndarray, d: int) -> np.nda
     the last irfft writes out, of the real shape; out equals irfftn(spectrum,
     s=out.shape[-d:]) bit for bit, and spectrum is overwritten.
     """
-    axes = range(out.ndim - d, out.ndim)
-    for axis in axes[:-1]:
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=out.shape[-1], axis=axes[-1], out=out)
+    _ifft_passes(spectrum, d)
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
+
+
+def _from_half_spectrum_in_place(spectrum: np.ndarray, L: int, d: int) -> np.ndarray:
+    """irfftn of the C-contiguous spectrum over its trailing d axes, of side L, in its own memory.
+
+    The ifft passes run in place as in _from_half_spectrum. The last irfft
+    takes the lines of L//2+1 in order, about SLAB_SITES sites of them at
+    a time, into a buffer of that size, copied to the real prefix of
+    spectrum's memory: line i's real output ends where line i's complex
+    input is at the latest, so it lands on lines already transformed.
+    Returns the real result, a C-contiguous view of that prefix, equal to
+    irfftn(spectrum, s=(L,)*d) bit for bit.
+    """
+    _ifft_passes(spectrum, d)
+    lines = spectrum.reshape(-1, spectrum.shape[-1])
+    n_lines = lines.shape[0]
+    real = lines.reshape(-1).view(np.float64)[: n_lines * L].reshape(n_lines, L)
+    step = max(1, SLAB_SITES // L)
+    buffer = np.empty((min(step, n_lines), L))
+    for start in range(0, n_lines, step):
+        part = buffer[: min(step, n_lines - start)]
+        np.fft.irfft(lines[start : start + step], n=L, axis=-1, out=part)
+        real[start : start + len(part)] = part
+    return real.reshape(spectrum.shape[:-1] + (L,))
+
+
+def _solve_half_spectrum(
+    mu: float, spectrum: np.ndarray, L: int, d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The solution of mu*u - laplacian(u) = f from f's half spectrum, in one complex array's memory.
+
+    spectrum is rfftn of f over its trailing d axes, of side L; any
+    leading axes are a batch. Slab by slab (_slabs, _inverse_symbols), it
+    is multiplied by 1 / (mu + symbol) into out, a C-contiguous complex
+    array of its shape (spectrum itself by default), a real multiply
+    instead of a complex division; _from_half_spectrum_in_place transforms
+    out back. Returns the real solution, a C-contiguous view of out's
+    first bytes.
+    """
+    out = spectrum if out is None else out
+    axis = (slice(None),) * (spectrum.ndim - d)
+    for planes, inverse in _inverse_symbols(mu, d, L):
+        np.multiply(spectrum[axis + (planes,)], inverse, out=out[axis + (planes,)])
+    return _from_half_spectrum_in_place(out, L, d)
 
 
 def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
@@ -374,14 +476,11 @@ def solve_helmholtz(mu: float, f: np.ndarray) -> np.ndarray:
 
     Works for any cubic torus with L >= 2 and any mu > 0. Diagonal in the
     Fourier basis: the half spectrum of f is multiplied in place by
-    1 / (mu + symbol), a real multiply instead of a complex division. The
-    solution is allocated after the forward transform, and the inverse is
-    built in it before the irfftn writes over it.
+    1 / (mu + symbol) and transformed back in its own memory, so the
+    solution is a view of the spectrum's first bytes, and the solve holds
+    f, that spectrum and a few slab-sized arrays.
     """
     geom = TorusGeometry(f.ndim, min(f.shape, default=0))
     if f.shape != geom.shape:
         raise ValueError(f"field shape {f.shape} is not a cubic torus")
-    spectrum = _half_spectrum(f, geom.d)
-    u = np.empty(geom.shape)
-    spectrum *= _inverse_symbol(mu, geom.d, u)
-    return _from_half_spectrum(spectrum, u, geom.d)
+    return _solve_half_spectrum(mu, _half_spectrum(f, geom.d), geom.L, geom.d)

@@ -173,9 +173,13 @@ class IncrementSample:
         return float(_second_moments(self.values[np.newaxis])[0])
 
 
-def _second_moments(values: np.ndarray) -> np.ndarray:
-    """Per row of a (k, c) + shape chunk, the site average of the sum of its c squared components."""
-    density = np.square(values[:, 0])
+def _second_moments(values: np.ndarray, density: np.ndarray | None = None) -> np.ndarray:
+    """Per row of a (k, c) + shape chunk, the site average of the sum of its c squared components.
+
+    The squared density is summed in density, a C-contiguous (k,) + shape
+    array the caller no longer needs, or in a new one.
+    """
+    density = np.square(values[:, 0], out=density)
     for l in range(1, values.shape[1]):
         density += np.square(values[:, l])
     return density.mean(axis=tuple(range(1, density.ndim)))

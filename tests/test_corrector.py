@@ -3,7 +3,10 @@ Carlo estimator, and the scaling verdict machinery."""
 
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -222,8 +225,8 @@ def shrink_zeta_moment(monkeypatch, row=None):
     """
     exact = randfields._second_moments
 
-    def shrunk(values):
-        moments = exact(values)
+    def shrunk(values, density=None):
+        moments = exact(values, density)
         if row is None:
             moments *= 0.1
         elif len(moments) > row:
@@ -237,14 +240,13 @@ def shrink_zeta_moment(monkeypatch, row=None):
 def perturb_symbol(monkeypatch):
     """Add 1e-6 to the symbol in the inverse 1 / (mu + symbol) every corrector solve multiplies by.
 
-    Patched in lattice and in the corrector module, which imports
-    _inverse_symbol by name; the real-space residual check knows nothing
+    Patched in lattice, whose _solve_half_spectrum builds the inverse slab
+    by slab for every solve; the real-space residual check knows nothing
     of the symbol.
     """
-    exact = lattice._inverse_symbol
-    perturbed = lambda mu, d, solution: exact(mu + 1e-6, d, solution)  # noqa: E731
-    monkeypatch.setattr(lattice, "_inverse_symbol", perturbed)
-    monkeypatch.setattr(corrector, "_inverse_symbol", perturbed)
+    exact = lattice._inverse_symbols
+    perturbed = lambda mu, d, L: exact(mu + 1e-6, d, L)  # noqa: E731
+    monkeypatch.setattr(lattice, "_inverse_symbols", perturbed)
 
 
 def chunk_task(spec, geom, mus, indices):
@@ -427,6 +429,107 @@ def test_chunk_residual_max_matches_divergence_of_gradient(spec, d, L):
         assert abs(row - np.max(np.abs(expected))) <= 1e-14 * (1.0 + np.max(np.abs(phi_row)))
 
 
+# a side of several slabs along the first spatial axis
+SEAM_GEOM = TorusGeometry(3, 48)
+SEAM_SLABS = lattice._slabs(3, 48)
+
+
+@pytest.mark.parametrize(
+    "plane", [SEAM_SLABS[1].start, SEAM_SLABS[1].stop - 1, 0, 47],
+    ids=["slab-first", "slab-last", "wrap-first", "wrap-last"],
+)
+@pytest.mark.parametrize("run", [run_solve, run_mc])
+def test_residual_check_fires_at_slab_seams(monkeypatch, run, plane):
+    # an error planted in phi after pinning moves the residual at its own
+    # site by (mu + 2d) 1e-6 and at each neighbour by 1e-6: the reported
+    # maximum is the former only if the slab holding the site computes it,
+    # with its neighbours across the slab's edges and the torus wrap
+    assert len(SEAM_SLABS) > 2
+    exact = corrector._centre
+
+    def plant(phi, d):
+        exact(phi, d)
+        phi[0, plane, 5, 7] += 1e-6
+
+    monkeypatch.setattr(corrector, "_centre", plant)
+    mu = 0.5
+    with pytest.raises(DiagnosticError, match="residual") as info:
+        run(mu, IID_SPEC_2D, SEAM_GEOM)
+    assert f"corrector residual {(mu + 6) * 1e-6:.3e} exceeds" in str(info.value)
+    assert names_sample(info, SEAM_GEOM, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, d, L",
+    [(IID_SPEC_2D, 3, 48), (GeneratorSpec(kind="gradient", law=UNIT_LAW), 3, 40),
+     (GeneratorSpec(kind="gff", axis=0), 2, 255)],
+)
+def test_several_slabs_equal_the_whole_array_solve(spec, d, L):
+    # phi, its second moment and the residual maximum are the whole-array
+    # values bit for bit; the Dirichlet energy sums its squares slab by
+    # slab, so it agrees to rounding
+    geom = TorusGeometry(d, L)
+    assert len(lattice._slabs(d, L)) > 1
+    rhs, rhs_hat, zeta2, _ = corrector._chunk_divergence(spec, geom, 2, range(1))
+    mu = 0.05
+    phi, second_moment, dirichlet, residual_max, _ = corrector._certified_solve(
+        mu, rhs, rhs_hat, zeta2, [("x", (), 2, 0)])
+    axes = tuple(range(1, d + 1))
+    inverse = 1.0 / (mu + lattice._half_symbol(d, L))
+    whole = np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) * inverse, s=geom.shape, axes=axes)
+    whole -= whole.mean(axis=axes, keepdims=True)
+    assert phi.tobytes() == whole.tobytes()
+    rows = whole.reshape(1, -1)
+    assert second_moment.tobytes() == (np.einsum("ij,ij->i", rows, rows) / geom.n_sites).tobytes()
+    residual = (mu + 2 * d) * whole - rhs
+    for l in axes:
+        residual -= np.roll(whole, -1, l)
+        residual -= np.roll(whole, 1, l)
+    assert residual_max.tobytes() == np.abs(residual).max(axis=axes).tobytes()
+    energy = sum(np.sum((np.roll(whole, -1, l) - whole) ** 2) for l in axes) / geom.n_sites
+    assert abs(dirichlet[0] - energy) <= 1e-14 * energy
+
+
+RSS_TASK = """
+import resource, tracemalloc
+from incrstat import cli, corrector
+from incrstat.lattice import TorusGeometry
+from incrstat.randfields import GeneratorSpec, IncrementLaw
+
+cli._fix_heap_thresholds()
+spec = GeneratorSpec(kind="iid", axis=0, law=IncrementLaw("uniform_centered", 1.0))
+mus = (0.25, 0.0625, 0.015625)
+corrector._chunk_stats((spec, TorusGeometry(3, 8), mus, 0, range(1)))  # numpy's one-time set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+corrector._chunk_stats((spec, TorusGeometry(3, 96), mus, 0, range(1)))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tracemalloc.start()
+corrector._chunk_stats((spec, TorusGeometry(3, 96), mus, 0, range(1, 2)))
+print((after - before) * 1024, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.skipif("CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),
+                    reason="the heap thresholds are pinned on glibc only")
+def test_d3_task_grows_the_process_by_three_fields():
+    # a fresh interpreter with the CLI's heap thresholds: one-row d=3,
+    # L=96 iid tasks at three mus hold the divergence, its spectrum and
+    # each solve's buffer, 3.04 field sizes. tracemalloc cannot see the
+    # heap growing past a freed block too small for a spectrum, so the
+    # process's peak RSS is measured too: 3.06 field sizes, and 4.0 with
+    # the draw's block below the divergence. The parent's fourth field,
+    # phi beside the spectrum of its solve, read 4.06 under tracemalloc
+    src = os.path.dirname(os.path.dirname(corrector.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", RSS_TASK], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth, peak = (int(v) for v in proc.stdout.split())
+    field = 96**3 * 8
+    assert growth <= 3.3 * field
+    assert peak <= 3.2 * field
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_iid_divergence_allocates_only_the_drawn_component(axis):
     # a one-row d=3 draw holds its one component and the divergence, then
@@ -488,7 +591,7 @@ def test_chunk_peak_memory_within_budget_formula(spec, d, budget_mb):
 @pytest.mark.parametrize(
     "spec, bytes_per_site",
     [
-        (IID_SPEC, 36.0),
+        (IID_SPEC, 30.0),
         (GeneratorSpec(kind="gradient", law=UNIT_LAW), 43.0),
         (GeneratorSpec(kind="gff"), 43.0),
         (GeneratorSpec(kind="decay_alpha", alpha=3.0), 50.0),
@@ -497,15 +600,15 @@ def test_chunk_peak_memory_within_budget_formula(spec, d, budget_mb):
 )
 def test_d3_group_peak_memory_per_site(spec, bytes_per_site):
     # one-row chunks at three mus, no symbol shared between them: the
-    # divergence and its spectrum, then phi (its first bytes holding the
-    # inverse symbol, built there from the axis lines) and one solve's
-    # spectrum, then phi and the difference buffer, which ends as the
-    # residual: 33.9 bytes per site for iid. gradient and gff (40.5) peak
-    # at the draw, where the three components, the divergence and its term
-    # coexist; decay_alpha (48.0) at its cold amplitude build. A symbol
-    # held beside the task, an inverse symbol or residual array of its
-    # own, or an iid draw of all d components, costs 4 to 16 bytes per
-    # site more
+    # divergence and its spectrum, then each solve's complex buffer, in
+    # which phi is transformed back, beside slab-sized arrays (the inverse
+    # symbol's slab, the last irfft pass's lines, the difference buffer
+    # that ends as the residual): 28.5 bytes per site for iid, where a
+    # slab is 0.29 field sizes. gradient and gff (40.5) peak at the draw,
+    # where the three components, the divergence and its term coexist;
+    # decay_alpha (48.0) at its cold amplitude build. A symbol held beside
+    # the task, a phi or residual array of its own, or an iid draw of all
+    # d components, costs 4 to 16 bytes per site more
     geom = TorusGeometry(3, 48)
     mus = (0.25, 0.0625, 0.015625)
     corrector._second_moments_mc(mus, spec, TorusGeometry(3, 8), 2, 0)  # numpy's one-time set-up

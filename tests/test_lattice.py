@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incrstat import randfields
 from incrstat.lattice import (
+    SLAB_SITES,
     TorusField,
     TorusGeometry,
     _from_half_spectrum,
+    _from_half_spectrum_in_place,
     _half_spectrum,
     _half_symbol,
-    _inverse_symbol,
+    _inverse_symbols,
+    _slabs,
     _neighbour_diff,
     _subtract_neighbour,
     backward_divergence,
@@ -337,19 +341,6 @@ def test_half_symbol_bitwise_equals_sliced_full_symbol(d, L):
     assert half.tobytes() == np.ascontiguousarray(laplace_symbol(d, L)[..., : L // 2 + 1]).tobytes()
 
 
-def test_inverse_symbol_writes_one_array_for_every_mu():
-    sym = _half_symbol(2, 6)
-    solution = np.empty((6, 6))
-    for mu in (0.5, 2.0**-9):
-        inverse = _inverse_symbol(mu, 2, solution)
-        assert np.shares_memory(inverse, solution)
-        assert inverse.tobytes() == (1.0 / (mu + sym)).tobytes()
-        assert solution.reshape(-1)[: sym.size].tobytes() == inverse.tobytes()
-    for mu in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="mu must be positive"):
-            _inverse_symbol(mu, 2, solution)
-
-
 def summed_half_symbol(d, L):
     """The half-spectrum symbol as a zero array plus each axis line in turn, broadcast over all of it."""
     line = 4.0 * np.sin(np.pi * np.arange(L) / L) ** 2
@@ -364,17 +355,48 @@ def summed_half_symbol(d, L):
 @pytest.mark.parametrize("d, L", [(d, L) for d in (1, 2, 3) for L in (2, 3, 7, 8, 96)]
                          + [(1, 8193), (2, 129)])
 def test_inverse_symbol_bitwise_equals_inverse_of_summed_symbol(d, L):
-    # the inverse is built from a (L,)*(d-1) table of lines and the last
-    # line, with the same additions in the same order as a whole-array sum
+    # each slab of the inverse is built from its rows of a (L,)*(d-1) table
+    # of lines and the last line, with the same additions in the same order
+    # as a whole-array sum, and the slabs tile the half spectrum in order
     symbol = summed_half_symbol(d, L)
     assert _half_symbol(d, L).tobytes() == symbol.tobytes()
     for mu in (0.3, 0.25, 2.0**-12):
-        inverse = _inverse_symbol(mu, d, np.empty((L,) * d))
+        slabs = list(_inverse_symbols(mu, d, L))
+        assert [planes for planes, _ in slabs] == _slabs(d, L)
+        inverse = np.concatenate([slab for _, slab in slabs])
         assert inverse.tobytes() == (1.0 / (mu + symbol)).tobytes()
 
 
-# (d, L, rows k): even and odd sides, the smallest included, one row and several
-TRANSFORM_CASES = [(d, L, k) for d, sides in ((1, (2, 9, 64)), (2, (3, 8, 15)), (3, (2, 5, 12)))
+@pytest.mark.parametrize("d, L", [(1, 2), (1, 2**16), (2, 5), (2, 128), (2, 129), (2, 1024),
+                                  (3, 2), (3, 32), (3, 33), (3, 96), (3, 256)])
+def test_slabs_tile_the_first_axis_in_whole_planes(d, L):
+    slabs = _slabs(d, L)
+    assert slabs[0].start == 0 and slabs[-1].stop == L
+    assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+    plane = L ** (d - 1)
+    if d == 1 or L**d <= SLAB_SITES:
+        assert len(slabs) == 1
+    else:
+        assert all((s.stop - s.start) * plane <= max(SLAB_SITES, plane) for s in slabs)
+        assert len(slabs) == -(-L // max(1, SLAB_SITES // plane))
+
+
+def test_a_multi_row_chunk_is_one_slab():
+    # a chunk of two or more rows has at most CHUNK_SITES sites, and runs
+    # the whole-array arithmetic of a one-slab torus
+    assert SLAB_SITES >= randfields.CHUNK_SITES
+
+
+def test_inverse_symbols_refuse_nonpositive_mu():
+    for mu in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            next(_inverse_symbols(mu, 2, 6))
+
+
+# (d, L, rows k): even and odd sides, the smallest included, one row and several;
+# the last sides take the in-place inverse's last pass in several groups of lines
+TRANSFORM_CASES = [(d, L, k) for d, sides in ((1, (2, 9, 64, 40001)), (2, (3, 8, 15, 300)),
+                                              (3, (2, 5, 12, 40, 41)))
                    for L in sides for k in (1, 3)]
 
 
@@ -397,6 +419,14 @@ def test_transform_pair_bitwise_equals_rfftn_pair(d, L, k):
     _from_half_spectrum(np.fft.rfftn(field), one, d)
     expected = np.fft.irfftn(np.fft.rfftn(field), s=field.shape, axes=tuple(range(d)))
     assert one.tobytes() == expected.tobytes()
+    # the inverse in the spectrum's own memory: its real prefix, as a view
+    buffer = spectrum.copy()
+    in_place = _from_half_spectrum_in_place(buffer, L, d)
+    assert in_place.shape == shape and in_place.flags.c_contiguous
+    assert np.shares_memory(in_place, buffer)
+    assert in_place.tobytes() == out.tobytes()
+    buffer = np.fft.rfftn(field)
+    assert _from_half_spectrum_in_place(buffer, L, d).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- solver
@@ -454,17 +484,20 @@ def test_solver_linearity():
     assert np.allclose(left, right, atol=1e-12)
 
 
-# tracemalloc peak bound of one warm solve, in field sizes. At d=1 and d=2
-# numpy's float-to-complex cast buffer of the multiply (8192 elements at
-# most) sits beside the solution; at d=3, L=64 it is a small share.
-SOLVER_PEAK_FIELDS = {(1, 4096): 3.25, (2, 128): 3.25, (3, 32): 3.25, (3, 64): 2.3}
+# tracemalloc peak bound of one warm solve, in field sizes: the spectrum,
+# in whose memory the solution is transformed back, and slab-sized arrays.
+# At d=1 the torus is one slab, and the inverse symbol, numpy's
+# float-to-complex cast buffer of the multiply and the last pass's lines
+# are each a field or half of one; the measured peaks are 3.05, 2.56, 2.60,
+# 1.24 and 1.08 field sizes.
+SOLVER_PEAK_FIELDS = {(1, 4096): 3.1, (2, 128): 2.6, (3, 32): 2.65, (3, 64): 1.3, (3, 96): 1.15}
 
 
 @pytest.mark.parametrize("d, L", list(SOLVER_PEAK_FIELDS))
 def test_solver_peak_memory_within_three_and_a_quarter_fields(d, L):
-    # f, its half spectrum multiplied in place, and the solution, in which
-    # the inverse symbol is built; an inverse of its own, or a product out
-    # of place, exceeds the bound
+    # f and its half spectrum, multiplied in place slab by slab and
+    # transformed back in place; a solution or an inverse symbol of its
+    # own exceeds the bound at d=3
     f = rand_field(TorusGeometry(d, L), 0)
     solve_helmholtz(0.5, f)  # numpy's one-time set-up
     tracemalloc.start()
@@ -477,7 +510,7 @@ def test_solver_peak_memory_within_three_and_a_quarter_fields(d, L):
 
 
 def test_solver_rejects_nonpositive_mu():
-    for mu in (0.0, -1.0):
+    for mu in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             solve_helmholtz(mu, np.array([1.0, 0.0, 0.0, 0.0]))
 

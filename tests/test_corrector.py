@@ -514,11 +514,11 @@ print((after - before) * 1024, tracemalloc.get_traced_memory()[1])
 def test_d3_task_grows_the_process_by_three_fields():
     # a fresh interpreter with the CLI's heap thresholds: one-row d=3,
     # L=96 iid tasks at three mus hold the divergence, its spectrum and
-    # each solve's buffer, 3.04 field sizes. tracemalloc cannot see the
+    # each solve's buffer, 3.10 field sizes under tracemalloc (4.06 with
+    # phi beside the spectrum of its solve). tracemalloc cannot see the
     # heap growing past a freed block too small for a spectrum, so the
-    # process's peak RSS is measured too: 3.06 field sizes, and 4.0 with
-    # the draw's block below the divergence. The parent's fourth field,
-    # phi beside the spectrum of its solve, read 4.06 under tracemalloc
+    # process's peak RSS is measured too: 3.07 field sizes, and 4.0 with
+    # the draw's block below the divergence
     src = os.path.dirname(os.path.dirname(corrector.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", RSS_TASK], capture_output=True, text=True,

@@ -15,8 +15,8 @@ from incrstat.lattice import (
     _half_spectrum,
     _half_symbol,
     _inverse_symbols,
-    _slabs,
     _neighbour_diff,
+    _slabs,
     _subtract_neighbour,
     backward_divergence,
     forward_gradient,
